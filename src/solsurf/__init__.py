@@ -9,9 +9,9 @@ motion, and reconstruct the swept surface with its fundamental forms.
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateFrameError, DegenerateMetricError,
-                     DegenerateTangentPlaneError, GramDriftError, GridError,
-                     MapInconsistentError, NonFiniteFieldError, ShapeError,
-                     SolsurfError, SqrtDomainError)
+                     GramDriftError, GridError, MapInconsistentError,
+                     NonFiniteFieldError, ShapeError, SolsurfError,
+                     SqrtDomainError)
 from .numgrid import (BOUNDARIES, Grid1D, Grid2D, diff_t, diff_tt, diff_x,
                       diff_xx, fit_order, integrate_x, step_rk4)
 from .frames import (CTFields, FrameState, compatibility_residual,
@@ -20,8 +20,7 @@ from .frames import (CTFields, FrameState, compatibility_residual,
 from .spin import (SpinField, SpinRates, SpinSeries, build_frame,
                    constraint_radicands, ct_from_spin_series, evolve,
                    evolve_series, solve_u_constraint, spin_rhs)
-from .gauss_codazzi import (FormTriple, FundamentalForms, GCAnalytic, GCData,
-                            QuadraticForm, curvatures, forms_from_psi,
+from .gauss_codazzi import (FundamentalForms, GCAnalytic, GCData, curvatures,
                             fundamental_forms, gc_residual, map_frame_to_gc,
                             map_gc_to_frame, metric_residual)
 from .lax import (Eigenfunction, LaxPairField, build_lax, eigenfunction_field,
@@ -35,8 +34,7 @@ __all__ = [
     "__version__",
     "SolsurfError", "ConfigError", "GridError", "ShapeError",
     "NonFiniteFieldError", "SqrtDomainError", "DegenerateFrameError",
-    "GramDriftError", "DegenerateMetricError", "DegenerateTangentPlaneError",
-    "MapInconsistentError",
+    "GramDriftError", "DegenerateMetricError", "MapInconsistentError",
     "BOUNDARIES", "Grid1D", "Grid2D", "diff_x", "diff_t", "diff_xx",
     "diff_tt", "integrate_x", "step_rk4", "fit_order",
     "FrameState", "CTFields", "matrix_a", "matrix_b", "gram_deviation",
@@ -45,9 +43,9 @@ __all__ = [
     "SpinField", "SpinRates", "SpinSeries", "spin_rhs",
     "constraint_radicands", "solve_u_constraint", "evolve", "evolve_series",
     "build_frame", "ct_from_spin_series",
-    "GCData", "GCAnalytic", "QuadraticForm", "FormTriple",
-    "FundamentalForms", "gc_residual", "metric_residual", "forms_from_psi",
-    "fundamental_forms", "curvatures", "map_gc_to_frame", "map_frame_to_gc",
+    "GCData", "GCAnalytic", "FundamentalForms", "gc_residual",
+    "metric_residual", "fundamental_forms", "curvatures", "map_gc_to_frame",
+    "map_frame_to_gc",
     "LaxPairField", "Eigenfunction", "build_lax", "zero_curvature_matrix",
     "zero_curvature_residual", "propagate_phi", "eigenfunction_field",
     "holonomy_defect",

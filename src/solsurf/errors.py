@@ -61,10 +61,6 @@ class DegenerateMetricError(SolsurfError):
     """First fundamental form is singular or indefinite where it must not be."""
 
 
-class DegenerateTangentPlaneError(SolsurfError):
-    """Tangent vectors are parallel; the surface normal is undefined there."""
-
-
 class MapInconsistentError(SolsurfError):
     """Frame fields and metric roots disagree beyond tolerance in a change of variables."""
 

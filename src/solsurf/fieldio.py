@@ -34,56 +34,126 @@ def _unflat(data, shape, name: str) -> np.ndarray:
     return a.reshape(shape)
 
 
+def _encode_arrays(obj, names, cplx: bool = False) -> dict:
+    doc = {}
+    for name in names:
+        a = getattr(obj, name)
+        if cplx:
+            doc[f"{name}_re"], doc[f"{name}_im"] = _flat(a.real), _flat(a.imag)
+        else:
+            doc[name] = _flat(a)
+    return doc
+
+
+def _decode_arrays(doc: dict, shapes: dict, cplx: bool = False) -> dict:
+    if cplx:
+        return {name: _unflat(doc[f"{name}_re"], shape, f"{name}_re")
+                + 1j * _unflat(doc[f"{name}_im"], shape, f"{name}_im")
+                for name, shape in shapes.items()}
+    return {name: _unflat(doc[name], shape, name) for name, shape in shapes.items()}
+
+
+def _on_grid2(cls, names, extra=(), cplx: bool = False):
+    """Codec of a type holding named arrays of shape grid.shape + extra."""
+    def encode(obj):
+        return {"grid": to_jsonable(obj.grid), **_encode_arrays(obj, names, cplx)}
+
+    def decode(doc):
+        g2 = from_jsonable(doc["grid"])
+        shapes = {name: g2.shape + extra for name in names}
+        return cls(grid=g2, **_decode_arrays(doc, shapes, cplx))
+
+    return cls, encode, decode
+
+
+def _spin_arrays(doc: dict, shape: tuple) -> dict:
+    # Spin documents written before the beta option was removed carry
+    # "beta": 1; any other value describes a branch this package never ran.
+    if doc.get("beta", 1) != 1:
+        raise ConfigError(f"{doc['kind']} document has beta={doc['beta']!r}; "
+                          f"only beta = 1 is supported")
+    return _decode_arrays(doc, {"S": shape + (3,), "u": shape, "v": shape})
+
+
+def _decode_spin_field(doc):
+    grid = from_jsonable(doc["grid"])
+    return SpinField(grid=grid, t=float(doc["t"]), **_spin_arrays(doc, (grid.n,)))
+
+
+def _decode_spin_series(doc):
+    grid = from_jsonable(doc["grid"])
+    times = np.asarray(doc["times"], dtype=float)
+    return SpinSeries(grid=grid, times=times,
+                      **_spin_arrays(doc, (grid.n, times.size)))
+
+
+def _form_names(form_kind: str) -> tuple:
+    return FundamentalForms._DIAG if form_kind == "diagonal" else FundamentalForms._GEN
+
+
+def _encode_forms(obj):
+    names = _form_names(obj.kind)
+    return {"form_kind": obj.kind,
+            "grid": None if obj.grid is None else to_jsonable(obj.grid),
+            "shape": list(getattr(obj, names[0]).shape),
+            **_encode_arrays(obj, names)}
+
+
+def _decode_forms(doc):
+    shape = tuple(doc["shape"])
+    names = _form_names(doc["form_kind"])
+    grid = None if doc["grid"] is None else from_jsonable(doc["grid"])
+    return FundamentalForms(kind=doc["form_kind"], grid=grid,
+                            **_decode_arrays(doc, dict.fromkeys(names, shape)))
+
+
+def _encode_array(obj):
+    if np.iscomplexobj(obj):
+        return {"shape": list(obj.shape), "re": _flat(obj.real), "im": _flat(obj.imag)}
+    return {"shape": list(obj.shape), "data": _flat(obj)}
+
+
+def _decode_array(doc):
+    shape = tuple(doc["shape"])
+    if "re" in doc:
+        return _unflat(doc["re"], shape, "re") + 1j * _unflat(doc["im"], shape, "im")
+    return _unflat(doc["data"], shape, "data")
+
+
+# kind tag -> (type, encode, decode).  encode returns the document without
+# its "kind" key; decode receives the whole document.
+_CODECS = {
+    "grid1d": (Grid1D,
+               lambda g: {"x0": g.x0, "dx": g.dx, "n": g.n, "boundary": g.boundary},
+               lambda doc: Grid1D(x0=float(doc["x0"]), dx=float(doc["dx"]),
+                                  n=int(doc["n"]), boundary=doc["boundary"])),
+    "grid2d": (Grid2D,
+               lambda g: {"gx": to_jsonable(g.gx), "gt": to_jsonable(g.gt)},
+               lambda doc: Grid2D(gx=from_jsonable(doc["gx"]),
+                                  gt=from_jsonable(doc["gt"]))),
+    "spin_field": (SpinField,
+                   lambda f: {"grid": to_jsonable(f.grid), "t": f.t,
+                              **_encode_arrays(f, ("S", "u", "v"))},
+                   _decode_spin_field),
+    "spin_series": (SpinSeries,
+                    lambda s: {"grid": to_jsonable(s.grid),
+                               **_encode_arrays(s, ("times", "S", "u", "v"))},
+                    _decode_spin_series),
+    "ct_fields": _on_grid2(CTFields, ("k", "tau", "omega2", "omega3")),
+    "gc_data": _on_grid2(GCData, ("psi1", "psi2", "tpsi1", "tpsi2", "p", "q")),
+    "fundamental_forms": (FundamentalForms, _encode_forms, _decode_forms),
+    "surface_mesh": _on_grid2(SurfaceMesh, ("r",), extra=(3,)),
+    "lax_pair": _on_grid2(LaxPairField, ("U", "V"), extra=(2, 2), cplx=True),
+    "eigenfunction": _on_grid2(Eigenfunction, ("phi",), extra=(2, 2), cplx=True),
+    "array": (np.ndarray, _encode_array, _decode_array),
+}
+
+
 def to_jsonable(obj) -> dict:
     """Tagged plain-dict form of a supported object."""
-    if isinstance(obj, Grid1D):
-        return {"kind": "grid1d", "x0": obj.x0, "dx": obj.dx, "n": obj.n,
-                "boundary": obj.boundary}
-    if isinstance(obj, Grid2D):
-        return {"kind": "grid2d", "gx": to_jsonable(obj.gx), "gt": to_jsonable(obj.gt)}
-    if isinstance(obj, SpinField):
-        return {"kind": "spin_field", "grid": to_jsonable(obj.grid), "t": obj.t,
-                "beta": obj.beta, "S": _flat(obj.S), "u": _flat(obj.u),
-                "v": _flat(obj.v)}
-    if isinstance(obj, SpinSeries):
-        return {"kind": "spin_series", "grid": to_jsonable(obj.grid),
-                "times": _flat(obj.times), "beta": obj.beta, "S": _flat(obj.S),
-                "u": _flat(obj.u), "v": _flat(obj.v)}
-    if isinstance(obj, CTFields):
-        return {"kind": "ct_fields", "grid": to_jsonable(obj.grid),
-                "k": _flat(obj.k), "tau": _flat(obj.tau),
-                "omega2": _flat(obj.omega2), "omega3": _flat(obj.omega3)}
-    if isinstance(obj, GCData):
-        return {"kind": "gc_data", "grid": to_jsonable(obj.grid),
-                "psi1": _flat(obj.psi1), "psi2": _flat(obj.psi2),
-                "tpsi1": _flat(obj.tpsi1), "tpsi2": _flat(obj.tpsi2),
-                "p": _flat(obj.p), "q": _flat(obj.q)}
-    if isinstance(obj, FundamentalForms):
-        doc = {"kind": "fundamental_forms", "form_kind": obj.kind,
-               "grid": None if obj.grid is None else to_jsonable(obj.grid)}
-        names = obj._DIAG if obj.kind == "diagonal" else obj._GEN
-        for name in names:
-            doc[name] = _flat(getattr(obj, name))
-        doc["shape"] = list(getattr(obj, names[0]).shape)
-        return doc
-    if isinstance(obj, SurfaceMesh):
-        return {"kind": "surface_mesh", "grid": to_jsonable(obj.grid),
-                "r": _flat(obj.r)}
-    if isinstance(obj, LaxPairField):
-        return {"kind": "lax_pair", "grid": to_jsonable(obj.grid),
-                "U_re": _flat(obj.U.real), "U_im": _flat(obj.U.imag),
-                "V_re": _flat(obj.V.real), "V_im": _flat(obj.V.imag)}
-    if isinstance(obj, Eigenfunction):
-        return {"kind": "eigenfunction", "grid": to_jsonable(obj.grid),
-                "phi_re": _flat(obj.phi.real), "phi_im": _flat(obj.phi.imag)}
-    if isinstance(obj, np.ndarray):
-        doc = {"kind": "array", "shape": list(obj.shape)}
-        if np.iscomplexobj(obj):
-            doc["re"] = _flat(obj.real)
-            doc["im"] = _flat(obj.imag)
-        else:
-            doc["data"] = _flat(obj)
-        return doc
+    for kind, (cls, encode, _) in _CODECS.items():
+        if isinstance(obj, cls):
+            return {"kind": kind, **encode(obj)}
     raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -92,70 +162,12 @@ def from_jsonable(doc: dict):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("document has no 'kind' tag")
     kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _CODECS:
+        raise ConfigError(f"unknown document kind {kind!r}")
     try:
-        if kind == "grid1d":
-            return Grid1D(x0=float(doc["x0"]), dx=float(doc["dx"]),
-                          n=int(doc["n"]), boundary=doc["boundary"])
-        if kind == "grid2d":
-            return Grid2D(gx=from_jsonable(doc["gx"]), gt=from_jsonable(doc["gt"]))
-        if kind == "spin_field":
-            grid = from_jsonable(doc["grid"])
-            n = grid.n
-            return SpinField(S=_unflat(doc["S"], (n, 3), "S"),
-                             u=_unflat(doc["u"], (n,), "u"),
-                             v=_unflat(doc["v"], (n,), "v"),
-                             grid=grid, t=float(doc["t"]), beta=int(doc["beta"]))
-        if kind == "spin_series":
-            grid = from_jsonable(doc["grid"])
-            times = np.asarray(doc["times"], dtype=float)
-            shape = (grid.n, times.size)
-            return SpinSeries(grid=grid, times=times,
-                              S=_unflat(doc["S"], shape + (3,), "S"),
-                              u=_unflat(doc["u"], shape, "u"),
-                              v=_unflat(doc["v"], shape, "v"),
-                              beta=int(doc["beta"]))
-        if kind == "ct_fields":
-            g2 = from_jsonable(doc["grid"])
-            return CTFields(**{name: _unflat(doc[name], g2.shape, name)
-                               for name in ("k", "tau", "omega2", "omega3")},
-                            grid=g2)
-        if kind == "gc_data":
-            g2 = from_jsonable(doc["grid"])
-            names = ("psi1", "psi2", "tpsi1", "tpsi2", "p", "q")
-            return GCData(**{name: _unflat(doc[name], g2.shape, name)
-                             for name in names}, grid=g2)
-        if kind == "fundamental_forms":
-            grid = None if doc["grid"] is None else from_jsonable(doc["grid"])
-            shape = tuple(doc["shape"])
-            form_kind = doc["form_kind"]
-            names = (FundamentalForms._DIAG if form_kind == "diagonal"
-                     else FundamentalForms._GEN)
-            fields = {name: _unflat(doc[name], shape, name) for name in names}
-            return FundamentalForms(kind=form_kind, grid=grid, **fields)
-        if kind == "surface_mesh":
-            g2 = from_jsonable(doc["grid"])
-            return SurfaceMesh(r=_unflat(doc["r"], g2.shape + (3,), "r"), grid=g2)
-        if kind == "lax_pair":
-            g2 = from_jsonable(doc["grid"])
-            shape = g2.shape + (2, 2)
-            U = _unflat(doc["U_re"], shape, "U_re") + 1j * _unflat(doc["U_im"], shape, "U_im")
-            V = _unflat(doc["V_re"], shape, "V_re") + 1j * _unflat(doc["V_im"], shape, "V_im")
-            return LaxPairField(U=U, V=V, grid=g2)
-        if kind == "eigenfunction":
-            g2 = from_jsonable(doc["grid"])
-            shape = g2.shape + (2, 2)
-            phi = (_unflat(doc["phi_re"], shape, "phi_re")
-                   + 1j * _unflat(doc["phi_im"], shape, "phi_im"))
-            return Eigenfunction(phi=phi, grid=g2)
-        if kind == "array":
-            shape = tuple(doc["shape"])
-            if "re" in doc:
-                return (_unflat(doc["re"], shape, "re")
-                        + 1j * _unflat(doc["im"], shape, "im"))
-            return _unflat(doc["data"], shape, "data")
+        return _CODECS[kind][2](doc)
     except KeyError as e:
         raise ConfigError(f"document of kind {kind!r} is missing key {e}") from e
-    raise ConfigError(f"unknown document kind {kind!r}")
 
 
 def dump_json_str(obj) -> str:
@@ -189,11 +201,6 @@ def _write_csv(path, header, columns) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _grid2_columns(g2: Grid2D):
-    X, T = g2.meshes()
-    return X, T
-
-
 def save_spin_csv(f: SpinField, path) -> None:
     x = f.grid.points()
     _write_csv(path, ["x", "S1", "S2", "S3", "u", "v"],
@@ -209,19 +216,19 @@ def save_series_csv(s: SpinSeries, path) -> None:
 
 
 def save_ct_csv(ct: CTFields, path) -> None:
-    X, T = _grid2_columns(ct.grid)
+    X, T = ct.grid.meshes()
     _write_csv(path, ["x", "t", "k", "tau", "omega2", "omega3"],
                [X, T, ct.k, ct.tau, ct.omega2, ct.omega3])
 
 
 def save_gc_csv(d: GCData, path) -> None:
-    X, T = _grid2_columns(d.grid)
+    X, T = d.grid.meshes()
     _write_csv(path, ["x", "t", "psi1", "psi2", "tpsi1", "tpsi2", "p", "q"],
                [X, T, d.psi1, d.psi2, d.tpsi1, d.tpsi2, d.p, d.q])
 
 
 def save_mesh_csv(m: SurfaceMesh, path) -> None:
-    X, T = _grid2_columns(m.grid)
+    X, T = m.grid.meshes()
     _write_csv(path, ["x", "t", "rx", "ry", "rz"],
                [X, T, m.r[..., 0], m.r[..., 1], m.r[..., 2]])
 
@@ -229,7 +236,7 @@ def save_mesh_csv(m: SurfaceMesh, path) -> None:
 def save_scalars_csv(fields: dict, grid, path) -> None:
     """Named scalar fields over a Grid1D or Grid2D, one column each."""
     if isinstance(grid, Grid2D):
-        X, T = _grid2_columns(grid)
+        X, T = grid.meshes()
         header = ["x", "t"] + list(fields.keys())
         columns = [X, T] + list(fields.values())
     else:

@@ -46,9 +46,7 @@ def traveling_circle(grid: Grid1D, w: float = 1.0) -> SpinField:
     Under the evolution law this profile translates rigidly at unit speed;
     on periodic grids w must be an integer multiple of 2 pi / span.
     """
-    x = grid.points()
-    S = np.stack([np.cos(w * x), np.sin(w * x), np.zeros_like(x)], axis=1)
-    return SpinField(S=S, u=np.zeros(grid.n), v=np.zeros(grid.n), grid=grid)
+    return traveling_circle_exact(grid, w, t=0.0)
 
 
 def traveling_circle_exact(grid: Grid1D, w: float = 1.0, t: float = 0.0) -> SpinField:
@@ -254,12 +252,3 @@ def sphere_forms(g2: Grid2D, radius: float = 1.0) -> FundamentalForms:
     return FundamentalForms.diagonal(
         g11=np.full_like(T, radius ** 2), g22=(radius * s) ** 2,
         d11=np.full_like(T, radius), d22=radius * s * s, grid=g2)
-
-
-def cylinder_forms(g2: Grid2D, radius: float = 1.0) -> FundamentalForms:
-    """Analytic forms of the cylinder patch (axis on x, angle on t)."""
-    shape = g2.shape
-    return FundamentalForms.general(
-        E=np.ones(shape), F=np.zeros(shape), G=np.full(shape, radius ** 2),
-        L=np.zeros(shape), M=np.zeros(shape), N=np.full(shape, radius),
-        grid=g2)

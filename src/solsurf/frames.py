@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramDriftError, ShapeError, SolsurfError
+from .errors import GramDriftError, ShapeError
 from .numgrid import Grid1D, Grid2D, diff_t, diff_x, step_rk4
 
 
@@ -37,15 +37,12 @@ class FrameState:
     k: np.ndarray
     tau: np.ndarray
     grid: Grid1D
-    beta: int = 1
     omega1: np.ndarray | None = None
     omega2: np.ndarray | None = None
     omega3: np.ndarray | None = None
     gram_drift: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.beta not in (1, -1):
-            raise ShapeError(f"beta must be +1 or -1, got {self.beta!r}")
         n = self.grid.n
         for name in ("e1", "e2", "e3"):
             v = np.asarray(getattr(self, name), dtype=float)
@@ -70,25 +67,21 @@ class FrameState:
         return np.stack([self.e1[i], self.e2[i], self.e3[i]])
 
 
-def matrix_a(k: float, tau: float, beta: int = 1) -> np.ndarray:
+def matrix_a(k: float, tau: float) -> np.ndarray:
     """Spatial coefficient matrix of the frame system."""
-    if beta not in (1, -1):
-        raise ShapeError(f"beta must be +1 or -1, got {beta!r}")
     return np.array([
         [0.0, k, 0.0],
-        [-beta * k, 0.0, tau],
+        [-k, 0.0, tau],
         [0.0, -tau, 0.0],
     ])
 
 
-def matrix_b(omega1: float, omega2: float, omega3: float, beta: int = 1) -> np.ndarray:
+def matrix_b(omega1: float, omega2: float, omega3: float) -> np.ndarray:
     """Temporal coefficient matrix of the frame system."""
-    if beta not in (1, -1):
-        raise ShapeError(f"beta must be +1 or -1, got {beta!r}")
     return np.array([
         [0.0, omega3, -omega2],
-        [-beta * omega3, 0.0, omega1],
-        [beta * omega2, -omega1, 0.0],
+        [-omega3, 0.0, omega1],
+        [omega2, -omega1, 0.0],
     ])
 
 
@@ -123,7 +116,7 @@ def _coefficient(c, grid: Grid1D):
     return lambda x: float(np.interp(x, xs, arr))
 
 
-def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D, beta: int = 1,
+def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
                       reorthonormalize: bool = True,
                       gram_tol: float = 1e-4) -> FrameState:
     """Integrate the spatial frame system E_x = A(x) E across the grid by RK4.
@@ -134,10 +127,6 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D, beta: int = 1,
     recorded at every point before re-orthonormalization; exceeding gram_tol
     raises GramDriftError (integration blow-up).
     """
-    if beta != 1:
-        raise SolsurfError(
-            "transport supports beta=+1 only; beta=-1 has no real Gram structure "
-            "(matrix_a/matrix_b expose the matrix-level sign flips)")
     e0 = np.asarray(frame0, dtype=float)
     dev0 = gram_deviation(e0)
     if dev0 > 1e-8:
@@ -147,7 +136,7 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D, beta: int = 1,
     tf = _coefficient(tau, grid)
 
     def rhs(x, e):
-        return matrix_a(kf(x), tf(x), beta) @ e
+        return matrix_a(kf(x), tf(x)) @ e
 
     n = grid.n
     frames = np.empty((n, 3, 3))
@@ -171,7 +160,7 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D, beta: int = 1,
         e1=frames[:, 0], e2=frames[:, 1], e3=frames[:, 2],
         k=np.array([kf(x) for x in xs]),
         tau=np.array([tf(x) for x in xs]),
-        grid=grid, beta=beta, gram_drift=drift)
+        grid=grid, gram_drift=drift)
 
 
 @dataclass

@@ -23,7 +23,6 @@ data and on the sphere oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,32 +113,6 @@ def metric_residual(d: GCData, derivs: GCAnalytic | None = None):
     return r1, r2
 
 
-class QuadraticForm(NamedTuple):
-    """Diagonal quadratic form c_tt dt^2 + c_xx dx^2 on the grid."""
-
-    c_tt: np.ndarray
-    c_xx: np.ndarray
-
-
-class FormTriple(NamedTuple):
-    first: QuadraticForm
-    second: QuadraticForm
-    third: QuadraticForm
-
-
-def forms_from_psi(d: GCData) -> FormTriple:
-    """First, second, and third fundamental forms induced by the data.
-
-    I   = tpsi1^2 dt^2 + tpsi2^2 dx^2
-    II  = tpsi1 psi1 dt^2 + tpsi2 psi2 dx^2
-    III = psi1^2 dt^2 + psi2^2 dx^2
-    """
-    first = QuadraticForm(d.tpsi1 ** 2, d.tpsi2 ** 2)
-    second = QuadraticForm(d.tpsi1 * d.psi1, d.tpsi2 * d.psi2)
-    third = QuadraticForm(d.psi1 ** 2, d.psi2 ** 2)
-    return FormTriple(first, second, third)
-
-
 @dataclass
 class FundamentalForms:
     """First and second fundamental form coefficients, diagonal or general.
@@ -215,6 +188,11 @@ def curvatures(f: FundamentalForms):
     if np.any(den <= 0):
         raise DegenerateMetricError(
             f"metric determinant must be positive (min {float(den.min()):.6e})")
+    return _gauss_mean(E, F, G, L, M, N, den)
+
+
+def _gauss_mean(E, F, G, L, M, N, den):
+    """(K, H) from the form coefficients and den = EG - F^2, unchecked."""
     K = (L * N - M ** 2) / den
     H = (E * N - 2 * F * M + G * L) / (2 * den)
     return K, H

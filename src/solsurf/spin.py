@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateFrameError, NonFiniteFieldError,
-                     ShapeError, SolsurfError, SqrtDomainError)
+from .errors import (ConfigError, DegenerateFrameError, GridError,
+                     NonFiniteFieldError, ShapeError, SqrtDomainError)
 from .frames import CTFields, FrameState
 from .numgrid import Grid1D, Grid2D, diff_x, step_rk4
 
@@ -46,15 +46,8 @@ class SpinField:
     v: np.ndarray
     grid: Grid1D
     t: float = 0.0
-    beta: int = 1
 
     def __post_init__(self):
-        if self.beta == -1:
-            raise SolsurfError(
-                "beta=-1 has no real unit-spin representation; only the frame "
-                "matrices support that branch")
-        if self.beta != 1:
-            raise ShapeError(f"beta must be +1 or -1, got {self.beta!r}")
         n = self.grid.n
         S = np.array(self.S, dtype=float)
         if S.shape != (n, 3):
@@ -132,19 +125,21 @@ def _tangent_frame(S: np.ndarray, grid: Grid1D, k_min: float):
     return S_x, k, e1, e2, e3
 
 
-def _rates(S, u, v, grid, k_min, slack):
-    S_x, k, e1, e2, e3 = _tangent_frame(S, grid, k_min)
+def _rates(S, u, v, frame, slack):
+    """dS, dv and the clamped radicand k^2 - u^2, given _tangent_frame(S)."""
+    S_x, k, _, e2, e3 = frame
     rad = _clamped_radicand(k * k - u * u, slack)
     root = np.sqrt(rad)
     dS = -root[:, None] * e2 + u[:, None] * e3
     dv = -np.einsum("ij,ij->i", S, np.cross(dS, S_x))
-    return dS, dv, S_x, k, rad
+    return dS, dv, rad
 
 
 def spin_rhs(f: SpinField, k_min: float = K_MIN_DEFAULT,
              clamp_slack: float = CLAMP_SLACK_DEFAULT) -> SpinRates:
     """Rates of the spin system at the given state, with u taken as stored."""
-    dS, dv, _, _, rad = _rates(f.S, f.u, f.v, f.grid, k_min, clamp_slack)
+    frame = _tangent_frame(f.S, f.grid, k_min)
+    dS, dv, rad = _rates(f.S, f.u, f.v, frame, clamp_slack)
     u_x = diff_x(f.u, f.grid)
     u_residual = u_x - f.v * np.sqrt(rad)
     return SpinRates(dS=dS, u_residual=u_residual, dv=dv)
@@ -157,7 +152,9 @@ def constraint_radicands(f: SpinField, k_min: float = K_MIN_DEFAULT,
     The two agree on states produced by the evolution law; the pair is
     exposed so the off-shell discrepancy is observable.
     """
-    dS, _, _, k, _ = _rates(f.S, f.u, f.v, f.grid, k_min, clamp_slack)
+    frame = _tangent_frame(f.S, f.grid, k_min)
+    dS, _, _ = _rates(f.S, f.u, f.v, frame, clamp_slack)
+    k = frame[1]
     on_shell = k * k - f.u * f.u
     literal = np.einsum("ij,ij->i", dS, dS) - f.u * f.u
     return on_shell, literal
@@ -198,18 +195,31 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
 
 @dataclass
 class SpinSeries:
-    """Trajectory of the spin system: x-major arrays over (x, time level)."""
+    """Trajectory of the spin system: x-major arrays over (x, time level).
+
+    With two or more levels the times must be strictly increasing and
+    uniformly spaced, since grid2 takes its t spacing from the first step.
+    """
 
     grid: Grid1D
     times: np.ndarray
     S: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    beta: int = 1
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         nt = self.times.shape[0]
+        if nt >= 2:
+            steps = np.diff(self.times)
+            dt = float(steps[0])
+            if not np.all(steps > 0):
+                raise GridError("time levels must be strictly increasing")
+            # t0 + j*dt carries rounding of order |t| * eps, so the tolerance
+            # scales with the largest time as well as with dt.
+            scale = max(abs(dt), float(np.max(np.abs(self.times))), 1.0)
+            if not np.max(np.abs(steps - dt)) <= 1e-12 * scale:
+                raise GridError("time levels must be uniformly spaced")
         shape = (self.grid.n, nt)
         for name, extra in (("S", (3,)), ("u", ()), ("v", ())):
             a = np.asarray(getattr(self, name), dtype=float)
@@ -231,63 +241,44 @@ class SpinSeries:
     def slice(self, j: int) -> SpinField:
         return SpinField(S=self.S[:, j].copy(), u=self.u[:, j].copy(),
                          v=self.v[:, j].copy(), grid=self.grid,
-                         t=float(self.times[j]), beta=self.beta)
+                         t=float(self.times[j]))
 
 
 def _advance(f: SpinField, dt: float, steps: int, renorm: bool, u_left: float,
-             k_min: float, clamp_slack: float, record: bool):
+             k_min: float, clamp_slack: float, record: bool) -> list:
+    """RK4 march of (S, v) with u re-solved at every stage.
+
+    Returns the (S, u, v) levels: every level from the input on when
+    recording, otherwise the input and the final level only.
+    """
     grid = f.grid
     periodic = grid.boundary == "periodic"
 
     def rhs(t, state):
         S, v = state
-        S_x = diff_x(S, grid)
-        k = np.linalg.norm(S_x, axis=1)
-        if np.any(k < k_min):
-            i = int(np.argmax(k < k_min))
-            raise DegenerateFrameError(
-                f"|S_x| = {k[i]:.3e} below k_min = {k_min:.1e} at index {i}", index=i)
-        u = solve_u_constraint(k, v, grid, u_left=u_left, clamp_slack=clamp_slack)
-        dS, dv, _, _, _ = _rates(S, u, v, grid, k_min, clamp_slack)
+        frame = _tangent_frame(S, grid, k_min)
+        u = solve_u_constraint(frame[1], v, grid, u_left=u_left, clamp_slack=clamp_slack)
+        dS, dv, _ = _rates(S, u, v, frame, clamp_slack)
         return (dS, dv)
 
-    S = f.S.copy()
-    v = f.v.copy()
-    if record:
-        rec_S = [S.copy()]
-        rec_u = [f.u.copy()]
-        rec_v = [v.copy()]
+    S, v = f.S, f.v
+    levels = [(f.S, f.u, f.v)]
     for j in range(steps):
         try:
             S, v = step_rk4((S, v), rhs, dt, t=f.t + j * dt)
-        except SqrtDomainError as e:
-            raise SqrtDomainError(f"step {j}: {e}", index=e.index, value=e.value) from e
-        except DegenerateFrameError as e:
-            raise DegenerateFrameError(f"step {j}: {e}", index=e.index) from e
-        except NonFiniteFieldError as e:
-            raise NonFiniteFieldError(f"step {j}: {e}", stage=e.stage) from e
+        except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
+            e.args = (f"step {j}: {e}",)
+            raise
         if renorm:
             S = S / np.linalg.norm(S, axis=1)[:, None]
         if periodic:
             S[-1] = S[0]
             v[-1] = v[0]
-        if record:
+        if record or j == steps - 1:
             k = np.linalg.norm(diff_x(S, grid), axis=1)
-            rec_S.append(S.copy())
-            rec_u.append(solve_u_constraint(k, v, grid, u_left=u_left,
-                                            clamp_slack=clamp_slack))
-            rec_v.append(v.copy())
-    k = np.linalg.norm(diff_x(S, grid), axis=1)
-    u = solve_u_constraint(k, v, grid, u_left=u_left, clamp_slack=clamp_slack)
-    final = SpinField(S=S, u=u, v=v, grid=grid, t=f.t + steps * dt, beta=f.beta)
-    if not record:
-        return final, None
-    times = f.t + dt * np.arange(steps + 1)
-    series = SpinSeries(grid=grid, times=times,
-                        S=np.stack(rec_S, axis=1),
-                        u=np.stack(rec_u, axis=1),
-                        v=np.stack(rec_v, axis=1), beta=f.beta)
-    return final, series
+            u = solve_u_constraint(k, v, grid, u_left=u_left, clamp_slack=clamp_slack)
+            levels.append((S, u, v))
+    return levels
 
 
 def _check_evolve_args(dt, steps):
@@ -310,8 +301,8 @@ def evolve(f: SpinField, dt: float, steps: int, renorm: bool = True,
     _check_evolve_args(dt, steps)
     if steps == 0 or dt == 0:
         return f
-    final, _ = _advance(f, dt, steps, renorm, u_left, k_min, clamp_slack, record=False)
-    return final
+    S, u, v = _advance(f, dt, steps, renorm, u_left, k_min, clamp_slack, record=False)[-1]
+    return SpinField(S=S, u=u, v=v, grid=f.grid, t=f.t + steps * dt)
 
 
 def evolve_series(f: SpinField, dt: float, steps: int, renorm: bool = True,
@@ -323,12 +314,11 @@ def evolve_series(f: SpinField, dt: float, steps: int, renorm: bool = True,
     constraint field.
     """
     _check_evolve_args(dt, steps)
-    if steps == 0 or dt == 0:
-        return SpinSeries(grid=f.grid, times=np.array([f.t]),
-                          S=f.S[:, None, :].copy(), u=f.u[:, None].copy(),
-                          v=f.v[:, None].copy(), beta=f.beta)
-    _, series = _advance(f, dt, steps, renorm, u_left, k_min, clamp_slack, record=True)
-    return series
+    if dt == 0:
+        steps = 0
+    levels = _advance(f, dt, steps, renorm, u_left, k_min, clamp_slack, record=True)
+    S, u, v = (np.stack(a, axis=1) for a in zip(*levels))
+    return SpinSeries(grid=f.grid, times=f.t + dt * np.arange(steps + 1), S=S, u=u, v=v)
 
 
 def build_frame(f: SpinField, k_min: float = K_MIN_DEFAULT,
@@ -343,7 +333,7 @@ def build_frame(f: SpinField, k_min: float = K_MIN_DEFAULT,
     S_x, k, e1, e2, e3 = _tangent_frame(f.S, f.grid, k_min)
     tau = np.einsum("ij,ij->i", diff_x(e2, f.grid), e3)
     rad = _clamped_radicand(k * k - f.u * f.u, clamp_slack)
-    return FrameState(e1=e1, e2=e2, e3=e3, k=k, tau=tau, grid=f.grid, beta=f.beta,
+    return FrameState(e1=e1, e2=e2, e3=e3, k=k, tau=tau, grid=f.grid,
                       omega1=np.zeros(f.grid.n), omega2=-f.u, omega3=-np.sqrt(rad))
 
 

@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridError, NonFiniteFieldError, ShapeError
-from .gauss_codazzi import FundamentalForms
+from .gauss_codazzi import FundamentalForms, _gauss_mean
 from .numgrid import Grid1D, Grid2D, diff_t, diff_tt, diff_x, diff_xx, integrate_x
+from .spin import SpinSeries
 
 DEGENERATE_TOL = 1e-10
 
@@ -48,26 +49,18 @@ class SurfaceMesh:
     def faces(self) -> np.ndarray:
         """(nfaces, 4) 0-based quad indices, one per grid cell."""
         nx, nt = self.grid.shape
-        out = np.empty(((nx - 1) * (nt - 1), 4), dtype=int)
-        f = 0
-        for ix in range(nx - 1):
-            base = ix * nt
-            for it in range(nt - 1):
-                out[f] = (base + it, base + nt + it, base + nt + it + 1, base + it + 1)
-                f += 1
-        return out
+        base = (np.arange(nx - 1)[:, None] * nt + np.arange(nt - 1)).ravel()
+        return np.stack([base, base + nt, base + nt + 1, base + 1], axis=1)
 
 
 def reconstruct(series) -> SurfaceMesh:
     """Integrate the spin field in x at every time level (trapezoid, anchor 0).
 
     Accepts a SpinSeries or a sequence of SpinField slices; slices must
-    share one grid and be uniformly spaced in time.
+    share one grid and be uniformly spaced in time (SpinSeries checks the
+    spacing).
     """
-    if hasattr(series, "grid2") and hasattr(series, "S"):
-        g2 = series.grid2
-        S = series.S
-    else:
+    if not isinstance(series, SpinSeries):
         slices = list(series)
         if len(slices) < 2:
             raise GridError("need at least two time levels to build a surface")
@@ -75,16 +68,12 @@ def reconstruct(series) -> SurfaceMesh:
         for j, f in enumerate(slices[1:], start=1):
             if f.grid != grid:
                 raise GridError(f"slice {j} grid differs from slice 0 grid")
-        times = np.array([f.t for f in slices], dtype=float)
-        steps = np.diff(times)
-        if np.any(steps <= 0):
-            raise GridError("time levels must be strictly increasing")
-        dt = float(steps[0])
-        if np.max(np.abs(steps - dt)) > 1e-12 * max(abs(dt), 1.0):
-            raise GridError("time levels must be uniformly spaced")
-        g2 = Grid2D(grid, Grid1D(float(times[0]), dt, len(slices), "one_sided"))
-        S = np.stack([f.S for f in slices], axis=1)
-    return SurfaceMesh(r=integrate_x(S, g2, anchor=0.0), grid=g2)
+        series = SpinSeries(grid=grid, times=[f.t for f in slices],
+                            S=np.stack([f.S for f in slices], axis=1),
+                            u=np.stack([f.u for f in slices], axis=1),
+                            v=np.stack([f.v for f in slices], axis=1))
+    g2 = series.grid2
+    return SurfaceMesh(r=integrate_x(series.S, g2, anchor=0.0), grid=g2)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,12 +115,9 @@ def mesh_forms(m: SurfaceMesh, tol: float = DEGENERATE_TOL) -> FundamentalForms:
 
 def mesh_curvatures(m: SurfaceMesh, tol: float = DEGENERATE_TOL):
     """(K, H) per grid point, NaN where the tangent plane degenerates."""
-    f = mesh_forms(m, tol)
-    den = f.E * f.G - f.F ** 2
+    E, F, G, L, M, N = mesh_forms(m, tol).as_general()
     with np.errstate(invalid="ignore", divide="ignore"):
-        K = (f.L * f.N - f.M ** 2) / den
-        H = (f.E * f.N - 2 * f.F * f.M + f.G * f.L) / (2 * den)
-    return K, H
+        return _gauss_mean(E, F, G, L, M, N, E * G - F ** 2)
 
 
 def export_obj(m: SurfaceMesh, path) -> None:

@@ -1,15 +1,18 @@
 """Command-line interface: config resolution, commands, exit codes, artifacts."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import solsurf as ss
 from solsurf import fieldio as fio
-from solsurf.cli import main, resolve_config
+from solsurf.cli import build_parser, main, resolve_config
 from solsurf.fixtures import traveling_circle
 
 from conftest import circle_grid
@@ -63,9 +66,9 @@ class TestResolveConfig:
 
     def test_violations_reported_together(self):
         with pytest.raises(ss.ConfigError) as exc:
-            resolve_config({"beta": 3, "boundary": "wrap"}, {})
+            resolve_config({"steps": -1, "boundary": "wrap"}, {})
         msg = str(exc.value)
-        assert "beta" in msg and "boundary" in msg
+        assert "steps" in msg and "boundary" in msg
 
 
 class TestSimulate:
@@ -156,6 +159,15 @@ class TestCheck:
         ic = traveling_circle(circle_grid(33))
         fio.save_json(ic, tmp_path / "ic.json")
         rc = main(["check", "--ic", str(tmp_path / "ic.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+
+    def test_nonuniform_series_ic_exits_two(self, tmp_path):
+        series = ss.evolve_series(traveling_circle(circle_grid(17)), 0.01, 3)
+        doc = fio.to_jsonable(series)
+        doc["times"][2] += 0.003
+        (tmp_path / "ic.json").write_text(json.dumps(doc))
+        rc = main(["simulate", "--ic", str(tmp_path / "ic.json"),
                    "--out", str(tmp_path)])
         assert rc == 2
 
@@ -253,6 +265,21 @@ class TestConfigFileAndEnv:
         assert (tmp_path / "flag_dir" / "series.json").exists()
         assert not (tmp_path / "env_dir").exists()
 
+    def test_map_tol_config_key_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"n": 33, "steps": 2, "map_tol": 1e-6}))
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "map_tol" in capsys.readouterr().err
+
+    def test_legacy_ic_with_other_beta_exits_two(self, tmp_path):
+        doc = fio.to_jsonable(traveling_circle(circle_grid(33)))
+        doc["beta"] = -1
+        (tmp_path / "ic.json").write_text(json.dumps(doc))
+        rc = main(["simulate", "--ic", str(tmp_path / "ic.json"), "--steps", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+
     def test_missing_config_file_exits_two(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path)])
@@ -270,6 +297,9 @@ class TestArgumentErrors:
     def test_unknown_flag(self):
         assert main(["simulate", "--frobnicate"]) == 2
 
+    def test_beta_flag_removed(self, tmp_path):
+        assert main(["simulate", "--beta", "1", "--out", str(tmp_path)]) == 2
+
     def test_unknown_scenario(self, tmp_path):
         rc = main(["simulate", "--scenario", "torus", "--out", str(tmp_path)])
         assert rc == 2
@@ -284,3 +314,61 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "0.1.0" in proc.stdout
+
+
+SPIN_SIZE = ["--n", "33", "--steps", "8"]
+
+# Exit code and finest residual of `check` for every scenario and residual
+# family.  Spin scenarios run at SPIN_SIZE, field scenarios at their
+# defaults; exit 2 writes no summary.
+CHECK_MATRIX = [
+    ("traveling_circle", "compat", 0, 3.958023603599043e-14),
+    ("traveling_circle", "gc", 2, None),
+    ("traveling_circle", "metric", 2, None),
+    ("traveling_circle", "lax", 0, 2.7987453302012987e-14),
+    ("traveling_circle", "torsion", 0, 0.0),
+    ("random_smooth", "compat", 1, 0.006057902996622622),
+    ("random_smooth", "gc", 2, None),
+    ("random_smooth", "metric", 2, None),
+    ("random_smooth", "lax", 1, 0.004369732881637583),
+    ("random_smooth", "torsion", 0, 0.00012446075662359002),
+    ("sphere", "compat", 0, 0.00012495732223294365),
+    ("sphere", "gc", 0, 0.0),
+    ("sphere", "metric", 0, 0.0),
+    ("sphere", "lax", 0, 9.292743059317799e-05),
+    ("sphere", "torsion", 0, 0.00019239239327539792),
+    ("random_ct", "compat", 1, 2.3369896128767342),
+    ("random_ct", "gc", 2, None),
+    ("random_ct", "metric", 2, None),
+    ("random_ct", "lax", 1, 1.6721391075825467),
+    ("random_ct", "torsion", 2, None),
+] + [(scenario, which, 2, None) for scenario in ("plane", "cylinder")
+     for which in ("compat", "gc", "metric", "lax", "torsion")]
+
+
+@pytest.mark.parametrize("scenario,which,code,finest", CHECK_MATRIX)
+def test_check_dispatch_matrix(tmp_path, scenario, which, code, finest):
+    size = SPIN_SIZE if scenario in ("traveling_circle", "random_smooth") else []
+    rc = main(["check", "--scenario", scenario, "--which", which,
+               "--format", "json", *size, "--out", str(tmp_path)])
+    assert rc == code
+    summary = tmp_path / f"check_{which}.json"
+    if finest is None:
+        assert not summary.exists()
+    else:
+        report = json.loads(summary.read_text())
+        assert report["finest_residual"] == pytest.approx(finest, rel=1e-9, abs=1e-13)
+
+
+def test_readme_flags_match_parser():
+    """The README's flag paragraph lists exactly the options the parser takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Common keys/flags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", paragraph))
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {opt for command in sub.choices.values()
+                for action in command._actions for opt in action.option_strings
+                if opt not in ("-h", "--help")}
+    assert documented == accepted

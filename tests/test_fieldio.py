@@ -35,7 +35,7 @@ class TestJsonRoundTrips:
         back = fio.load_json(tmp_path / "f.json")
         assert np.array_equal(back.S, f.S)
         assert np.array_equal(back.u, f.u)
-        assert back.t == f.t and back.beta == f.beta and back.grid == f.grid
+        assert back.t == f.t and back.grid == f.grid
 
     def test_spin_series(self, tmp_path):
         series = ss.evolve_series(traveling_circle(circle_grid(17)), 0.01, 3)
@@ -109,6 +109,31 @@ class TestJsonRoundTrips:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ss.ConfigError, match="bogus"):
             fio.from_jsonable({"kind": "bogus"})
+
+
+def _spin_docs():
+    f = traveling_circle(circle_grid(17))
+    return [fio.to_jsonable(f), fio.to_jsonable(ss.evolve_series(f, 0.01, 3))]
+
+
+class TestSpinDocuments:
+    @pytest.mark.parametrize("doc", _spin_docs(), ids=["field", "series"])
+    def test_legacy_beta_one_loads(self, doc):
+        back = fio.from_jsonable(dict(doc, beta=1))
+        assert np.array_equal(back.S, fio.from_jsonable(doc).S)
+        assert "beta" not in fio.to_jsonable(back)
+
+    @pytest.mark.parametrize("doc", _spin_docs(), ids=["field", "series"])
+    def test_other_beta_rejected(self, doc):
+        with pytest.raises(ss.ConfigError, match="beta"):
+            fio.from_jsonable(dict(doc, beta=-1))
+
+    def test_nonuniform_times_rejected(self, tmp_path):
+        doc = _spin_docs()[1]
+        doc["times"][2] += 0.003
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        with pytest.raises(ss.GridError, match="uniformly"):
+            fio.load_json(tmp_path / "s.json")
 
 
 class TestJsonDeterminism:

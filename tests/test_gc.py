@@ -94,15 +94,6 @@ class TestFrameMap:
 
 
 class TestForms:
-    def test_triple_from_sphere_data(self, band_small):
-        d, _ = sphere_gc(band_small, radius=2.0)
-        _, T = band_small.meshes()
-        triple = ss.forms_from_psi(d)
-        assert np.max(np.abs(triple.first.c_tt - 4.0)) < 1e-14
-        assert np.max(np.abs(triple.first.c_xx - 4.0 * np.sin(T) ** 2)) < 1e-13
-        assert np.max(np.abs(triple.second.c_tt - 2.0)) < 1e-14
-        assert np.max(np.abs(triple.third.c_tt - 1.0)) < 1e-14
-
     def test_diagonal_forms_needs_all_fields(self, band_small):
         with pytest.raises(ss.ShapeError, match="d22"):
             ss.FundamentalForms(kind="diagonal", g11=np.ones((3, 3)),
@@ -126,9 +117,12 @@ class TestForms:
 
     def test_fundamental_forms_from_data(self, band_small):
         d, _ = sphere_gc(band_small, radius=2.0)
+        _, T = band_small.meshes()
         ff = ss.fundamental_forms(d)
         assert ff.kind == "diagonal"
         assert np.max(np.abs(ff.g11 - 4.0)) < 1e-14
+        assert np.max(np.abs(ff.g22 - 4.0 * np.sin(T) ** 2)) < 1e-13
+        assert np.max(np.abs(ff.d11 - 2.0)) < 1e-14
 
 
 class TestCurvatures:

@@ -22,7 +22,6 @@ class TestSpinField:
     def test_defaults(self, grid_small):
         f = traveling_circle(grid_small)
         assert f.t == 0.0
-        assert f.beta == 1
 
     def test_rejects_nan(self, grid_small):
         n = grid_small.n
@@ -44,14 +43,6 @@ class TestSpinField:
         S = np.stack([np.cos(x / 2), np.sin(x / 2), np.zeros(n)], axis=1)
         with pytest.raises(ss.ShapeError):
             ss.SpinField(S=S, u=np.zeros(n), v=np.zeros(n), grid=grid_small)
-
-    def test_beta_minus_one_rejected(self, grid_small):
-        n = grid_small.n
-        f = traveling_circle(grid_small)
-        with pytest.raises(ss.SolsurfError, match="beta"):
-            ss.SpinField(S=f.S, u=f.u, v=f.v, grid=grid_small, beta=-1)
-        with pytest.raises(ss.ShapeError):
-            ss.SpinField(S=f.S, u=f.u, v=f.v, grid=grid_small, beta=7)
 
 
 class TestSpinRhs:
@@ -228,6 +219,7 @@ class TestEvolveSeries:
         series = ss.evolve_series(ic, 0.01, 4)
         direct = ss.evolve(ic, 0.01, 4)
         assert np.array_equal(series.slice(4).S, direct.S)
+        assert np.array_equal(series.slice(4).u, direct.u)
         assert np.array_equal(series.slice(4).v, direct.v)
 
     def test_grid2_property(self, grid_small):
@@ -235,6 +227,19 @@ class TestEvolveSeries:
         g2 = series.grid2
         assert g2.shape == (grid_small.n, 4)
         assert g2.gt.dx == pytest.approx(0.02)
+
+    def test_times_far_from_origin_accepted(self, grid_small):
+        # t0 + j*dt rounds at the scale of |t0|, far above dt * 1e-12
+        ic = traveling_circle_exact(grid_small, t=1e6)
+        series = ss.evolve_series(ic, 1e-3, 3)
+        assert series.grid2.gt.dx == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.3], [0.0, 0.1, 0.1]])
+    def test_uneven_or_repeated_times_rejected(self, grid_small, times):
+        n = grid_small.n
+        with pytest.raises(ss.GridError):
+            ss.SpinSeries(grid=grid_small, times=times, S=np.ones((n, 3, 3)),
+                          u=np.zeros((n, 3)), v=np.zeros((n, 3)))
 
     def test_single_level_grid2_rejected(self, grid_small):
         series = ss.evolve_series(traveling_circle(grid_small), 0.02, 0)
