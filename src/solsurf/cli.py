@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,14 +40,10 @@ from .gauss_codazzi import gc_residual, metric_residual
 from .lax import build_lax, zero_curvature_residual
 from .numgrid import BOUNDARIES, Grid1D, Grid2D, diff_x, fit_order
 from .spin import SpinField, ct_from_spin_series, evolve_series
-from .surface import export_obj, mesh_curvatures, mesh_forms, reconstruct
+from .surface import _form_curvatures, export_obj, mesh_forms, reconstruct
 
 ORDER_MIN = 1.7
 RESIDUAL_FLOOR = 1e-11
-
-SPIN_SCENARIOS = ("traveling_circle", "random_smooth")
-SCENARIOS = ("traveling_circle", "random_smooth", "sphere", "random_ct",
-             "plane", "cylinder")
 
 
 def _numbered(residuals) -> dict:
@@ -73,97 +70,130 @@ THRESHOLD_DEFAULTS = {"gc": 1e-6, "metric": 1e-6, "compat": 1e-2,
 
 FORMATS = ("csv", "json", "obj")
 
-DEFAULTS = {
-    "scenario": "traveling_circle", "x0": 0.0, "dx": None, "n": 129,
-    "boundary": "periodic", "t0": 0.0, "dt": None, "steps": 64, "seed": 0,
-    "k_min": 1e-8, "clamp_slack": 1e-12, "renorm": True,
-    "formats": ["csv", "json", "obj"], "which": "compat",
-    "threshold": None, "levels": 3, "params": {}, "ic": None,
+
+# key -> (default, kind, lower bound).  _coerce checks the int and float
+# keys against their bound, an (operator, limit) pair; resolve_config checks
+# the other kinds.  n precedes dx and dx precedes dt, because their None
+# defaults are derived in this order.
+KEYS = {
+    "scenario": ("traveling_circle", str, None),
+    "n": (129, int, (">=", 2)),
+    "x0": (0.0, float, None),
+    "dx": (None, float, (">", 0)),
+    "boundary": ("periodic", str, None),
+    "t0": (0.0, float, None),
+    "dt": (None, float, (">=", 0)),
+    "steps": (64, int, (">=", 0)),
+    "seed": (0, int, (">=", 0)),
+    "k_min": (1e-8, float, (">", 0)),
+    "clamp_slack": (1e-12, float, (">", 0)),
+    "renorm": (True, bool, None),
+    "formats": (["csv", "json", "obj"], list, None),
+    "which": ("compat", str, None),
+    "threshold": (None, float, (">", 0)),
+    "levels": (3, int, (">=", 2)),
+    "params": ({}, dict, None),
+    "ic": (None, str, None),
+}
+DERIVED = {"dx": lambda c: 2.0 * math.pi / max(c["n"] - 1, 1),
+           "dt": lambda c: c["dx"] / 4.0}
+KNOWN_CONFIG_KEYS = frozenset(KEYS) | {"out"}
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [(key, kind) for key, (_, kind, _) in KEYS.items()],
+    namespace={"__module__": __name__, "as_dict": dataclasses.asdict})
+
+
+class Scenario(NamedTuple):
+    """A scenario: its config layer and its params' (kind, bound), then its
+    builders.  They get the typed params by keyword, so the fixture
+    signatures hold the param defaults.  spin builds the initial SpinField
+    on a Grid1D, patch the SurfaceMesh on a Grid2D.  sources maps each
+    residual source (RESIDUALS) to a builder of (base, cfg, params), base
+    being the level's evolved SpinSeries for a spin scenario, else its Grid2D.
+    """
+
+    defaults: dict
+    params: dict
+    spin: Callable | None = None
+    patch: Callable | None = None
+    sources: dict = {}
+
+
+SPIN_SOURCES = {
+    "ct": lambda series, cfg, p: ct_from_spin_series(
+        series, k_min=cfg.k_min, clamp_slack=cfg.clamp_slack),
+    "frame": lambda series, cfg, p: (series.S, series.v, series.grid2),
 }
 
-SCENARIO_DEFAULTS = {
-    "traveling_circle": {"n": 129, "boundary": "periodic", "steps": 64,
-                         "params": {"k": 1.0}},
+
+def _sphere_frame(g2, cfg, p):
+    frames, ct = sphere_frame_series(g2)
+    return frames[..., 0, :], ct.tau, g2
+
+
+SCENARIOS = {
+    "traveling_circle": Scenario(
+        {"n": 129, "boundary": "periodic", "steps": 64, "params": {"k": 1.0}},
+        {"k": (float, None)}, spin=lambda grid, k: traveling_circle(grid, w=k),
+        sources=SPIN_SOURCES),
     # Open boundary: a generic closed curve cannot satisfy the periodic
     # closure of the marched constraint field, so the anchored march would
     # leave a seam at the wrap.  Torsion transport is the default check
     # because it never differentiates the marched u in x.
-    "random_smooth": {"n": 129, "boundary": "one_sided", "steps": 64,
-                      "seed": 1, "which": "torsion", "params": {}},
-    "sphere": {"n": 65, "boundary": "one_sided", "x0": 0.0,
-               "dx": math.pi / 64, "t0": 0.3, "dt": (math.pi - 0.6) / 64,
-               "steps": 64, "params": {"radius": 1.0}},
-    "random_ct": {"n": 65, "boundary": "one_sided", "x0": 0.0,
-                  "dx": 2 * math.pi / 64, "t0": 0.0, "dt": 2 * math.pi / 64,
-                  "steps": 64, "params": {"amplitude": 0.5}},
-    "plane": {"n": 33, "boundary": "one_sided", "x0": 0.0, "dx": 1.0 / 32,
-              "t0": 0.0, "dt": 1.0 / 32, "steps": 32, "params": {}},
-    "cylinder": {"n": 33, "boundary": "one_sided", "x0": 0.0, "dx": 1.0 / 32,
-                 "t0": 0.0, "dt": 2 * math.pi / 64, "steps": 64,
-                 "params": {"radius": 1.0}},
+    "random_smooth": Scenario(
+        {"n": 129, "boundary": "one_sided", "steps": 64, "seed": 1,
+         "which": "torsion", "params": {}},
+        {"seed": (int, (">=", 0)), "n_modes": (int, (">=", 0)),
+         "theta_amp": (float, None), "v_amp": (float, None),
+         "winding": (int, None)},
+        spin=random_smooth_spin, sources=SPIN_SOURCES),
+    "sphere": Scenario(
+        {"n": 65, "boundary": "one_sided", "x0": 0.0, "dx": math.pi / 64,
+         "t0": 0.3, "dt": (math.pi - 0.6) / 64, "steps": 64,
+         "params": {"radius": 1.0}},
+        {"radius": (float, (">", 0))}, patch=sphere_patch,
+        sources={"ct": lambda g2, cfg, p: sphere_ct(g2), "frame": _sphere_frame,
+                 "surface": lambda g2, cfg, p: sphere_gc(g2, **p)}),
+    "random_ct": Scenario(
+        {"n": 65, "boundary": "one_sided", "x0": 0.0, "dx": 2 * math.pi / 64,
+         "t0": 0.0, "dt": 2 * math.pi / 64, "steps": 64,
+         "params": {"amplitude": 0.5}},
+        {"seed": (int, (">=", 0)), "amplitude": (float, None)},
+        sources={"ct": lambda g2, cfg, p: random_ct(g2, **p)}),
+    "plane": Scenario(
+        {"n": 33, "boundary": "one_sided", "x0": 0.0, "dx": 1.0 / 32,
+         "t0": 0.0, "dt": 1.0 / 32, "steps": 32, "params": {}},
+        {}, patch=plane_patch),
+    "cylinder": Scenario(
+        {"n": 33, "boundary": "one_sided", "x0": 0.0, "dx": 1.0 / 32,
+         "t0": 0.0, "dt": 2 * math.pi / 64, "steps": 64,
+         "params": {"radius": 1.0}},
+        {"radius": (float, (">", 0))}, patch=cylinder_patch),
 }
 
-SCENARIO_PARAMS = {
-    "traveling_circle": {"k"},
-    "random_smooth": {"seed", "n_modes", "theta_amp", "v_amp", "winding"},
-    "sphere": {"radius"},
-    "random_ct": {"seed", "amplitude"},
-    "plane": set(),
-    "cylinder": {"radius"},
-}
 
-KNOWN_CONFIG_KEYS = frozenset(DEFAULTS) | {"out"}
+def _coerce(value, kind, bound, name, violations):
+    """value as kind (int or float), checked against bound.
 
-
-@dataclasses.dataclass
-class RunConfig:
-    scenario: str
-    x0: float
-    dx: float
-    n: int
-    boundary: str
-    t0: float
-    dt: float
-    steps: int
-    seed: int
-    k_min: float
-    clamp_slack: float
-    renorm: bool
-    formats: list
-    which: str
-    threshold: float | None
-    levels: int
-    params: dict
-    ic: str | None
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _as_int(value, name, violations):
-    if isinstance(value, bool):
-        violations.append(f"{name} must be an integer, got {value!r}")
-        return 0
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, float) and float(value).is_integer():
-        return int(value)
-    violations.append(f"{name} must be an integer, got {value!r}")
-    return 0
-
-
-def _as_float(value, name, violations):
-    if isinstance(value, (bool, str)):
-        violations.append(f"{name} must be a number, got {value!r}")
-        return 0.0
+    bool and str are not numbers, an int must be integral and a float
+    finite.  On a violation it is recorded and kind() stands in.
+    """
     try:
-        out = float(value)
-    except (TypeError, ValueError):
-        violations.append(f"{name} must be a number, got {value!r}")
-        return 0.0
-    if not math.isfinite(out):
-        violations.append(f"{name} must be finite, got {value!r}")
-        return 0.0
+        if isinstance(value, (bool, str)):
+            raise TypeError
+        out = kind(value)
+        exact = out == value if kind is int else math.isfinite(out)
+        if not exact:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a finite number"
+        violations.append(f"{name} must be {noun}, got {value!r}")
+        return kind()
+    if bound is not None:
+        op, limit = bound
+        if not (out > limit if op == ">" else out >= limit):
+            violations.append(f"{name} must be {op} {limit}, got {out}")
     return out
 
 
@@ -177,13 +207,13 @@ def resolve_config(file_cfg: dict, flag_cfg: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     scenario = flag_cfg.get("scenario", file_cfg.get("scenario",
-                                                     DEFAULTS["scenario"]))
-    if scenario not in SCENARIOS:
+                                                     KEYS["scenario"][0]))
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
-    merged = dict(DEFAULTS)
-    params = dict(DEFAULTS["params"])
-    for layer in (SCENARIO_DEFAULTS[scenario], file_cfg, flag_cfg):
+    merged = {key: spec[0] for key, spec in KEYS.items()}
+    params = {}
+    for layer in (SCENARIOS[scenario].defaults, file_cfg, flag_cfg):
         layer = dict(layer)
         layer.pop("out", None)
         extra = layer.pop("params", {})
@@ -195,35 +225,14 @@ def resolve_config(file_cfg: dict, flag_cfg: dict) -> RunConfig:
     merged["params"] = params
 
     violations = []
-    merged["n"] = _as_int(merged["n"], "n", violations)
-    merged["steps"] = _as_int(merged["steps"], "steps", violations)
-    merged["levels"] = _as_int(merged["levels"], "levels", violations)
-    merged["seed"] = _as_int(merged["seed"], "seed", violations)
-    merged["x0"] = _as_float(merged["x0"], "x0", violations)
-    merged["t0"] = _as_float(merged["t0"], "t0", violations)
-    if merged["n"] < 2:
-        violations.append(f"n must be >= 2, got {merged['n']}")
-    if merged["steps"] < 0:
-        violations.append(f"steps must be >= 0, got {merged['steps']}")
-    if merged["levels"] < 2:
-        violations.append(f"levels must be >= 2, got {merged['levels']}")
-    if merged["dx"] is None:
-        merged["dx"] = 2.0 * math.pi / max(merged["n"] - 1, 1)
-    merged["dx"] = _as_float(merged["dx"], "dx", violations)
-    if merged["dx"] <= 0:
-        violations.append(f"dx must be > 0, got {merged['dx']}")
-    if merged["dt"] is None:
-        merged["dt"] = merged["dx"] / 4.0
-    merged["dt"] = _as_float(merged["dt"], "dt", violations)
-    if merged["dt"] < 0:
-        violations.append(f"dt must be >= 0, got {merged['dt']}")
+    for key, (default, kind, bound) in KEYS.items():
+        if merged[key] is None and key in DERIVED:
+            merged[key] = DERIVED[key](merged)
+        if kind in (int, float) and not (merged[key] is None and default is None):
+            merged[key] = _coerce(merged[key], kind, bound, key, violations)
     if merged["boundary"] not in BOUNDARIES:
         violations.append(f"boundary must be one of {BOUNDARIES}, "
                           f"got {merged['boundary']!r}")
-    for name in ("k_min", "clamp_slack"):
-        merged[name] = _as_float(merged[name], name, violations)
-        if merged[name] <= 0:
-            violations.append(f"{name} must be > 0, got {merged[name]}")
     if not isinstance(merged["renorm"], bool):
         violations.append(f"renorm must be true or false, got {merged['renorm']!r}")
     formats = merged["formats"]
@@ -232,36 +241,39 @@ def resolve_config(file_cfg: dict, flag_cfg: dict) -> RunConfig:
         violations.append(f"formats must be a non-empty subset of {FORMATS}")
     else:
         merged["formats"] = sorted(set(formats))
-    which = WHICH_ALIASES.get(merged["which"], merged["which"])
+    which = merged["which"]
+    which = WHICH_ALIASES.get(which, which) if isinstance(which, str) else which
     if which not in WHICH_CANONICAL:
         violations.append(f"which must be one of {WHICH_CANONICAL}, "
                           f"got {merged['which']!r}")
     merged["which"] = which
-    if merged["threshold"] is not None:
-        merged["threshold"] = _as_float(merged["threshold"], "threshold",
-                                        violations)
-        if merged["threshold"] <= 0:
-            violations.append("threshold must be > 0")
     if merged["ic"] is not None and not isinstance(merged["ic"], str):
         violations.append("ic must be a file path string")
-    bad_params = sorted(set(merged["params"]) - SCENARIO_PARAMS[scenario])
+    schema = SCENARIOS[scenario].params
+    bad_params = sorted(set(params) - set(schema))
     if bad_params:
         violations.append(f"unknown parameters for scenario {scenario!r}: "
                           f"{', '.join(bad_params)}")
+    for name in sorted(set(params) & set(schema)):
+        _coerce(params[name], *schema[name], f"param {name}", violations)
     if violations:
         raise ConfigError("invalid config: " + "; ".join(violations))
     return RunConfig(**merged)
+
+
+def _scenario_params(cfg: RunConfig) -> dict:
+    """The scenario params as their kinds; a seed param defaults to cfg.seed."""
+    schema = SCENARIOS[cfg.scenario].params
+    p = {name: schema[name][0](value) for name, value in cfg.params.items()}
+    if "seed" in schema:
+        p.setdefault("seed", cfg.seed)
+    return p
 
 
 def _level_sizes(cfg: RunConfig, level: int):
     scale = 2 ** level
     return ((cfg.n - 1) * scale + 1, cfg.dx / scale, cfg.dt / scale,
             cfg.steps * scale)
-
-
-def _grid1(cfg: RunConfig, level: int = 0) -> Grid1D:
-    n, dx, _, _ = _level_sizes(cfg, level)
-    return Grid1D(cfg.x0, dx, n, cfg.boundary)
 
 
 def _grid2(cfg: RunConfig, level: int = 0) -> Grid2D:
@@ -274,24 +286,16 @@ def _grid2(cfg: RunConfig, level: int = 0) -> Grid2D:
                   Grid1D(cfg.t0, dt, steps + 1, "one_sided"))
 
 
-def _build_ic(cfg: RunConfig, grid: Grid1D) -> SpinField:
-    p = cfg.params
-    if cfg.scenario == "traveling_circle":
-        return traveling_circle(grid, w=float(p.get("k", 1.0)))
-    if cfg.scenario == "random_smooth":
-        return random_smooth_spin(
-            grid, seed=int(p.get("seed", cfg.seed)),
-            n_modes=int(p.get("n_modes", 3)),
-            theta_amp=float(p.get("theta_amp", 0.1)),
-            v_amp=float(p.get("v_amp", 0.0)),
-            winding=int(p.get("winding", 1)))
-    raise ConfigError(f"scenario {cfg.scenario!r} has no spin initial condition")
+def _evolve(cfg: RunConfig, ic: SpinField, dt: float, steps: int):
+    return evolve_series(ic, dt, steps, renorm=cfg.renorm, k_min=cfg.k_min,
+                         clamp_slack=cfg.clamp_slack)
 
 
 def _initial_state(cfg: RunConfig) -> SpinField:
     """The --ic document if given, else the scenario's initial condition."""
     if cfg.ic is None:
-        return _build_ic(cfg, _grid1(cfg))
+        grid = Grid1D(cfg.x0, cfg.dx, cfg.n, cfg.boundary)
+        return SCENARIOS[cfg.scenario].spin(grid, **_scenario_params(cfg))
     obj = load_json(cfg.ic)
     if not isinstance(obj, SpinField):
         raise ConfigError(f"{cfg.ic} does not hold a spin_field document")
@@ -302,62 +306,16 @@ def _max_abs(*fields) -> float:
     return float(max(np.max(np.abs(f)) for f in fields))
 
 
-def _spin_level(cfg: RunConfig, level: int):
-    if cfg.ic is not None:
-        raise ConfigError(
-            "check rebuilds fields at several resolutions; --ic is only "
-            "supported by simulate and surface")
-    _, _, dt, steps = _level_sizes(cfg, level)
-    if steps < 1:
-        raise ConfigError("check needs steps >= 1")
-    ic = _build_ic(cfg, _grid1(cfg, level))
-    series = evolve_series(ic, dt, steps, renorm=cfg.renorm,
-                           k_min=cfg.k_min, clamp_slack=cfg.clamp_slack)
-    g2 = series.grid2
-    return g2, {
-        "ct": lambda: ct_from_spin_series(series, k_min=cfg.k_min,
-                                          clamp_slack=cfg.clamp_slack),
-        "frame": lambda: (series.S, series.v, g2),
-    }
-
-
-def _sphere_level(cfg: RunConfig, level: int):
-    g2 = _grid2(cfg, level)
-
-    def frame():
-        frames, ct = sphere_frame_series(g2)
-        return frames[..., 0, :], ct.tau, g2
-
-    radius = float(cfg.params.get("radius", 1.0))
-    return g2, {"ct": lambda: sphere_ct(g2), "frame": frame,
-                "surface": lambda: sphere_gc(g2, radius)}
-
-
-def _random_ct_level(cfg: RunConfig, level: int):
-    g2 = _grid2(cfg, level)
-    return g2, {"ct": lambda: random_ct(
-        g2, seed=int(cfg.params.get("seed", cfg.seed)),
-        amplitude=float(cfg.params.get("amplitude", 0.5)))}
-
-
-# scenario -> builder of one level's source data: (grid, {name: thunk}).
-# The thunks keep each source lazy, so a check builds only what it reads.
-LEVEL_SOURCES = {"traveling_circle": _spin_level, "random_smooth": _spin_level,
-                 "sphere": _sphere_level, "random_ct": _random_ct_level}
-
-
 def _eval_level(cfg: RunConfig, which: str, level: int):
-    if cfg.scenario not in LEVEL_SOURCES:
-        raise ConfigError(
-            f"scenario {cfg.scenario!r} has no residual checks; use one of "
-            f"{tuple(LEVEL_SOURCES)}")
+    scenario = SCENARIOS[cfg.scenario]
     source, residual = RESIDUALS[which]
-    g2, sources = LEVEL_SOURCES[cfg.scenario](cfg, level)
-    if source not in sources:
-        raise ConfigError(
-            f"which={which!r} is not defined for scenario {cfg.scenario!r}")
-    fields, analytic = residual(sources[source]())
     n, dx, dt, steps = _level_sizes(cfg, level)
+    p = _scenario_params(cfg)
+    base = g2 = _grid2(cfg, level)
+    if scenario.spin is not None:
+        base = _evolve(cfg, scenario.spin(g2.gx, **p), dt, steps)
+        g2 = base.grid2
+    fields, analytic = residual(scenario.sources[source](base, cfg, p))
     numeric = _max_abs(*fields.values())
     report = {"n": n, "dx": dx, "dt": dt, "steps": steps,
               "residual": numeric, "residual_numeric": numeric}
@@ -372,6 +330,16 @@ def _json_number(x: float):
 
 def _run_study(cfg: RunConfig, out_dir: str, command: str, n_levels: int) -> int:
     which = cfg.which
+    if cfg.ic is not None:
+        raise ConfigError(
+            f"{command} rebuilds fields at several resolutions; --ic is only "
+            "supported by simulate and surface")
+    source = RESIDUALS[which][0]
+    if source not in SCENARIOS[cfg.scenario].sources:
+        defined = [name for name, s in SCENARIOS.items() if source in s.sources]
+        raise ConfigError(
+            f"which={which!r} is not defined for scenario {cfg.scenario!r}; "
+            f"it is for {', '.join(defined)}")
     threshold = (cfg.threshold if cfg.threshold is not None
                  else THRESHOLD_DEFAULTS[which])
     reports = []
@@ -413,12 +381,11 @@ def _run_study(cfg: RunConfig, out_dir: str, command: str, n_levels: int) -> int
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
-    if cfg.scenario not in SPIN_SCENARIOS and cfg.ic is None:
+    if SCENARIOS[cfg.scenario].spin is None and cfg.ic is None:
+        spin = [name for name, s in SCENARIOS.items() if s.spin is not None]
         raise ConfigError(
-            f"simulate needs a spin scenario {SPIN_SCENARIOS} or --ic FILE")
-    series = evolve_series(_initial_state(cfg), cfg.dt, cfg.steps,
-                           renorm=cfg.renorm, k_min=cfg.k_min,
-                           clamp_slack=cfg.clamp_slack)
+            f"simulate needs a spin scenario ({', '.join(spin)}) or --ic FILE")
+    series = _evolve(cfg, _initial_state(cfg), cfg.dt, cfg.steps)
     artifacts = []
     if "json" in cfg.formats:
         save_json(series, os.path.join(out_dir, "series.json"))
@@ -452,25 +419,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
-    if cfg.ic is not None or cfg.scenario in SPIN_SCENARIOS:
+    scenario = SCENARIOS[cfg.scenario]
+    if cfg.ic is not None or scenario.spin is not None:
         if cfg.steps < 1:
             raise ConfigError("surface needs steps >= 1 to sweep a mesh")
-        series = evolve_series(_initial_state(cfg), cfg.dt, cfg.steps,
-                               renorm=cfg.renorm, k_min=cfg.k_min,
-                               clamp_slack=cfg.clamp_slack)
-        mesh = reconstruct(series)
-    elif cfg.scenario == "sphere":
-        mesh = sphere_patch(_grid2(cfg),
-                            radius=float(cfg.params.get("radius", 1.0)))
-    elif cfg.scenario == "plane":
-        mesh = plane_patch(_grid2(cfg))
-    elif cfg.scenario == "cylinder":
-        mesh = cylinder_patch(_grid2(cfg),
-                              radius=float(cfg.params.get("radius", 1.0)))
+        mesh = reconstruct(_evolve(cfg, _initial_state(cfg), cfg.dt, cfg.steps))
+    elif scenario.patch is not None:
+        mesh = scenario.patch(_grid2(cfg), **_scenario_params(cfg))
     else:
         raise ConfigError(f"scenario {cfg.scenario!r} has no surface")
     forms = mesh_forms(mesh)
-    K, H = mesh_curvatures(mesh)
+    K, H = _form_curvatures(forms)
     degenerate = ~np.isfinite(forms.L)
     good = ~degenerate
     artifacts = []
@@ -527,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR",
                         help="output directory (beats SOLSURF_OUT, which "
                              "beats the config file)")
-    common.add_argument("--scenario", choices=SCENARIOS)
+    common.add_argument("--scenario", choices=tuple(SCENARIOS))
     common.add_argument("--param", action="append", default=None,
                         metavar="KEY=VALUE",
                         help="scenario parameter; repeatable")
@@ -536,16 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="artifact format; repeatable")
     common.add_argument("--ic", metavar="FILE",
                         help="initial spin state (spin_field JSON)")
-    common.add_argument("--n", type=int, help="grid points along x")
-    common.add_argument("--x0", type=float)
-    common.add_argument("--dx", type=float)
     common.add_argument("--boundary", choices=BOUNDARIES)
-    common.add_argument("--t0", type=float)
-    common.add_argument("--dt", type=float)
-    common.add_argument("--steps", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--k-min", type=float, dest="k_min")
-    common.add_argument("--clamp-slack", type=float, dest="clamp_slack")
+    for key, (_, kind, _) in KEYS.items():
+        # threshold and levels are flags of check/convergence only
+        if kind in (int, float) and key not in ("threshold", "levels"):
+            common.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
     common.add_argument("--no-renorm", action="store_const", const=False,
                         dest="renorm", default=None,
                         help="skip per-step renormalization of S")
@@ -593,7 +547,7 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"config file {args.config} must hold a JSON object")
         flag_cfg = {k: v for k, v in vars(args).items()
-                    if k in DEFAULTS and v is not None}
+                    if k in KEYS and v is not None}
         flag_params = _parse_params(args.param)
         if flag_params:
             flag_cfg["params"] = flag_params

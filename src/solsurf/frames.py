@@ -44,23 +44,18 @@ class FrameState:
 
     def __post_init__(self):
         n = self.grid.n
-        for name in ("e1", "e2", "e3"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (n, 3):
-                raise ShapeError(f"{name} must have shape ({n}, 3), got {v.shape}")
-            setattr(self, name, v)
-        for name in ("k", "tau"):
-            s = np.asarray(getattr(self, name), dtype=float)
-            if s.shape != (n,):
-                raise ShapeError(f"{name} must have shape ({n},), got {s.shape}")
-            setattr(self, name, s)
-        for name in ("omega1", "omega2", "omega3", "gram_drift"):
-            s = getattr(self, name)
-            if s is not None:
-                s = np.asarray(s, dtype=float)
-                if s.shape != (n,):
-                    raise ShapeError(f"{name} must have shape ({n},), got {s.shape}")
-                setattr(self, name, s)
+        for name, shape, optional in (
+                ("e1", (n, 3), False), ("e2", (n, 3), False),
+                ("e3", (n, 3), False), ("k", (n,), False), ("tau", (n,), False),
+                ("omega1", (n,), True), ("omega2", (n,), True),
+                ("omega3", (n,), True), ("gram_drift", (n,), True)):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            value = np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ShapeError(f"{name} must have shape {shape}, got {value.shape}")
+            setattr(self, name, value)
 
     def triad(self, i: int) -> np.ndarray:
         """Row-stack (3, 3) of the triad at grid point i."""

@@ -138,7 +138,15 @@ def _d2_axis0(f: np.ndarray, g: Grid1D) -> np.ndarray:
     return out
 
 
-def _along_t(f: np.ndarray, g2: Grid2D, op):
+def _along_x(f, grid):
+    a = _as_field(f)
+    g = _axis_grid(grid, 0)
+    _check_leading(a, g, "x")
+    return a, g
+
+
+def _along_t(f, g2: Grid2D, op):
+    f = _as_field(f)
     if not isinstance(g2, Grid2D):
         raise TypeError("t-derivatives need a Grid2D")
     if f.ndim < 2:
@@ -152,28 +160,22 @@ def _along_t(f: np.ndarray, g2: Grid2D, op):
 
 def diff_x(f, grid) -> np.ndarray:
     """Second-order d/dx along axis 0."""
-    a = _as_field(f)
-    g = _axis_grid(grid, 0)
-    _check_leading(a, g, "x")
-    return _d1_axis0(a, g)
+    return _d1_axis0(*_along_x(f, grid))
 
 
 def diff_t(f, grid) -> np.ndarray:
     """Second-order d/dt along axis 1 of a field on a Grid2D."""
-    return _along_t(_as_field(f), grid, _d1_axis0)
+    return _along_t(f, grid, _d1_axis0)
 
 
 def diff_xx(f, grid) -> np.ndarray:
     """Second-order d2/dx2 along axis 0."""
-    a = _as_field(f)
-    g = _axis_grid(grid, 0)
-    _check_leading(a, g, "x")
-    return _d2_axis0(a, g)
+    return _d2_axis0(*_along_x(f, grid))
 
 
 def diff_tt(f, grid) -> np.ndarray:
     """Second-order d2/dt2 along axis 1 of a field on a Grid2D."""
-    return _along_t(_as_field(f), grid, _d2_axis0)
+    return _along_t(f, grid, _d2_axis0)
 
 
 def integrate_x(f, grid, anchor=0.0) -> np.ndarray:
@@ -181,9 +183,7 @@ def integrate_x(f, grid, anchor=0.0) -> np.ndarray:
 
     anchor may be a scalar or an array matching the trailing shape.
     """
-    a = _as_field(f)
-    g = _axis_grid(grid, 0)
-    _check_leading(a, g, "x")
+    a, g = _along_x(f, grid)
     out = np.empty_like(a)
     out[0] = anchor
     steps = 0.5 * g.dx * (a[1:] + a[:-1])

@@ -80,13 +80,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def mesh_normal(m: SurfaceMesh, tol: float = DEGENERATE_TOL):
-    """Unit normal field and the degenerate-point mask.
-
-    Points with |r_x ^ r_t| < tol get NaN normals and a True mask entry.
-    """
-    r_x = diff_x(m.r, m.grid)
-    r_t = diff_t(m.r, m.grid)
+def _unit_normal(r_x: np.ndarray, r_t: np.ndarray, tol: float):
     cross = np.cross(r_x, r_t)
     mag = np.linalg.norm(cross, axis=-1)
     degenerate = mag < tol
@@ -94,6 +88,14 @@ def mesh_normal(m: SurfaceMesh, tol: float = DEGENERATE_TOL):
     good = ~degenerate
     n[good] = cross[good] / mag[good][..., None]
     return n, degenerate
+
+
+def mesh_normal(m: SurfaceMesh, tol: float = DEGENERATE_TOL):
+    """Unit normal field and the degenerate-point mask.
+
+    Points with |r_x ^ r_t| < tol get NaN normals and a True mask entry.
+    """
+    return _unit_normal(diff_x(m.r, m.grid), diff_t(m.r, m.grid), tol)
 
 
 def mesh_forms(m: SurfaceMesh, tol: float = DEGENERATE_TOL) -> FundamentalForms:
@@ -104,20 +106,24 @@ def mesh_forms(m: SurfaceMesh, tol: float = DEGENERATE_TOL) -> FundamentalForms:
     """
     r_x = diff_x(m.r, m.grid)
     r_t = diff_t(m.r, m.grid)
-    n, _ = mesh_normal(m, tol)
+    n, _ = _unit_normal(r_x, r_t, tol)
     r_xx = diff_xx(m.r, m.grid)
     r_tt = diff_tt(m.r, m.grid)
-    r_xt = diff_t(diff_x(m.r, m.grid), m.grid)
+    r_xt = diff_t(r_x, m.grid)
     return FundamentalForms.general(
         E=_dot(r_x, r_x), F=_dot(r_x, r_t), G=_dot(r_t, r_t),
         L=_dot(r_xx, n), M=_dot(r_xt, n), N=_dot(r_tt, n), grid=m.grid)
 
 
-def mesh_curvatures(m: SurfaceMesh, tol: float = DEGENERATE_TOL):
-    """(K, H) per grid point, NaN where the tangent plane degenerates."""
-    E, F, G, L, M, N = mesh_forms(m, tol).as_general()
+def _form_curvatures(forms: FundamentalForms):
+    E, F, G, L, M, N = forms.as_general()
     with np.errstate(invalid="ignore", divide="ignore"):
         return _gauss_mean(E, F, G, L, M, N, E * G - F ** 2)
+
+
+def mesh_curvatures(m: SurfaceMesh, tol: float = DEGENERATE_TOL):
+    """(K, H) per grid point, NaN where the tangent plane degenerates."""
+    return _form_curvatures(mesh_forms(m, tol))
 
 
 def export_obj(m: SurfaceMesh, path) -> None:

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
+from solsurf import cli
 from solsurf import fieldio as fio
-from solsurf.cli import build_parser, main, resolve_config
+from solsurf.cli import SCENARIOS, build_parser, main, resolve_config
 from solsurf.fixtures import traveling_circle
 
 from conftest import circle_grid
@@ -158,7 +160,18 @@ class TestCheck:
     def test_ic_rejected_for_checks(self, tmp_path):
         ic = traveling_circle(circle_grid(33))
         fio.save_json(ic, tmp_path / "ic.json")
-        rc = main(["check", "--ic", str(tmp_path / "ic.json"),
+        for scenario in ("traveling_circle", "sphere", "random_ct"):
+            rc = main(["check", "--scenario", scenario,
+                       "--ic", str(tmp_path / "ic.json"), "--out", str(tmp_path)])
+            assert rc == 2, scenario
+        assert not list(tmp_path.glob("check_*.json"))
+
+    def test_undefined_which_exits_before_evolving(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("evolve_series called")
+
+        monkeypatch.setattr(cli, "evolve_series", fail)
+        rc = main(["check", "--scenario", "random_smooth", "--which", "gc",
                    "--out", str(tmp_path)])
         assert rc == 2
 
@@ -215,6 +228,21 @@ class TestSurface:
         assert rc == 0
         mesh = fio.load_json(tmp_path / "mesh.json")
         assert mesh.r.shape == (33, 9, 3)
+
+    def test_forms_computed_once(self, tmp_path, monkeypatch):
+        from solsurf import surface
+        calls = {}
+        for name in ("mesh_forms", "diff_x", "diff_t", "diff_xx", "diff_tt"):
+            def counted(*args, _fn=getattr(surface, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(surface, name, counted)
+        monkeypatch.setattr(cli, "mesh_forms", surface.mesh_forms)
+        rc = main(["surface", "--scenario", "sphere", "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == {"mesh_forms": 1, "diff_x": 1, "diff_t": 2,
+                         "diff_xx": 1, "diff_tt": 1}
 
     def test_obj_reexport_stable(self, tmp_path):
         rc = main(["surface", "--scenario", "cylinder", "--out", str(tmp_path)])
@@ -360,9 +388,97 @@ def test_check_dispatch_matrix(tmp_path, scenario, which, code, finest):
         assert report["finest_residual"] == pytest.approx(finest, rel=1e-9, abs=1e-13)
 
 
+# Inputs that exit 2 with a message naming the offending key.
+BAD_PARAMS = [
+    (["surface", "--scenario", "sphere", "--param", "radius=0"], "radius"),
+    (["surface", "--scenario", "cylinder", "--param", "radius=0"], "radius"),
+    (["surface", "--scenario", "sphere", "--param", "radius=-2"], "radius"),
+    (["surface", "--scenario", "sphere", "--param", "radius=true"], "radius"),
+    (["surface", "--scenario", "sphere", "--param", "radius=NaN"], "radius"),
+    (["simulate", "--scenario", "random_smooth", "--param", "n_modes=-1"],
+     "n_modes"),
+    (["simulate", "--scenario", "random_smooth", "--param", "seed=1.5"], "seed"),
+    (["simulate", "--scenario", "random_smooth", "--param", "seed=-1"], "seed"),
+    (["simulate", "--scenario", "random_smooth", "--seed", "-1"], "seed"),
+    (["check", "--scenario", "random_ct", "--param", "seed=-1"], "seed"),
+    (["simulate", "--scenario", "random_smooth", "--param", "winding=1.5"],
+     "winding"),
+    (["simulate", "--scenario", "random_smooth", "--param", "theta_amp=abc"],
+     "theta_amp"),
+]
+
+
+@pytest.mark.parametrize("argv,key", BAD_PARAMS,
+                         ids=[" ".join(argv[2:]) for argv, _ in BAD_PARAMS])
+def test_bad_param_values_exit_two(tmp_path, capsys, argv, key):
+    assert main([*argv, *SPIN_SIZE, "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_edge_param_values_still_run(tmp_path):
+    """Integral radius, integral-valued float winding, negative theta_amp."""
+    for value in ("2", "2.0"):
+        assert main(["surface", "--scenario", "sphere", "--param",
+                     f"radius={value}", "--out", str(tmp_path / value)]) == 0
+    assert ((tmp_path / "2" / "mesh.json").read_bytes()
+            == (tmp_path / "2.0" / "mesh.json").read_bytes())
+    summary = json.loads((tmp_path / "2" / "surface_summary.json").read_text())
+    assert summary["config"]["params"] == {"radius": 2}
+    for value in ("2", "2.0"):
+        assert main(["simulate", "--scenario", "random_smooth", "--param",
+                     f"winding={value}", "--param", "theta_amp=-0.05",
+                     "--n", "129", "--steps", "8", "--format", "json",
+                     "--out", str(tmp_path / f"w{value}")]) == 0
+    assert ((tmp_path / "w2" / "series.json").read_bytes()
+            == (tmp_path / "w2.0" / "series.json").read_bytes())
+
+
+PARAM_NAMES = [(scenario, name) for scenario in sorted(SCENARIOS)
+               for name in sorted(SCENARIOS[scenario].params)]
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.integers(min_value=10 ** 308, max_value=10 ** 400),
+                         st.floats(), st.text(max_size=8))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(PARAM_NAMES), JSON_SCALARS)
+def test_any_param_value_resolves_or_is_config_error(scenario_name, value):
+    scenario, name = scenario_name
+    try:
+        cfg = resolve_config({"scenario": scenario, "params": {name: value}}, {})
+    except ss.ConfigError as e:
+        assert name in str(e)
+    else:
+        assert cfg.params[name] is value
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=4), inner, max_size=3)), max_leaves=6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(cli.KEYS)), JSON_VALUES)
+def test_any_key_value_resolves_or_is_config_error(key, value):
+    try:
+        resolve_config({key: value}, {})
+    except ss.ConfigError:
+        pass
+
+
 def test_readme_flags_match_parser():
-    """The README's flag paragraph lists exactly the options the parser takes."""
+    """The README's flag paragraph lists exactly the options the parser takes,
+    and its scenario table lists each scenario's params with kind and bound."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \|.*\| ([^|]*) \|$", readme, re.MULTILINE)
+    documented_params = dict(rows)
+    assert set(documented_params) == set(SCENARIOS)
+    for scenario, cell in documented_params.items():
+        shown = []
+        for name, (kind, bound) in SCENARIOS[scenario].params.items():
+            rule = f" {bound[0]} {bound[1]}" if bound else ""
+            shown.append(f"`{name}` ({'int' if kind is int else 'number'}{rule})")
+        assert cell == (", ".join(shown) or "none"), scenario
     paragraph = readme.split("Common keys/flags:", 1)[1].split("\n\n", 1)[0]
     documented = set(re.findall(r"--[a-z][a-z0-9-]*", paragraph))
     parser = build_parser()
