@@ -87,26 +87,6 @@ def _decode_spin_series(doc):
                       **_spin_arrays(doc, (grid.n, times.size)))
 
 
-def _form_names(form_kind: str) -> tuple:
-    return FundamentalForms._DIAG if form_kind == "diagonal" else FundamentalForms._GEN
-
-
-def _encode_forms(obj):
-    names = _form_names(obj.kind)
-    return {"form_kind": obj.kind,
-            "grid": None if obj.grid is None else to_jsonable(obj.grid),
-            "shape": list(getattr(obj, names[0]).shape),
-            **_encode_arrays(obj, names)}
-
-
-def _decode_forms(doc):
-    shape = tuple(doc["shape"])
-    names = _form_names(doc["form_kind"])
-    grid = None if doc["grid"] is None else from_jsonable(doc["grid"])
-    return FundamentalForms(kind=doc["form_kind"], grid=grid,
-                            **_decode_arrays(doc, dict.fromkeys(names, shape)))
-
-
 def _encode_array(obj):
     if np.iscomplexobj(obj):
         return {"shape": list(obj.shape), "re": _flat(obj.real), "im": _flat(obj.imag)}
@@ -141,7 +121,7 @@ _CODECS = {
                     _decode_spin_series),
     "ct_fields": _on_grid2(CTFields, ("k", "tau", "omega2", "omega3")),
     "gc_data": _on_grid2(GCData, ("psi1", "psi2", "tpsi1", "tpsi2", "p", "q")),
-    "fundamental_forms": (FundamentalForms, _encode_forms, _decode_forms),
+    "fundamental_forms": _on_grid2(FundamentalForms, ("E", "F", "G", "L", "M", "N")),
     "surface_mesh": _on_grid2(SurfaceMesh, ("r",), extra=(3,)),
     "lax_pair": _on_grid2(LaxPairField, ("U", "V"), extra=(2, 2), cplx=True),
     "eigenfunction": _on_grid2(Eigenfunction, ("phi",), extra=(2, 2), cplx=True),

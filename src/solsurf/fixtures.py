@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .frames import CTFields
 from .gauss_codazzi import FundamentalForms, GCAnalytic, GCData
 from .numgrid import Grid1D, Grid2D, diff_t, diff_x
@@ -73,6 +73,9 @@ def random_smooth_spin(grid: Grid1D, seed: int = 0, n_modes: int = 3,
     while the evolved k can dip locally, and once |u| catches k somewhere
     the constraint has no solution and evolve raises SqrtDomainError.
     """
+    if n_modes > (grid.n - 1) // 2:
+        raise ConfigError(f"n_modes must be <= (n - 1) // 2 = {(grid.n - 1) // 2}, "
+                          f"got {n_modes}; higher harmonics alias on the grid")
     rng = np.random.default_rng(seed)
     x = grid.points()
     xi = 2.0 * np.pi * (x - grid.x0) / grid.span
@@ -170,9 +173,11 @@ def random_ct(g2: Grid2D, seed: int = 0, amplitude: float = 0.5) -> CTFields:
                 cc, cs, sc, ss = rng.uniform(-1.0, 1.0, size=4)
                 ax = mx * sx * (X - g2.gx.x0)
                 at = mt * st * (T - g2.gt.x0)
-                out += amplitude / (mx * mt) * (
-                    cc * np.cos(ax) * np.cos(at) + cs * np.cos(ax) * np.sin(at)
-                    + sc * np.sin(ax) * np.cos(at) + ss * np.sin(ax) * np.sin(at))
+                # a huge amplitude overflows to inf, which CTFields rejects
+                with np.errstate(over="ignore"):
+                    out += amplitude / (mx * mt) * (
+                        cc * np.cos(ax) * np.cos(at) + cs * np.cos(ax) * np.sin(at)
+                        + sc * np.sin(ax) * np.cos(at) + ss * np.sin(ax) * np.sin(at))
         return out
 
     return CTFields(k=field(1.5), tau=field(), omega2=field(), omega3=field(),
@@ -246,9 +251,9 @@ def plane_gc(g2: Grid2D) -> GCData:
 
 
 def sphere_forms(g2: Grid2D, radius: float = 1.0) -> FundamentalForms:
-    """Analytic diagonal form pair of the round sphere (t axis polar)."""
+    """Analytic form pair of the round sphere (t axis polar), F = M = 0."""
     _, T = g2.meshes()
     s = np.sin(T)
-    return FundamentalForms.diagonal(
-        g11=np.full_like(T, radius ** 2), g22=(radius * s) ** 2,
-        d11=np.full_like(T, radius), d22=radius * s * s, grid=g2)
+    return FundamentalForms(
+        E=np.full_like(T, radius ** 2), F=np.zeros_like(T), G=(radius * s) ** 2,
+        L=np.full_like(T, radius), M=np.zeros_like(T), N=radius * s * s, grid=g2)

@@ -96,19 +96,15 @@ def _reorthonormalize(triad: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2, e3])
 
 
-def _coefficient(c, grid: Grid1D):
-    """Turn a scalar, per-point array, or callable into a function of x."""
-    if callable(c):
-        return c
-    arr = np.asarray(c, dtype=float)
+def _coefficient(c, grid: Grid1D) -> np.ndarray:
+    """A scalar or per-point coefficient as its (n,) values at the nodes."""
+    arr = np.array(c, dtype=float)
     if arr.ndim == 0:
-        val = float(arr)
-        return lambda x: val
+        return np.full(grid.n, float(arr))
     if arr.shape != (grid.n,):
-        raise ShapeError(f"coefficient must be scalar, callable, or shape ({grid.n},), "
+        raise ShapeError(f"coefficient must be scalar or shape ({grid.n},), "
                          f"got {arr.shape}")
-    xs = grid.points()
-    return lambda x: float(np.interp(x, xs, arr))
+    return arr
 
 
 def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
@@ -117,8 +113,8 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
     """Integrate the spatial frame system E_x = A(x) E across the grid by RK4.
 
     frame0 is the (3, 3) row-stack at grid.x0 and must be orthonormal within
-    1e-8.  k and tau may be scalars, per-point arrays (linearly interpolated
-    at stage points), or callables of x.  The orthonormality deviation is
+    1e-8.  k and tau may be scalars or per-point arrays; per-point values are
+    linearly interpolated at stage points.  The orthonormality deviation is
     recorded at every point before re-orthonormalization; exceeding gram_tol
     raises GramDriftError (integration blow-up).
     """
@@ -127,17 +123,17 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
     if dev0 > 1e-8:
         raise GramDriftError(f"initial triad is not orthonormal (deviation {dev0:.3e})",
                              deviation=dev0)
-    kf = _coefficient(k, grid)
-    tf = _coefficient(tau, grid)
+    k = _coefficient(k, grid)
+    tau = _coefficient(tau, grid)
+    xs = grid.points()
 
     def rhs(x, e):
-        return matrix_a(kf(x), tf(x)) @ e
+        return matrix_a(np.interp(x, xs, k), np.interp(x, xs, tau)) @ e
 
     n = grid.n
     frames = np.empty((n, 3, 3))
     drift = np.zeros(n)
     frames[0] = e0
-    xs = grid.points()
     cur = e0
     for i in range(n - 1):
         nxt = step_rk4(cur, rhs, grid.dx, t=xs[i])
@@ -153,9 +149,7 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
         cur = nxt
     return FrameState(
         e1=frames[:, 0], e2=frames[:, 1], e3=frames[:, 2],
-        k=np.array([kf(x) for x in xs]),
-        tau=np.array([tf(x) for x in xs]),
-        grid=grid, gram_drift=drift)
+        k=k, tau=tau, grid=grid, gram_drift=drift)
 
 
 @dataclass

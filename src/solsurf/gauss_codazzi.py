@@ -115,66 +115,34 @@ def metric_residual(d: GCData, derivs: GCAnalytic | None = None):
 
 @dataclass
 class FundamentalForms:
-    """First and second fundamental form coefficients, diagonal or general.
+    """First (E, F, G) and second (L, M, N) form coefficients on a Grid2D.
 
-    kind "diagonal" holds g11, g22, d11, d22 (curvature-line coordinates,
-    no cross terms); kind "general" holds E, F, G, L, M, N.  The grid is
-    optional and only needed for serialization.
+    Curvature-line data have F = M = 0.  NaN entries are allowed: mesh_forms
+    marks degenerate tangent planes with them.
     """
 
-    kind: str
-    g11: np.ndarray | None = None
-    g22: np.ndarray | None = None
-    d11: np.ndarray | None = None
-    d22: np.ndarray | None = None
-    E: np.ndarray | None = None
-    F: np.ndarray | None = None
-    G: np.ndarray | None = None
-    L: np.ndarray | None = None
-    M: np.ndarray | None = None
-    N: np.ndarray | None = None
-    grid: Grid2D | None = None
-
-    _DIAG = ("g11", "g22", "d11", "d22")
-    _GEN = ("E", "F", "G", "L", "M", "N")
+    E: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    L: np.ndarray
+    M: np.ndarray
+    N: np.ndarray
+    grid: Grid2D
 
     def __post_init__(self):
-        if self.kind not in ("diagonal", "general"):
-            raise ShapeError(f"kind must be 'diagonal' or 'general', got {self.kind!r}")
-        names = self._DIAG if self.kind == "diagonal" else self._GEN
-        shape = None
-        for name in names:
-            a = getattr(self, name)
-            if a is None:
-                raise ShapeError(f"{self.kind} forms need field {name}")
-            a = np.asarray(a, dtype=float)
-            if shape is None:
-                shape = a.shape
-            elif a.shape != shape:
-                raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
+        shape = self.grid.shape
+        for name in ("E", "F", "G", "L", "M", "N"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != shape:
+                raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
             setattr(self, name, a)
-
-    @classmethod
-    def diagonal(cls, g11, g22, d11, d22, grid=None) -> "FundamentalForms":
-        return cls(kind="diagonal", g11=g11, g22=g22, d11=d11, d22=d22, grid=grid)
-
-    @classmethod
-    def general(cls, E, F, G, L, M, N, grid=None) -> "FundamentalForms":
-        return cls(kind="general", E=E, F=F, G=G, L=L, M=M, N=N, grid=grid)
-
-    def as_general(self):
-        """Coefficients (E, F, G, L, M, N), mapping diagonal data with F=M=0."""
-        if self.kind == "general":
-            return self.E, self.F, self.G, self.L, self.M, self.N
-        zero = np.zeros_like(self.g11)
-        return self.g11, zero, self.g22, self.d11, zero, self.d22
 
 
 def fundamental_forms(d: GCData) -> FundamentalForms:
-    """Diagonal first/second form pair from surface data, for curvatures."""
-    return FundamentalForms.diagonal(
-        g11=d.tpsi1 ** 2, g22=d.tpsi2 ** 2,
-        d11=d.tpsi1 * d.psi1, d22=d.tpsi2 * d.psi2, grid=d.grid)
+    """Form pair of surface data in curvature-line coordinates (F = M = 0)."""
+    return FundamentalForms(
+        E=d.tpsi1 ** 2, F=np.zeros_like(d.psi1), G=d.tpsi2 ** 2,
+        L=d.tpsi1 * d.psi1, M=np.zeros_like(d.psi1), N=d.tpsi2 * d.psi2, grid=d.grid)
 
 
 def curvatures(f: FundamentalForms):
@@ -183,18 +151,17 @@ def curvatures(f: FundamentalForms):
     K = (LN - M^2) / (EG - F^2)
     H = (EN - 2FM + GL) / (2 (EG - F^2))
     """
-    E, F, G, L, M, N = f.as_general()
-    den = E * G - F ** 2
+    den = f.E * f.G - f.F ** 2
     if np.any(den <= 0):
         raise DegenerateMetricError(
             f"metric determinant must be positive (min {float(den.min()):.6e})")
-    return _gauss_mean(E, F, G, L, M, N, den)
+    return _gauss_mean(f, den)
 
 
-def _gauss_mean(E, F, G, L, M, N, den):
-    """(K, H) from the form coefficients and den = EG - F^2, unchecked."""
-    K = (L * N - M ** 2) / den
-    H = (E * N - 2 * F * M + G * L) / (2 * den)
+def _gauss_mean(f: FundamentalForms, den):
+    """(K, H) from the forms and den = EG - F^2, unchecked."""
+    K = (f.L * f.N - f.M ** 2) / den
+    H = (f.E * f.N - 2 * f.F * f.M + f.G * f.L) / (2 * den)
     return K, H
 
 

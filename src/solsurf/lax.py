@@ -32,7 +32,8 @@ from .numgrid import Grid2D, diff_t, diff_x, step_rk4
 
 _HALF_OVER_I = 1.0 / 2.0j   # exactly -0.5i
 
-MOVES = ("+x", "-x", "+t", "-t")
+# move -> (axis, sign): axis 0 steps in x with U, axis 1 in t with V
+MOVES = {"+x": (0, 1), "-x": (0, -1), "+t": (1, 1), "-t": (1, -1)}
 
 
 def _check_mat2(name: str, a: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
@@ -135,29 +136,19 @@ def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
     ix, it = int(start[0]), int(start[1])
     if not (0 <= ix < nx and 0 <= it < nt):
         raise GridError(f"start {start!r} is outside the grid")
-    dx = L.grid.gx.dx
-    dt = L.grid.gt.dx
+    gens = (L.U, L.V)
+    hs = (L.grid.gx.dx, L.grid.gt.dx)
     for step, move in enumerate(path):
-        if move not in MOVES:
+        if not isinstance(move, str) or move not in MOVES:
             raise GridError(f"unknown move {move!r} at path position {step}")
-        jx, jt = ix, it
-        if move == "+x":
-            jx += 1
-            gen, h = L.U, dx
-        elif move == "-x":
-            jx -= 1
-            gen, h = L.U, -dx
-        elif move == "+t":
-            jt += 1
-            gen, h = L.V, dt
-        else:
-            jt -= 1
-            gen, h = L.V, -dt
+        axis, sign = MOVES[move]
+        jx, jt = (ix + sign, it) if axis == 0 else (ix, it + sign)
         if not (0 <= jx < nx and 0 <= jt < nt):
             raise GridError(
                 f"move {move!r} at path position {step} leaves the grid "
                 f"(from node ({ix}, {it}))")
-        phi = _edge_step(phi, gen[ix, it], gen[jx, jt], h)
+        gen = gens[axis]
+        phi = _edge_step(phi, gen[ix, it], gen[jx, jt], sign * hs[axis])
         if not np.all(np.isfinite(phi)):
             raise NonFiniteFieldError(
                 f"phi became non-finite after path position {step}")

@@ -191,51 +191,27 @@ def integrate_x(f, grid, anchor=0.0) -> np.ndarray:
     return out
 
 
-def _leafwise(state, fn):
-    if isinstance(state, tuple):
-        return tuple(fn(s) for s in state)
-    return fn(state)
+def _check_finite(y: np.ndarray, stage: str):
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteFieldError(f"non-finite value in integration state ({stage})",
+                                  stage=stage)
 
 
-def _combine(a, b, ca, cb):
-    # a*ca + b*cb over either arrays or matching tuples
-    if isinstance(a, tuple):
-        return tuple(x * ca + y * cb for x, y in zip(a, b))
-    return a * ca + b * cb
+def step_rk4(y: np.ndarray, rhs, dt: float, t: float = 0.0) -> np.ndarray:
+    """One classical RK4 step for y' = rhs(t, y) on an ndarray state.
 
-
-def _check_finite(state, stage: str):
-    def check(arr):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteFieldError(f"non-finite value in integration state ({stage})",
-                                      stage=stage)
-        return arr
-
-    _leafwise(state, check)
-
-
-def step_rk4(y, rhs, dt: float, t: float = 0.0):
-    """One classical RK4 step for y' = rhs(t, y).
-
-    y may be an ndarray or a tuple of ndarrays (the tuple structure must be
-    preserved by rhs).  Each stage is checked for NaN/Inf.  Deterministic:
-    identical inputs give bit-identical outputs.
+    Each stage is checked for NaN/Inf.  Deterministic: identical inputs give
+    bit-identical outputs.
     """
     k1 = rhs(t, y)
     _check_finite(k1, "k1")
-    k2 = rhs(t + dt / 2, _combine(y, k1, 1.0, dt / 2))
+    k2 = rhs(t + dt / 2, y + k1 * (dt / 2))
     _check_finite(k2, "k2")
-    k3 = rhs(t + dt / 2, _combine(y, k2, 1.0, dt / 2))
+    k3 = rhs(t + dt / 2, y + k2 * (dt / 2))
     _check_finite(k3, "k3")
-    k4 = rhs(t + dt, _combine(y, k3, 1.0, dt))
+    k4 = rhs(t + dt, y + k3 * dt)
     _check_finite(k4, "k4")
-    if isinstance(y, tuple):
-        out = tuple(
-            yi + (dt / 6) * (a + 2 * b + 2 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
-    else:
-        out = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    out = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     _check_finite(out, "update")
     return out
 
@@ -245,12 +221,15 @@ def fit_order(hs, errors, floor: float = 0.0) -> float:
 
     Samples at or below ``floor`` are dropped (they sit in round-off, not in
     the asymptotic regime).  If fewer than two samples survive, the data is
-    treated as converged and +inf is returned.
+    treated as converged and +inf is returned.  A NaN or infinite error
+    raises NonFiniteFieldError: it is a failed measurement, not a converged one.
     """
     h = np.asarray(hs, dtype=float)
     e = np.asarray(errors, dtype=float)
     if h.shape != e.shape or h.ndim != 1 or h.size < 2:
         raise ShapeError("fit_order needs matching 1-D arrays of length >= 2")
+    if not np.all(np.isfinite(e)):
+        raise NonFiniteFieldError(f"fit_order got non-finite errors {e.tolist()}")
     if np.any(h <= 0):
         raise ValueError("step sizes must be positive")
     if np.any(e < 0):

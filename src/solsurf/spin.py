@@ -20,6 +20,7 @@ round-off without changing the continuum limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,11 @@ class SpinRates:
     dv: np.ndarray
 
 
-def _clamped_radicand(rad: np.ndarray, slack: float) -> np.ndarray:
+def _clamped_radicand(k: np.ndarray, u: np.ndarray, slack: float) -> np.ndarray:
+    # Where |u| passes ~1e154, u*u overflows to inf; the radicand is then
+    # -inf, which the check below reports as a domain error.
+    with np.errstate(over="ignore"):
+        rad = k * k - u * u
     flat = np.ravel(rad)
     bad = flat < -slack
     if np.any(bad):
@@ -128,7 +133,7 @@ def _tangent_frame(S: np.ndarray, grid: Grid1D, k_min: float):
 def _rates(S, u, v, frame, slack):
     """dS, dv and the clamped radicand k^2 - u^2, given _tangent_frame(S)."""
     S_x, k, _, e2, e3 = frame
-    rad = _clamped_radicand(k * k - u * u, slack)
+    rad = _clamped_radicand(k, u, slack)
     root = np.sqrt(rad)
     dS = -root[:, None] * e2 + u[:, None] * e3
     dv = -np.einsum("ij,ij->i", S, np.cross(dS, S_x))
@@ -176,20 +181,22 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
     if k.shape != (n,) or v.shape != (n,):
         raise ShapeError(f"k and v must have shape ({n},)")
     h = grid.dx
-    u = np.empty(n)
-    u[0] = u_left
 
+    # Python floats: an overflowing trial radicand is -inf and clamps silently
     def slope(ki, vi, ui):
-        return vi * np.sqrt(max(ki * ki - ui * ui, 0.0))
+        return vi * math.sqrt(max(ki * ki - ui * ui, 0.0))
 
+    ks, vs = k.tolist(), v.tolist()
+    us = [float(u_left)]
     for i in range(n - 1):
-        f1 = slope(k[i], v[i], u[i])
-        trial = u[i] + h * f1
-        f2 = slope(k[i + 1], v[i + 1], trial)
-        u[i + 1] = u[i] + 0.5 * h * (f1 + f2)
+        f1 = slope(ks[i], vs[i], us[i])
+        trial = us[i] + h * f1
+        f2 = slope(ks[i + 1], vs[i + 1], trial)
+        us.append(us[i] + 0.5 * h * (f1 + f2))
+    u = np.array(us)
     if grid.boundary == "periodic":
         u[-1] = u[0]
-    _clamped_radicand(k * k - u * u, clamp_slack)
+    _clamped_radicand(k, u, clamp_slack)
     return u
 
 
@@ -246,34 +253,33 @@ class SpinSeries:
 
 def _advance(f: SpinField, dt: float, steps: int, renorm: bool, u_left: float,
              k_min: float, clamp_slack: float, record: bool) -> list:
-    """RK4 march of (S, v) with u re-solved at every stage.
+    """RK4 march of the (n, 4) state [S | v] with u re-solved at every stage.
 
     Returns the (S, u, v) levels: every level from the input on when
     recording, otherwise the input and the final level only.
     """
     grid = f.grid
-    periodic = grid.boundary == "periodic"
 
-    def rhs(t, state):
-        S, v = state
+    def rhs(t, y):
+        S, v = y[:, :3], y[:, 3]
         frame = _tangent_frame(S, grid, k_min)
         u = solve_u_constraint(frame[1], v, grid, u_left=u_left, clamp_slack=clamp_slack)
         dS, dv, _ = _rates(S, u, v, frame, clamp_slack)
-        return (dS, dv)
+        return np.column_stack((dS, dv))
 
-    S, v = f.S, f.v
+    y = np.column_stack((f.S, f.v))
     levels = [(f.S, f.u, f.v)]
     for j in range(steps):
         try:
-            S, v = step_rk4((S, v), rhs, dt, t=f.t + j * dt)
+            y = step_rk4(y, rhs, dt, t=f.t + j * dt)
         except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
             e.args = (f"step {j}: {e}",)
             raise
+        S, v = y[:, :3], y[:, 3]
         if renorm:
-            S = S / np.linalg.norm(S, axis=1)[:, None]
-        if periodic:
-            S[-1] = S[0]
-            v[-1] = v[0]
+            S /= np.linalg.norm(S, axis=1)[:, None]
+        if grid.boundary == "periodic":
+            y[-1] = y[0]
         if record or j == steps - 1:
             k = np.linalg.norm(diff_x(S, grid), axis=1)
             u = solve_u_constraint(k, v, grid, u_left=u_left, clamp_slack=clamp_slack)
@@ -332,7 +338,7 @@ def build_frame(f: SpinField, k_min: float = K_MIN_DEFAULT,
     """
     S_x, k, e1, e2, e3 = _tangent_frame(f.S, f.grid, k_min)
     tau = np.einsum("ij,ij->i", diff_x(e2, f.grid), e3)
-    rad = _clamped_radicand(k * k - f.u * f.u, clamp_slack)
+    rad = _clamped_radicand(k, f.u, clamp_slack)
     return FrameState(e1=e1, e2=e2, e3=e3, k=k, tau=tau, grid=f.grid,
                       omega1=np.zeros(f.grid.n), omega2=-f.u, omega3=-np.sqrt(rad))
 
@@ -350,6 +356,6 @@ def ct_from_spin_series(series: SpinSeries, k_min: float = K_MIN_DEFAULT,
         flat = int(np.argmax(k < k_min))
         raise DegenerateFrameError(
             f"|S_x| below k_min = {k_min:.1e} at flat index {flat}", index=flat)
-    rad = _clamped_radicand(k * k - series.u * series.u, clamp_slack)
+    rad = _clamped_radicand(k, series.u, clamp_slack)
     return CTFields(k=k, tau=series.v.copy(), omega2=-series.u,
                     omega3=-np.sqrt(rad), grid=g2)

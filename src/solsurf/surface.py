@@ -14,11 +14,10 @@ so curvature reporting stays honest on meshes that are fine elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import GridError, NonFiniteFieldError, ShapeError
+from .errors import NonFiniteFieldError, ShapeError
 from .gauss_codazzi import FundamentalForms, _gauss_mean
 from .numgrid import Grid1D, Grid2D, diff_t, diff_tt, diff_x, diff_xx, integrate_x
 from .spin import SpinSeries
@@ -53,25 +52,12 @@ class SurfaceMesh:
         return np.stack([base, base + nt, base + nt + 1, base + 1], axis=1)
 
 
-def reconstruct(series) -> SurfaceMesh:
+def reconstruct(series: SpinSeries) -> SurfaceMesh:
     """Integrate the spin field in x at every time level (trapezoid, anchor 0).
 
-    Accepts a SpinSeries or a sequence of SpinField slices; slices must
-    share one grid and be uniformly spaced in time (SpinSeries checks the
-    spacing).
+    The series needs two or more time levels; SpinSeries checks that they
+    are uniformly spaced.
     """
-    if not isinstance(series, SpinSeries):
-        slices = list(series)
-        if len(slices) < 2:
-            raise GridError("need at least two time levels to build a surface")
-        grid = slices[0].grid
-        for j, f in enumerate(slices[1:], start=1):
-            if f.grid != grid:
-                raise GridError(f"slice {j} grid differs from slice 0 grid")
-        series = SpinSeries(grid=grid, times=[f.t for f in slices],
-                            S=np.stack([f.S for f in slices], axis=1),
-                            u=np.stack([f.u for f in slices], axis=1),
-                            v=np.stack([f.v for f in slices], axis=1))
     g2 = series.grid2
     return SurfaceMesh(r=integrate_x(series.S, g2, anchor=0.0), grid=g2)
 
@@ -110,15 +96,14 @@ def mesh_forms(m: SurfaceMesh, tol: float = DEGENERATE_TOL) -> FundamentalForms:
     r_xx = diff_xx(m.r, m.grid)
     r_tt = diff_tt(m.r, m.grid)
     r_xt = diff_t(r_x, m.grid)
-    return FundamentalForms.general(
+    return FundamentalForms(
         E=_dot(r_x, r_x), F=_dot(r_x, r_t), G=_dot(r_t, r_t),
         L=_dot(r_xx, n), M=_dot(r_xt, n), N=_dot(r_tt, n), grid=m.grid)
 
 
-def _form_curvatures(forms: FundamentalForms):
-    E, F, G, L, M, N = forms.as_general()
+def _form_curvatures(f: FundamentalForms):
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _gauss_mean(E, F, G, L, M, N, E * G - F ** 2)
+        return _gauss_mean(f, f.E * f.G - f.F ** 2)
 
 
 def mesh_curvatures(m: SurfaceMesh, tol: float = DEGENERATE_TOL):

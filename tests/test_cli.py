@@ -397,6 +397,10 @@ BAD_PARAMS = [
     (["surface", "--scenario", "sphere", "--param", "radius=NaN"], "radius"),
     (["simulate", "--scenario", "random_smooth", "--param", "n_modes=-1"],
      "n_modes"),
+    # above (n - 1) // 2 = 16 harmonics alias; 1e8 modes used to loop for minutes
+    (["simulate", "--scenario", "random_smooth", "--param", "n_modes=100000000"],
+     "n_modes"),
+    (["check", "--scenario", "random_smooth", "--param", "n_modes=17"], "n_modes"),
     (["simulate", "--scenario", "random_smooth", "--param", "seed=1.5"], "seed"),
     (["simulate", "--scenario", "random_smooth", "--param", "seed=-1"], "seed"),
     (["simulate", "--scenario", "random_smooth", "--seed", "-1"], "seed"),
@@ -413,6 +417,19 @@ BAD_PARAMS = [
 def test_bad_param_values_exit_two(tmp_path, capsys, argv, key):
     assert main([*argv, *SPIN_SIZE, "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--scenario", "random_smooth", "--param", "v_amp=1e300",
+      "--n", "33", "--steps", "4"], 3),
+    (["check", "--scenario", "random_ct", "--param", "amplitude=1e308"], 2),
+])
+def test_overflowing_amplitude_prints_only_the_error(tmp_path, argv, code):
+    """The overflow ends in the typed error; no numpy warning reaches stderr."""
+    proc = subprocess.run([sys.executable, "-m", "solsurf", *argv,
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_edge_param_values_still_run(tmp_path):

@@ -1,5 +1,7 @@
 """Surface-data residuals, the frame map and its inverse, and curvatures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,34 +97,26 @@ class TestFrameMap:
 
 class TestForms:
     def test_diagonal_forms_needs_all_fields(self, band_small):
-        with pytest.raises(ss.ShapeError, match="d22"):
-            ss.FundamentalForms(kind="diagonal", g11=np.ones((3, 3)),
-                                g22=np.ones((3, 3)), d11=np.ones((3, 3)))
+        ones = np.ones(band_small.shape)
+        with pytest.raises(ss.ShapeError, match="N"):
+            ss.FundamentalForms(E=ones, F=0 * ones, G=ones, L=ones, M=0 * ones,
+                                N=None, grid=band_small)
 
-    def test_kind_validated(self):
-        with pytest.raises(ss.ShapeError):
-            ss.FundamentalForms(kind="sideways")
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ss.ShapeError):
-            ss.FundamentalForms.diagonal(g11=np.ones((3, 3)), g22=np.ones((3, 3)),
-                                         d11=np.ones((3, 3)), d22=np.ones((2, 2)))
-
-    def test_as_general_fills_off_diagonal_zeros(self, band_small):
-        ff = sphere_forms(band_small)
-        E, F, G, L, M, N = ff.as_general()
-        assert np.array_equal(E, ff.g11)
-        assert np.all(F == 0.0) and np.all(M == 0.0)
-        assert np.array_equal(N, ff.d22)
+    def test_shape_mismatch_rejected(self, band_small):
+        ones = np.ones(band_small.shape)
+        with pytest.raises(ss.ShapeError, match="N must have shape"):
+            ss.FundamentalForms(E=ones, F=ones, G=ones, L=ones, M=ones,
+                                N=np.ones((2, 2)), grid=band_small)
 
     def test_fundamental_forms_from_data(self, band_small):
         d, _ = sphere_gc(band_small, radius=2.0)
         _, T = band_small.meshes()
         ff = ss.fundamental_forms(d)
-        assert ff.kind == "diagonal"
-        assert np.max(np.abs(ff.g11 - 4.0)) < 1e-14
-        assert np.max(np.abs(ff.g22 - 4.0 * np.sin(T) ** 2)) < 1e-13
-        assert np.max(np.abs(ff.d11 - 2.0)) < 1e-14
+        assert ff.grid == band_small
+        assert np.max(np.abs(ff.E - 4.0)) < 1e-14
+        assert np.max(np.abs(ff.G - 4.0 * np.sin(T) ** 2)) < 1e-13
+        assert np.max(np.abs(ff.L - 2.0)) < 1e-14
+        assert np.all(ff.F == 0.0) and np.all(ff.M == 0.0)
 
 
 class TestCurvatures:
@@ -133,14 +127,18 @@ class TestCurvatures:
         assert np.max(np.abs(H - 1.0 / radius)) < 1e-12
 
     def test_degenerate_metric_rejected(self, band_small):
-        ff = sphere_forms(band_small)
-        bad = ss.FundamentalForms.diagonal(g11=np.zeros(band_small.shape),
-                                           g22=ff.g22, d11=ff.d11, d22=ff.d22)
+        ff = dataclasses.replace(sphere_forms(band_small),
+                                 E=np.zeros(band_small.shape))
         with pytest.raises(ss.DegenerateMetricError):
-            ss.curvatures(bad)
+            ss.curvatures(ff)
 
-    def test_general_kind_accepted(self, band_small):
+    def test_cross_terms_accepted(self, band_small):
+        # sphere forms in sheared coordinates (a, b) = (x - t, t): the first
+        # and second forms pick up the same cross terms, K and H stay put
         ff = sphere_forms(band_small, radius=2.0)
-        E, F, G, L, M, N = ff.as_general()
-        K, _ = ss.curvatures(ss.FundamentalForms.general(E, F, G, L, M, N))
+        sheared = ss.FundamentalForms(
+            E=ff.E, F=ff.E, G=ff.E + ff.G, L=ff.L, M=ff.L, N=ff.L + ff.N,
+            grid=band_small)
+        K, H = ss.curvatures(sheared)
         assert np.max(np.abs(K - 0.25)) < 1e-13
+        assert np.max(np.abs(H - 0.5)) < 1e-13

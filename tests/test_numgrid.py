@@ -126,12 +126,12 @@ class TestStepRK4:
             errs.append(abs(float(y) - np.e))
         assert 12.0 < errs[0] / errs[1] < 20.0
 
-    def test_tuple_state(self):
-        # harmonic oscillator keeps energy to O(dt^4)
-        state = (np.array(1.0), np.array(0.0))
+    def test_array_state(self):
+        # harmonic oscillator [x, p] keeps energy to O(dt^4)
+        state = np.array([1.0, 0.0])
         dt = 0.05
         for _ in range(200):
-            state = ss.step_rk4(state, lambda t, s: (s[1], -s[0]), dt)
+            state = ss.step_rk4(state, lambda t, s: np.array([s[1], -s[0]]), dt)
         energy = float(state[0]) ** 2 + float(state[1]) ** 2
         assert abs(energy - 1.0) < 1e-5
 
@@ -149,6 +149,13 @@ class TestFitOrder:
     def test_floor_drops_converged_entries(self):
         order = ss.fit_order([0.1, 0.05, 0.025], [1e-3, 1e-16, 1e-16], floor=1e-11)
         assert order == np.inf
+
+    @pytest.mark.parametrize("errors", [[1e-2, np.nan, np.nan], [np.nan, 1e-3, 1e-4],
+                                        [1e-2, np.inf, 1e-4]])
+    def test_non_finite_errors_raise(self, errors):
+        # a NaN sample used to be dropped like a converged one, giving +inf
+        with pytest.raises(ss.NonFiniteFieldError):
+            ss.fit_order([0.1, 0.05, 0.025], errors)
 
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ss.ShapeError):
