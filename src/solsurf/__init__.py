@@ -18,8 +18,8 @@ from .frames import (CTFields, FrameState, compatibility_residual,
                      gram_deviation, matrix_a, matrix_b,
                      torsion_transport_residual, transport_frame_x)
 from .spin import (SpinField, SpinRates, SpinSeries, build_frame,
-                   constraint_radicands, ct_from_spin_series, evolve,
-                   evolve_series, solve_u_constraint, spin_rhs)
+                   ct_from_spin_series, evolve_series, solve_u_constraint,
+                   spin_rhs)
 from .gauss_codazzi import (FundamentalForms, GCAnalytic, GCData, curvatures,
                             fundamental_forms, gc_residual, map_frame_to_gc,
                             map_gc_to_frame, metric_residual)
@@ -27,7 +27,7 @@ from .lax import (Eigenfunction, LaxPairField, build_lax, eigenfunction_field,
                   holonomy_defect, propagate_phi, zero_curvature_matrix,
                   zero_curvature_residual)
 from .surface import (SurfaceMesh, export_obj, import_obj, mesh_curvatures,
-                      mesh_forms, mesh_normal, reconstruct)
+                      mesh_forms, reconstruct)
 from . import fieldio, fixtures
 
 __all__ = [
@@ -40,16 +40,15 @@ __all__ = [
     "FrameState", "CTFields", "matrix_a", "matrix_b", "gram_deviation",
     "transport_frame_x", "compatibility_residual",
     "torsion_transport_residual",
-    "SpinField", "SpinRates", "SpinSeries", "spin_rhs",
-    "constraint_radicands", "solve_u_constraint", "evolve", "evolve_series",
-    "build_frame", "ct_from_spin_series",
+    "SpinField", "SpinRates", "SpinSeries", "spin_rhs", "solve_u_constraint",
+    "evolve_series", "build_frame", "ct_from_spin_series",
     "GCData", "GCAnalytic", "FundamentalForms", "gc_residual",
     "metric_residual", "fundamental_forms", "curvatures", "map_gc_to_frame",
     "map_frame_to_gc",
     "LaxPairField", "Eigenfunction", "build_lax", "zero_curvature_matrix",
     "zero_curvature_residual", "propagate_phi", "eigenfunction_field",
     "holonomy_defect",
-    "SurfaceMesh", "reconstruct", "mesh_normal", "mesh_forms",
-    "mesh_curvatures", "export_obj", "import_obj",
+    "SurfaceMesh", "reconstruct", "mesh_forms", "mesh_curvatures",
+    "export_obj", "import_obj",
     "fieldio", "fixtures",
 ]

@@ -3,8 +3,9 @@
 JSON documents are tagged with a "kind" key and hold arrays as flat C-order
 (x-major) lists, complex data as paired _re/_im lists.  Writing is
 deterministic: sorted keys, two-space indent, trailing newline, no
-timestamps.  CSV exports use one header row and 17-significant-digit
-values, rows in x-major order.
+timestamps.  CSV exports cover trajectories, meshes and scalar fields on a
+Grid2D; they use one header row and 17-significant-digit values, rows in
+x-major order.
 """
 
 from __future__ import annotations
@@ -181,12 +182,6 @@ def _write_csv(path, header, columns) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def save_spin_csv(f: SpinField, path) -> None:
-    x = f.grid.points()
-    _write_csv(path, ["x", "S1", "S2", "S3", "u", "v"],
-               [x, f.S[:, 0], f.S[:, 1], f.S[:, 2], f.u, f.v])
-
-
 def save_series_csv(s: SpinSeries, path) -> None:
     nx, nt = s.grid.n, s.nt
     X = np.repeat(s.grid.points(), nt)
@@ -195,31 +190,14 @@ def save_series_csv(s: SpinSeries, path) -> None:
                [X, T, s.S[..., 0], s.S[..., 1], s.S[..., 2], s.u, s.v])
 
 
-def save_ct_csv(ct: CTFields, path) -> None:
-    X, T = ct.grid.meshes()
-    _write_csv(path, ["x", "t", "k", "tau", "omega2", "omega3"],
-               [X, T, ct.k, ct.tau, ct.omega2, ct.omega3])
-
-
-def save_gc_csv(d: GCData, path) -> None:
-    X, T = d.grid.meshes()
-    _write_csv(path, ["x", "t", "psi1", "psi2", "tpsi1", "tpsi2", "p", "q"],
-               [X, T, d.psi1, d.psi2, d.tpsi1, d.tpsi2, d.p, d.q])
-
-
 def save_mesh_csv(m: SurfaceMesh, path) -> None:
     X, T = m.grid.meshes()
     _write_csv(path, ["x", "t", "rx", "ry", "rz"],
                [X, T, m.r[..., 0], m.r[..., 1], m.r[..., 2]])
 
 
-def save_scalars_csv(fields: dict, grid, path) -> None:
-    """Named scalar fields over a Grid1D or Grid2D, one column each."""
-    if isinstance(grid, Grid2D):
-        X, T = grid.meshes()
-        header = ["x", "t"] + list(fields.keys())
-        columns = [X, T] + list(fields.values())
-    else:
-        header = ["x"] + list(fields.keys())
-        columns = [grid.points()] + list(fields.values())
-    _write_csv(path, header, columns)
+def save_scalars_csv(fields: dict, grid: Grid2D, path) -> None:
+    """Named scalar fields over a Grid2D, one column each."""
+    X, T = grid.meshes()
+    _write_csv(path, ["x", "t"] + list(fields.keys()),
+               [X, T] + list(fields.values()))

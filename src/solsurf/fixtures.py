@@ -9,12 +9,14 @@ periodic x axis.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .frames import CTFields
 from .gauss_codazzi import FundamentalForms, GCAnalytic, GCData
-from .numgrid import Grid1D, Grid2D, diff_t, diff_x
+from .numgrid import Grid1D, Grid2D
 from .spin import SpinField, build_frame, solve_u_constraint
 from .surface import SurfaceMesh
 
@@ -67,11 +69,11 @@ def random_smooth_spin(grid: Grid1D, seed: int = 0, n_modes: int = 3,
     the manifold where the moving-frame identities hold (v and the torsion
     then evolve by the same rate k*u, so they stay matched); v_amp > 0 adds
     random harmonics on top for deliberately off-manifold states.  u is
-    marched from the constraint so the state is ready for evolve.
+    marched from the constraint so the state is ready for evolve_series.
 
     Amplitudes are deliberately small.  The marched u accumulates along x
     while the evolved k can dip locally, and once |u| catches k somewhere
-    the constraint has no solution and evolve raises SqrtDomainError.
+    the constraint has no solution and evolve_series raises SqrtDomainError.
     """
     if n_modes > (grid.n - 1) // 2:
         raise ConfigError(f"n_modes must be <= (n - 1) // 2 = {(grid.n - 1) // 2}, "
@@ -160,6 +162,9 @@ def random_ct(g2: Grid2D, seed: int = 0, amplitude: float = 0.5) -> CTFields:
     k stays near 1.5 so it is bounded away from zero; the fields do not
     satisfy the compatibility system, which makes them useful for holonomy
     scaling and residual-identity tests.
+
+    The residuals multiply up to four field values, so an amplitude whose
+    largest field value M makes (4 M)^4 overflow raises ConfigError.
     """
     rng = np.random.default_rng(seed)
     X, T = g2.meshes()
@@ -173,46 +178,20 @@ def random_ct(g2: Grid2D, seed: int = 0, amplitude: float = 0.5) -> CTFields:
                 cc, cs, sc, ss = rng.uniform(-1.0, 1.0, size=4)
                 ax = mx * sx * (X - g2.gx.x0)
                 at = mt * st * (T - g2.gt.x0)
-                # a huge amplitude overflows to inf, which CTFields rejects
+                # a huge amplitude overflows to inf, which the check below rejects
                 with np.errstate(over="ignore"):
                     out += amplitude / (mx * mt) * (
                         cc * np.cos(ax) * np.cos(at) + cs * np.cos(ax) * np.sin(at)
                         + sc * np.sin(ax) * np.cos(at) + ss * np.sin(ax) * np.sin(at))
         return out
 
-    return CTFields(k=field(1.5), tau=field(), omega2=field(), omega3=field(),
-                    grid=g2)
-
-
-def consistent_random_ct(g2: Grid2D, seed: int = 0, amplitude: float = 0.2):
-    """(CTFields, tpsi1, tpsi2) tuned so the frame-to-surface map accepts them.
-
-    The metric roots are smooth positive random fields and k, omega3 are
-    DEFINED from their finite-difference ratios, so the map's consistency
-    check sees a bit-exact match at default tolerance.
-    """
-    rng = np.random.default_rng(seed)
-    X, T = g2.meshes()
-    sx = 2.0 * np.pi / g2.gx.span
-    st = 2.0 * np.pi / g2.gt.span
-
-    def positive_field():
-        out = np.full_like(X, 1.5)
-        for mx, mt in ((1, 1), (1, 2), (2, 1)):
-            cc, ss = rng.uniform(-1.0, 1.0, size=2)
-            out += amplitude / (mx + mt) * (
-                cc * np.cos(mx * sx * (X - g2.gx.x0)) * np.cos(mt * st * (T - g2.gt.x0))
-                + ss * np.sin(mx * sx * (X - g2.gx.x0)) * np.sin(mt * st * (T - g2.gt.x0)))
-        return out
-
-    tpsi1 = positive_field()
-    tpsi2 = positive_field()
-    k = diff_t(tpsi2, g2) / tpsi1
-    omega3 = -diff_x(tpsi1, g2) / tpsi2
-    tau = 1.0 + 0.3 * np.sin(sx * (X - g2.gx.x0))
-    omega2 = 0.4 * np.cos(st * (T - g2.gt.x0))
-    ct = CTFields(k=k, tau=tau, omega2=omega2, omega3=omega3, grid=g2)
-    return ct, tpsi1, tpsi2
+    fields = {"k": field(1.5), "tau": field(), "omega2": field(), "omega3": field()}
+    # Python floats: an overflowing product is inf, without a numpy warning
+    top = 4.0 * float(np.max([np.max(np.abs(f)) for f in fields.values()]))
+    if not math.isfinite((top * top) * (top * top)):
+        raise ConfigError(f"amplitude={amplitude!r} is too large: the fields reach "
+                          f"{top / 4.0:.3e} and the residual products overflow")
+    return CTFields(grid=g2, **fields)
 
 
 def sphere_patch(g2: Grid2D, radius: float = 1.0) -> SurfaceMesh:
@@ -240,14 +219,6 @@ def plane_patch(g2: Grid2D) -> SurfaceMesh:
     """Flat patch r = (x, t, 0)."""
     X, T = g2.meshes()
     return SurfaceMesh(r=np.stack([X, T, np.zeros_like(X)], axis=-1), grid=g2)
-
-
-def plane_gc(g2: Grid2D) -> GCData:
-    """Flat data: unit metric roots, vanishing second-form densities."""
-    shape = g2.shape
-    return GCData(psi1=np.zeros(shape), psi2=np.zeros(shape),
-                  tpsi1=np.ones(shape), tpsi2=np.ones(shape),
-                  p=np.zeros(shape), q=np.zeros(shape), grid=g2)
 
 
 def sphere_forms(g2: Grid2D, radius: float = 1.0) -> FundamentalForms:

@@ -49,16 +49,8 @@ class Grid1D:
     def span(self) -> float:
         return (self.n - 1) * self.dx
 
-    @property
-    def n_unique(self) -> int:
-        return self.n - 1 if self.boundary == "periodic" else self.n
-
     def points(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
-
-    def refined(self) -> "Grid1D":
-        """Same span and boundary, halved spacing (2n-1 points)."""
-        return Grid1D(self.x0, self.dx / 2.0, 2 * self.n - 1, self.boundary)
 
 
 @dataclass(frozen=True)
@@ -75,9 +67,6 @@ class Grid2D:
     def meshes(self):
         """X, T coordinate arrays of shape (nx, nt)."""
         return np.meshgrid(self.gx.points(), self.gt.points(), indexing="ij")
-
-    def refined(self) -> "Grid2D":
-        return Grid2D(self.gx.refined(), self.gt.refined())
 
 
 def _axis_grid(grid, axis: int) -> Grid1D:

@@ -8,8 +8,7 @@ each integration stage by marching its spatial constraint
 
 from a user-supplied left-boundary value.  The square root uses the on-shell
 identity |S_t|^2 = k^2 (a consequence of the evolution law), which avoids a
-circular dependence of u on S_t; both radicand variants are reported by
-``constraint_radicands``.
+circular dependence of u on S_t.
 
 Discretization note: the centered difference S_x picks up an O(dx^2)
 component along S that the continuum field does not have.  The tangent
@@ -150,21 +149,6 @@ def spin_rhs(f: SpinField, k_min: float = K_MIN_DEFAULT,
     return SpinRates(dS=dS, u_residual=u_residual, dv=dv)
 
 
-def constraint_radicands(f: SpinField, k_min: float = K_MIN_DEFAULT,
-                         clamp_slack: float = CLAMP_SLACK_DEFAULT):
-    """(k^2 - u^2, |S_t|^2 - u^2): the on-shell and literal radicands.
-
-    The two agree on states produced by the evolution law; the pair is
-    exposed so the off-shell discrepancy is observable.
-    """
-    frame = _tangent_frame(f.S, f.grid, k_min)
-    dS, _, _ = _rates(f.S, f.u, f.v, frame, clamp_slack)
-    k = frame[1]
-    on_shell = k * k - f.u * f.u
-    literal = np.einsum("ij,ij->i", dS, dS) - f.u * f.u
-    return on_shell, literal
-
-
 def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
                        u_left: float = 0.0,
                        clamp_slack: float = CLAMP_SLACK_DEFAULT) -> np.ndarray:
@@ -252,11 +236,10 @@ class SpinSeries:
 
 
 def _advance(f: SpinField, dt: float, steps: int, renorm: bool, u_left: float,
-             k_min: float, clamp_slack: float, record: bool) -> list:
+             k_min: float, clamp_slack: float) -> list:
     """RK4 march of the (n, 4) state [S | v] with u re-solved at every stage.
 
-    Returns the (S, u, v) levels: every level from the input on when
-    recording, otherwise the input and the final level only.
+    Returns the (S, u, v) levels, every level from the input on.
     """
     grid = f.grid
 
@@ -280,49 +263,31 @@ def _advance(f: SpinField, dt: float, steps: int, renorm: bool, u_left: float,
             S /= np.linalg.norm(S, axis=1)[:, None]
         if grid.boundary == "periodic":
             y[-1] = y[0]
-        if record or j == steps - 1:
-            k = np.linalg.norm(diff_x(S, grid), axis=1)
-            u = solve_u_constraint(k, v, grid, u_left=u_left, clamp_slack=clamp_slack)
-            levels.append((S, u, v))
+        k = np.linalg.norm(diff_x(S, grid), axis=1)
+        u = solve_u_constraint(k, v, grid, u_left=u_left, clamp_slack=clamp_slack)
+        levels.append((S, u, v))
     return levels
 
 
-def _check_evolve_args(dt, steps):
+def evolve_series(f: SpinField, dt: float, steps: int, renorm: bool = True,
+                  u_left: float = 0.0, k_min: float = K_MIN_DEFAULT,
+                  clamp_slack: float = CLAMP_SLACK_DEFAULT) -> SpinSeries:
+    """RK4 advance of (S, v) over steps*dt, recording every time level.
+
+    u is re-solved at every stage; with renorm on, S is projected back to
+    the unit sphere after each step.  Level 0 stores the input u as given,
+    later levels the re-solved constraint field.  dt = 0 or steps = 0
+    gives the one-level series of the input.
+    """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
         raise ConfigError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     if not np.isfinite(dt) or dt < 0:
         raise ConfigError(f"dt must be finite and >= 0, got {dt!r}")
-
-
-def evolve(f: SpinField, dt: float, steps: int, renorm: bool = True,
-           u_left: float = 0.0, k_min: float = K_MIN_DEFAULT,
-           clamp_slack: float = CLAMP_SLACK_DEFAULT) -> SpinField:
-    """RK4 advance of (S, v) over steps*dt, re-solving u every stage.
-
-    With renorm on, S is projected back to the unit sphere after each step.
-    dt = 0 or steps = 0 returns the input unchanged.
-    """
-    _check_evolve_args(dt, steps)
-    if steps == 0 or dt == 0:
-        return f
-    S, u, v = _advance(f, dt, steps, renorm, u_left, k_min, clamp_slack, record=False)[-1]
-    return SpinField(S=S, u=u, v=v, grid=f.grid, t=f.t + steps * dt)
-
-
-def evolve_series(f: SpinField, dt: float, steps: int, renorm: bool = True,
-                  u_left: float = 0.0, k_min: float = K_MIN_DEFAULT,
-                  clamp_slack: float = CLAMP_SLACK_DEFAULT) -> SpinSeries:
-    """Like evolve, but records every time level (including the input).
-
-    Level 0 stores the input u as given; later levels store the re-solved
-    constraint field.
-    """
-    _check_evolve_args(dt, steps)
     if dt == 0:
         steps = 0
-    levels = _advance(f, dt, steps, renorm, u_left, k_min, clamp_slack, record=True)
+    levels = _advance(f, dt, steps, renorm, u_left, k_min, clamp_slack)
     S, u, v = (np.stack(a, axis=1) for a in zip(*levels))
     return SpinSeries(grid=f.grid, times=f.t + dt * np.arange(steps + 1), S=S, u=u, v=v)
 

@@ -41,10 +41,6 @@ class SurfaceMesh:
             raise NonFiniteFieldError("mesh positions contain non-finite values")
         self.r = r
 
-    def vertex_index(self, ix: int, it: int) -> int:
-        """0-based vertex index in grid order (x-major)."""
-        return ix * self.grid.gt.n + it
-
     def faces(self) -> np.ndarray:
         """(nfaces, 4) 0-based quad indices, one per grid cell."""
         nx, nt = self.grid.shape
@@ -66,33 +62,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def _unit_normal(r_x: np.ndarray, r_t: np.ndarray, tol: float):
-    cross = np.cross(r_x, r_t)
-    mag = np.linalg.norm(cross, axis=-1)
-    degenerate = mag < tol
-    n = np.full_like(cross, np.nan)
-    good = ~degenerate
-    n[good] = cross[good] / mag[good][..., None]
-    return n, degenerate
-
-
-def mesh_normal(m: SurfaceMesh, tol: float = DEGENERATE_TOL):
-    """Unit normal field and the degenerate-point mask.
-
-    Points with |r_x ^ r_t| < tol get NaN normals and a True mask entry.
-    """
-    return _unit_normal(diff_x(m.r, m.grid), diff_t(m.r, m.grid), tol)
-
-
 def mesh_forms(m: SurfaceMesh, tol: float = DEGENERATE_TOL) -> FundamentalForms:
     """First and second form coefficients by finite differences.
 
     E, F, G are defined everywhere; L, M, N are NaN where the tangent plane
-    degenerates (mask recoverable as ~isfinite(L)).
+    degenerates, |r_x ^ r_t| < tol (mask recoverable as ~isfinite(L)).
     """
     r_x = diff_x(m.r, m.grid)
     r_t = diff_t(m.r, m.grid)
-    n, _ = _unit_normal(r_x, r_t, tol)
+    cross = np.cross(r_x, r_t)
+    mag = np.linalg.norm(cross, axis=-1)
+    n = np.full_like(cross, np.nan)
+    good = ~(mag < tol)
+    n[good] = cross[good] / mag[good][..., None]
     r_xx = diff_xx(m.r, m.grid)
     r_tt = diff_tt(m.r, m.grid)
     r_xt = diff_t(r_x, m.grid)

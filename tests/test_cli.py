@@ -15,7 +15,7 @@ import solsurf as ss
 from solsurf import cli
 from solsurf import fieldio as fio
 from solsurf.cli import SCENARIOS, build_parser, main, resolve_config
-from solsurf.fixtures import traveling_circle
+from solsurf.fixtures import random_ct, traveling_circle
 
 from conftest import circle_grid
 
@@ -423,6 +423,9 @@ def test_bad_param_values_exit_two(tmp_path, capsys, argv, key):
     (["simulate", "--scenario", "random_smooth", "--param", "v_amp=1e300",
       "--n", "33", "--steps", "4"], 3),
     (["check", "--scenario", "random_ct", "--param", "amplitude=1e308"], 2),
+    (["check", "--scenario", "random_ct", "--param", "amplitude=1e200"], 2),
+    (["check", "--scenario", "random_ct", "--param", "amplitude=1e80",
+      "--which", "lax"], 2),
 ])
 def test_overflowing_amplitude_prints_only_the_error(tmp_path, argv, code):
     """The overflow ends in the typed error; no numpy warning reaches stderr."""
@@ -430,6 +433,14 @@ def test_overflowing_amplitude_prints_only_the_error(tmp_path, argv, code):
                            "--out", str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == code
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_random_ct_amplitude_bound():
+    """(4 M)^4 of the largest field value M must be finite: 1e76 builds."""
+    g2 = ss.Grid2D(ss.Grid1D(0.0, 0.5, 9), ss.Grid1D(0.0, 0.5, 9))
+    assert np.all(np.isfinite(random_ct(g2, amplitude=1e76).k))
+    with pytest.raises(ss.ConfigError, match="amplitude"):
+        random_ct(g2, amplitude=1e77)
 
 
 def test_edge_param_values_still_run(tmp_path):

@@ -1,0 +1,52 @@
+"""Golden digests: every artifact of four small CLI runs, byte for byte.
+
+A change that is meant to leave the output alone must keep these sha256
+values. The runs write to a relative ``--out`` because the summaries embed
+the ``out`` path.
+"""
+
+import hashlib
+
+import pytest
+
+from solsurf.cli import main
+
+GOLDEN = {
+    "simulate_circle": (
+        ["simulate", "--scenario", "traveling_circle", "--n", "33",
+         "--steps", "8"], 0, {
+            "series.csv": "faad65d3dd31a0e1a3250d984ca099059f9b927f73c27ae63c6506b9016e551b",
+            "series.json": "ee172e52bd646abc3e3bb0a1b638254b4d2f2edc9c83e18cfa1484ce31c26ac9",
+            "simulate_summary.json": "c254c65200aa3e5332bc53a67b94bd05ab2f2dd29db3eb313b751a39ca0a7946",
+        }),
+    "surface_sphere": (
+        ["surface", "--scenario", "sphere"], 0, {
+            "curvature.csv": "c2b86629d3aaea927ffa54b2ffa51bce01e8429c0a7f105d1e8ba20c47cc3f8e",
+            "mesh.csv": "7286b70749aa065b73dea2b626322e0e5dc42f6ad48ae4e3b71195da306e98e0",
+            "mesh.json": "54c2e9f1b72561a9693405aa8909720b1311de7965212cea6b752d82d5b96330",
+            "mesh.obj": "9f28783e4e9fa67b688274d401f83cc2d58ad888e464cc095ce9a18fefd66390",
+            "surface_summary.json": "13876d606e611bb409065ec32a47ce046a004244bb920e98c5c50a53fc891fe5",
+        }),
+    "check_random_ct_lax": (
+        ["check", "--scenario", "random_ct", "--which", "lax"], 1, {
+            "check_lax.json": "7df16be95c20c7c0eca3905030562a54a3290cf9d59db005ae876afd677e879c",
+            "residuals_lax.csv": "dafd48274aa605d9e52823c8a483654c2a54f699b35848c66b74aadaf9958831",
+        }),
+    "convergence_random_smooth": (
+        ["convergence", "--scenario", "random_smooth", "--n", "33",
+         "--steps", "8", "--levels", "3"], 0, {
+            "convergence_torsion.json": "38d751a1365ebba7e910a97e13d18416aa76baf78ebd6bca1b2a3233409c08bb",
+            "residuals_torsion.csv": "40c08b606ca1a8968c1968a12b5c74a88a17487f285503a1a5a6fe915ed8044d",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifact_digests(tmp_path, monkeypatch, capsys, name):
+    argv, code, digests = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == code
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / "out").iterdir())}
+    assert written == digests

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
-from solsurf.fixtures import sphere_ct, traveling_circle
+from solsurf.fixtures import random_ct, sphere_ct, traveling_circle
 
 from conftest import polar_band
 
@@ -59,6 +60,22 @@ class TestZeroCurvature:
         assert np.max(np.abs(2j * R[..., 0, 1] - (r1 - 1j * r3))) < 1e-14
         assert np.max(np.abs(2j * R[..., 1, 0] - (r1 + 1j * r3))) < 1e-14
         assert np.max(np.abs(2j * R[..., 1, 1] + r2)) < 1e-14
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.1, 2.0))
+    def test_identities_on_random_fields(self, seed, amplitude):
+        """2iR packs (r1, r2, r3) entrywise, and |R|_F matches their norm."""
+        ct = random_ct(polar_band(17), seed=seed, amplitude=amplitude)
+        r1, r2, r3 = ss.compatibility_residual(ct)
+        L = ss.build_lax(ct)
+        R2i = 2j * ss.zero_curvature_matrix(L)
+        tol = 1e-13 * max(1.0, *(np.max(np.abs(r)) for r in (r1, r2, r3)))
+        assert np.max(np.abs(R2i[..., 0, 0] - r2)) < tol
+        assert np.max(np.abs(R2i[..., 0, 1] - (r1 - 1j * r3))) < tol
+        assert np.max(np.abs(R2i[..., 1, 0] - (r1 + 1j * r3))) < tol
+        assert np.max(np.abs(R2i[..., 1, 1] + r2)) < tol
+        expected = np.sqrt((r1 ** 2 + r2 ** 2 + r3 ** 2) / 2.0)
+        assert np.max(np.abs(ss.zero_curvature_residual(L) - expected)) < tol
 
     def test_sphere_residual_second_order(self):
         hs, errs = [], []

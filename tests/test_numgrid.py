@@ -15,14 +15,7 @@ class TestGrid1D:
 
     def test_periodic_counts_duplicate_endpoint(self):
         g = Grid1D(0.0, 2.0 * np.pi / 8, 9, "periodic")
-        assert g.n_unique == 8
         assert g.points()[-1] == pytest.approx(2.0 * np.pi)
-
-    def test_refined_halves_spacing(self):
-        g = Grid1D(0.0, 0.5, 5).refined()
-        assert g.dx == pytest.approx(0.25)
-        assert g.n == 9
-        assert g.span == pytest.approx(2.0)
 
     @pytest.mark.parametrize("bad", [
         dict(x0=0.0, dx=0.0, n=5),
@@ -43,10 +36,6 @@ class TestGrid2D:
         assert X.shape == T.shape == (4, 3)
         assert np.array_equal(X[:, 0], g2.gx.points())
         assert np.array_equal(T[0, :], g2.gt.points())
-
-    def test_refined(self):
-        g2 = Grid2D(Grid1D(0.0, 0.1, 4), Grid1D(0.0, 0.2, 3)).refined()
-        assert g2.shape == (7, 5)
 
 
 class TestDerivatives:

@@ -94,12 +94,6 @@ class TestSpinRhs:
         rates = ss.spin_rhs(near)
         assert np.all(np.isfinite(rates.dS))
 
-    def test_constraint_radicands_shapes(self, grid_small):
-        f = traveling_circle(grid_small)
-        r_k, r_st = ss.constraint_radicands(f)
-        assert r_k.shape == r_st.shape == (grid_small.n,)
-        assert np.max(np.abs(r_k - r_st)) < 1e-12
-
 
 class TestSolveUConstraint:
     def test_zero_v_keeps_u_at_anchor(self):
@@ -136,18 +130,25 @@ class TestSolveUConstraint:
             ss.solve_u_constraint(np.ones(11), np.ones(11), g, u_left=2.0)
 
 
+def evolved(f, dt, steps, **kwargs):
+    """The last level of evolve_series."""
+    return ss.evolve_series(f, dt, steps, **kwargs).slice(-1)
+
+
 class TestEvolve:
     def test_zero_steps_returns_input_state(self, grid_small):
         f = traveling_circle(grid_small)
-        out = ss.evolve(f, 0.01, 0)
-        assert np.array_equal(out.S, f.S)
-        assert out.t == f.t
+        series = ss.evolve_series(f, 0.01, 0)
+        assert series.nt == 1
+        assert np.array_equal(series.times, [f.t])
+        for name in ("S", "u", "v"):
+            assert np.array_equal(getattr(series, name)[:, 0], getattr(f, name))
 
     def test_translation_accuracy(self):
         g = circle_grid(65)
         dt = g.dx / 4
         steps = 32
-        out = ss.evolve(traveling_circle(g), dt, steps)
+        out = evolved(traveling_circle(g), dt, steps)
         exact = traveling_circle_exact(g, t=steps * dt)
         assert np.max(np.abs(out.S - exact.S)) < 5e-3
         assert out.t == pytest.approx(steps * dt)
@@ -157,26 +158,26 @@ class TestEvolve:
         for n, steps in ((65, 16), (129, 32)):
             g = circle_grid(n)
             dt = g.dx / 4
-            out = ss.evolve(traveling_circle(g), dt, steps)
+            out = evolved(traveling_circle(g), dt, steps)
             exact = traveling_circle_exact(g, t=steps * dt)
             errs.append(np.max(np.abs(out.S - exact.S)))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_renorm_pins_sphere(self):
         g = circle_grid(65)
-        out = ss.evolve(random_smooth_spin(g, seed=1), g.dx / 4, 32)
+        out = evolved(random_smooth_spin(g, seed=1), g.dx / 4, 32)
         assert np.max(np.abs(np.linalg.norm(out.S, axis=1) - 1.0)) < 1e-12
 
     def test_no_renorm_drift_small_but_nonzero(self):
         g = circle_grid(65)
-        out = ss.evolve(traveling_circle(g), g.dx / 4, 64, renorm=False)
+        out = evolved(traveling_circle(g), g.dx / 4, 64, renorm=False)
         drift = np.max(np.abs(np.linalg.norm(out.S, axis=1) - 1.0))
         assert 0.0 < drift < 1e-8
 
     def test_deterministic(self):
         g = circle_grid(65)
-        a = ss.evolve(random_smooth_spin(g, seed=4), g.dx / 4, 16)
-        b = ss.evolve(random_smooth_spin(g, seed=4), g.dx / 4, 16)
+        a = evolved(random_smooth_spin(g, seed=4), g.dx / 4, 16)
+        b = evolved(random_smooth_spin(g, seed=4), g.dx / 4, 16)
         assert a.S.tobytes() == b.S.tobytes()
         assert a.u.tobytes() == b.u.tobytes()
         assert a.v.tobytes() == b.v.tobytes()
@@ -184,19 +185,19 @@ class TestEvolve:
     @pytest.mark.parametrize("steps", [True, -1, 2.5])
     def test_bad_step_counts_rejected(self, grid_small, steps):
         with pytest.raises(ss.ConfigError):
-            ss.evolve(traveling_circle(grid_small), 0.01, steps)
+            ss.evolve_series(traveling_circle(grid_small), 0.01, steps)
 
     def test_breakdown_reports_step(self):
         # the marched u eventually overtakes a dipping k; the error names the step
         g = Grid1D(0.0, 2.0 * np.pi / 128, 129, "one_sided")
         ic = random_smooth_spin(g, seed=5)
         with pytest.raises(ss.SqrtDomainError, match="step"):
-            ss.evolve(ic, g.dx / 4, 128)
+            ss.evolve_series(ic, g.dx / 4, 128)
 
     def test_u_left_threaded_through(self):
         g = Grid1D(0.0, 2.0 * np.pi / 64, 65, "one_sided")
         ic = random_smooth_spin(g, seed=1)
-        out = ss.evolve(ic, g.dx / 4, 4, u_left=0.05)
+        out = evolved(ic, g.dx / 4, 4, u_left=0.05)
         assert out.u[0] == 0.05
 
 
@@ -213,14 +214,6 @@ class TestEvolveSeries:
         ic = traveling_circle(grid_small)
         series = ss.evolve_series(ic, 0.01, 4)
         assert np.array_equal(series.slice(0).S, ic.S)
-
-    def test_last_slice_matches_evolve(self, grid_small):
-        ic = traveling_circle(grid_small)
-        series = ss.evolve_series(ic, 0.01, 4)
-        direct = ss.evolve(ic, 0.01, 4)
-        assert np.array_equal(series.slice(4).S, direct.S)
-        assert np.array_equal(series.slice(4).u, direct.u)
-        assert np.array_equal(series.slice(4).v, direct.v)
 
     def test_grid2_property(self, grid_small):
         series = ss.evolve_series(traveling_circle(grid_small), 0.02, 3)
