@@ -63,8 +63,6 @@ RESIDUALS = {
     "torsion": ("frame", lambda fr: (
         {"torsion_residual": torsion_transport_residual(*fr)}, None)),
 }
-WHICH_CANONICAL = tuple(RESIDUALS)
-WHICH_ALIASES = {"m0": "torsion"}
 THRESHOLD_DEFAULTS = {"gc": 1e-6, "metric": 1e-6, "compat": 1e-2,
                       "lax": 1e-2, "torsion": 1e-2}
 
@@ -84,9 +82,6 @@ KEYS = {
     "t0": (0.0, float, None),
     "dt": (None, float, (">=", 0)),
     "steps": (64, int, (">=", 0)),
-    "seed": (0, int, (">=", 0)),
-    "k_min": (1e-8, float, (">", 0)),
-    "clamp_slack": (1e-12, float, (">", 0)),
     "renorm": (True, bool, None),
     "formats": (["csv", "json", "obj"], list, None),
     "which": ("compat", str, None),
@@ -107,10 +102,11 @@ RunConfig = dataclasses.make_dataclass(
 class Scenario(NamedTuple):
     """A scenario: its config layer and its params' (kind, bound), then its
     builders.  They get the typed params by keyword, so the fixture
-    signatures hold the param defaults.  spin builds the initial SpinField
-    on a Grid1D, patch the SurfaceMesh on a Grid2D.  sources maps each
-    residual source (RESIDUALS) to a builder of (base, cfg, params), base
-    being the level's evolved SpinSeries for a spin scenario, else its Grid2D.
+    signatures hold the param defaults the config layer leaves unset.  spin
+    builds the initial SpinField on a Grid1D, patch the SurfaceMesh on a
+    Grid2D.  sources maps each residual source (RESIDUALS) to a builder of
+    (base, params), base being the level's evolved SpinSeries for a spin
+    scenario, else its Grid2D.
     """
 
     defaults: dict
@@ -121,13 +117,12 @@ class Scenario(NamedTuple):
 
 
 SPIN_SOURCES = {
-    "ct": lambda series, cfg, p: ct_from_spin_series(
-        series, k_min=cfg.k_min, clamp_slack=cfg.clamp_slack),
-    "frame": lambda series, cfg, p: (series.S, series.v, series.grid2),
+    "ct": lambda series, p: ct_from_spin_series(series),
+    "frame": lambda series, p: (series.S, series.v, series.grid2),
 }
 
 
-def _sphere_frame(g2, cfg, p):
+def _sphere_frame(g2, p):
     frames, ct = sphere_frame_series(g2)
     return frames[..., 0, :], ct.tau, g2
 
@@ -142,8 +137,8 @@ SCENARIOS = {
     # leave a seam at the wrap.  Torsion transport is the default check
     # because it never differentiates the marched u in x.
     "random_smooth": Scenario(
-        {"n": 129, "boundary": "one_sided", "steps": 64, "seed": 1,
-         "which": "torsion", "params": {}},
+        {"n": 129, "boundary": "one_sided", "steps": 64,
+         "which": "torsion", "params": {"seed": 1}},
         {"seed": (int, (">=", 0)), "n_modes": (int, (">=", 0)),
          "theta_amp": (float, None), "v_amp": (float, None),
          "winding": (int, None)},
@@ -153,14 +148,14 @@ SCENARIOS = {
          "t0": 0.3, "dt": (math.pi - 0.6) / 64, "steps": 64,
          "params": {"radius": 1.0}},
         {"radius": (float, (">", 0))}, patch=sphere_patch,
-        sources={"ct": lambda g2, cfg, p: sphere_ct(g2), "frame": _sphere_frame,
-                 "surface": lambda g2, cfg, p: sphere_gc(g2, **p)}),
+        sources={"ct": lambda g2, p: sphere_ct(g2), "frame": _sphere_frame,
+                 "surface": lambda g2, p: sphere_gc(g2, **p)}),
     "random_ct": Scenario(
         {"n": 65, "boundary": "one_sided", "x0": 0.0, "dx": 2 * math.pi / 64,
          "t0": 0.0, "dt": 2 * math.pi / 64, "steps": 64,
          "params": {"amplitude": 0.5}},
         {"seed": (int, (">=", 0)), "amplitude": (float, None)},
-        sources={"ct": lambda g2, cfg, p: random_ct(g2, **p)}),
+        sources={"ct": lambda g2, p: random_ct(g2, **p)}),
     "plane": Scenario(
         {"n": 33, "boundary": "one_sided", "x0": 0.0, "dx": 1.0 / 32,
          "t0": 0.0, "dt": 1.0 / 32, "steps": 32, "params": {}},
@@ -241,12 +236,9 @@ def resolve_config(file_cfg: dict, flag_cfg: dict) -> RunConfig:
         violations.append(f"formats must be a non-empty subset of {FORMATS}")
     else:
         merged["formats"] = sorted(set(formats))
-    which = merged["which"]
-    which = WHICH_ALIASES.get(which, which) if isinstance(which, str) else which
-    if which not in WHICH_CANONICAL:
-        violations.append(f"which must be one of {WHICH_CANONICAL}, "
+    if not isinstance(merged["which"], str) or merged["which"] not in RESIDUALS:
+        violations.append(f"which must be one of {tuple(RESIDUALS)}, "
                           f"got {merged['which']!r}")
-    merged["which"] = which
     if merged["ic"] is not None and not isinstance(merged["ic"], str):
         violations.append("ic must be a file path string")
     schema = SCENARIOS[scenario].params
@@ -262,12 +254,9 @@ def resolve_config(file_cfg: dict, flag_cfg: dict) -> RunConfig:
 
 
 def _scenario_params(cfg: RunConfig) -> dict:
-    """The scenario params as their kinds; a seed param defaults to cfg.seed."""
+    """The scenario params as their kinds."""
     schema = SCENARIOS[cfg.scenario].params
-    p = {name: schema[name][0](value) for name, value in cfg.params.items()}
-    if "seed" in schema:
-        p.setdefault("seed", cfg.seed)
-    return p
+    return {name: schema[name][0](value) for name, value in cfg.params.items()}
 
 
 def _level_sizes(cfg: RunConfig, level: int):
@@ -284,11 +273,6 @@ def _grid2(cfg: RunConfig, level: int = 0) -> Grid2D:
         raise ConfigError("dt must be > 0 to build a 2-D grid")
     return Grid2D(Grid1D(cfg.x0, dx, n, cfg.boundary),
                   Grid1D(cfg.t0, dt, steps + 1, "one_sided"))
-
-
-def _evolve(cfg: RunConfig, ic: SpinField, dt: float, steps: int):
-    return evolve_series(ic, dt, steps, renorm=cfg.renorm, k_min=cfg.k_min,
-                         clamp_slack=cfg.clamp_slack)
 
 
 def _initial_state(cfg: RunConfig) -> SpinField:
@@ -313,9 +297,9 @@ def _eval_level(cfg: RunConfig, which: str, level: int):
     p = _scenario_params(cfg)
     base = g2 = _grid2(cfg, level)
     if scenario.spin is not None:
-        base = _evolve(cfg, scenario.spin(g2.gx, **p), dt, steps)
+        base = evolve_series(scenario.spin(g2.gx, **p), dt, steps, cfg.renorm)
         g2 = base.grid2
-    fields, analytic = residual(scenario.sources[source](base, cfg, p))
+    fields, analytic = residual(scenario.sources[source](base, p))
     numeric = _max_abs(*fields.values())
     report = {"n": n, "dx": dx, "dt": dt, "steps": steps,
               "residual": numeric, "residual_numeric": numeric}
@@ -385,7 +369,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         spin = [name for name, s in SCENARIOS.items() if s.spin is not None]
         raise ConfigError(
             f"simulate needs a spin scenario ({', '.join(spin)}) or --ic FILE")
-    series = _evolve(cfg, _initial_state(cfg), cfg.dt, cfg.steps)
+    series = evolve_series(_initial_state(cfg), cfg.dt, cfg.steps, cfg.renorm)
     artifacts = []
     if "json" in cfg.formats:
         save_json(series, os.path.join(out_dir, "series.json"))
@@ -423,7 +407,8 @@ def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
     if cfg.ic is not None or scenario.spin is not None:
         if cfg.steps < 1:
             raise ConfigError("surface needs steps >= 1 to sweep a mesh")
-        mesh = reconstruct(_evolve(cfg, _initial_state(cfg), cfg.dt, cfg.steps))
+        mesh = reconstruct(evolve_series(_initial_state(cfg), cfg.dt, cfg.steps,
+                                         cfg.renorm))
     elif scenario.patch is not None:
         mesh = scenario.patch(_grid2(cfg), **_scenario_params(cfg))
     else:
@@ -517,8 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                         ("convergence",
                          "residual suite at several resolutions")):
         p = sub.add_parser(name, parents=[common], help=brief)
-        p.add_argument("--which",
-                       choices=WHICH_CANONICAL + tuple(WHICH_ALIASES),
+        p.add_argument("--which", choices=tuple(RESIDUALS),
                        help="residual family to evaluate")
         p.add_argument("--threshold", type=float,
                        help="finest-grid residual bound")

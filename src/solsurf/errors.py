@@ -42,7 +42,7 @@ class SqrtDomainError(SolsurfError):
 
 
 class DegenerateFrameError(SolsurfError):
-    """|S_x| fell below k_min somewhere; the tangent frame is undefined there."""
+    """|S_x| fell below spin.K_MIN somewhere; the tangent frame is undefined there."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)

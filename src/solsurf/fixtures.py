@@ -17,7 +17,7 @@ from .errors import ConfigError, ShapeError
 from .frames import CTFields
 from .gauss_codazzi import FundamentalForms, GCAnalytic, GCData
 from .numgrid import Grid1D, Grid2D
-from .spin import SpinField, build_frame, solve_u_constraint
+from .spin import K_MIN, SpinField, build_frame, solve_u_constraint
 from .surface import SurfaceMesh
 
 
@@ -46,8 +46,11 @@ def traveling_circle(grid: Grid1D, w: float = 1.0) -> SpinField:
     """Planar circle profile S = (cos wx, sin wx, 0) with u = v = 0.
 
     Under the evolution law this profile translates rigidly at unit speed;
-    on periodic grids w must be an integer multiple of 2 pi / span.
+    on periodic grids w must be an integer multiple of 2 pi / span.  Its
+    curvature k = |w| must be at least K_MIN, or the frame is undefined.
     """
+    if not abs(w) >= K_MIN:
+        raise ConfigError(f"curvature k = |w| = {abs(w):.3e} is below K_MIN = {K_MIN:.1e}")
     return traveling_circle_exact(grid, w, t=0.0)
 
 
@@ -186,21 +189,28 @@ def random_ct(g2: Grid2D, seed: int = 0, amplitude: float = 0.5) -> CTFields:
         return out
 
     fields = {"k": field(1.5), "tau": field(), "omega2": field(), "omega3": field()}
-    # Python floats: an overflowing product is inf, without a numpy warning
-    top = 4.0 * float(np.max([np.max(np.abs(f)) for f in fields.values()]))
-    if not math.isfinite((top * top) * (top * top)):
-        raise ConfigError(f"amplitude={amplitude!r} is too large: the fields reach "
-                          f"{top / 4.0:.3e} and the residual products overflow")
+    _check_products("amplitude", amplitude, fields.values(), "residual")
     return CTFields(grid=g2, **fields)
+
+
+def _check_products(name: str, value, arrays, products: str) -> None:
+    """ConfigError naming name when (4 M)^4 overflows, M the largest |entry|.
+    Python floats: an overflowing product is inf, without a numpy warning."""
+    top = 4.0 * float(max(np.max(np.abs(a)) for a in arrays))
+    if not math.isfinite((top * top) * (top * top)):
+        raise ConfigError(f"{name}={value!r} is too large: the fields reach "
+                          f"{top / 4.0:.3e} and the {products} products overflow")
 
 
 def sphere_patch(g2: Grid2D, radius: float = 1.0) -> SurfaceMesh:
     """Embedded sphere patch, azimuth on the x axis, polar angle on the t
-    axis (matching the sphere field fixtures)."""
+    axis (matching the sphere field fixtures).  A radius that overflows the
+    forms, which multiply up to four coordinates, raises ConfigError."""
     phi, theta = g2.meshes()
     r = radius * np.stack([np.sin(theta) * np.cos(phi),
                            np.sin(theta) * np.sin(phi),
                            np.cos(theta)], axis=-1)
+    _check_products("radius", radius, [r], "form")
     return SurfaceMesh(r=r, grid=g2)
 
 
@@ -208,10 +218,11 @@ def cylinder_patch(g2: Grid2D, radius: float = 1.0) -> SurfaceMesh:
     """Cylinder with the axis coordinate on x and the angle on t.
 
     The grid normal points inward, giving mean curvature +1/(2 radius) and
-    zero Gaussian curvature.
+    zero Gaussian curvature.  A radius overflowing the forms raises ConfigError.
     """
     z, phi = g2.meshes()
     r = np.stack([radius * np.cos(phi), radius * np.sin(phi), z], axis=-1)
+    _check_products("radius", radius, [r], "form")
     return SurfaceMesh(r=r, grid=g2)
 
 

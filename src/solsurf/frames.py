@@ -16,16 +16,18 @@ import numpy as np
 from .errors import GramDriftError, ShapeError
 from .numgrid import Grid1D, Grid2D, diff_t, diff_x, step_rk4
 
+# Transport whose triad drifts further than this from orthonormal has blown up.
+GRAM_TOL = 1e-4
+
 
 @dataclass
 class FrameState:
     """Orthonormal triad per grid point plus the scalar frame data.
 
-    e1, e2, e3 have shape (n, 3); k and tau have shape (n,).  The omegas are
-    time-rotation rates. They are None when unknown (pure spatial transport
-    does not determine them).  gram_drift records, per grid point, the
-    orthonormality deviation observed during transport before any
-    re-orthonormalization; it is None for frames built directly from data.
+    e1, e2, e3 have shape (n, 3); k and tau have shape (n,).  gram_drift
+    records, per grid point, the orthonormality deviation observed during
+    transport before any re-orthonormalization; it is None for frames built
+    directly from data.
 
     k is nonnegative for frames built from spin fields (positive square
     root convention); raw user data with signed k is accepted.
@@ -37,18 +39,13 @@ class FrameState:
     k: np.ndarray
     tau: np.ndarray
     grid: Grid1D
-    omega1: np.ndarray | None = None
-    omega2: np.ndarray | None = None
-    omega3: np.ndarray | None = None
     gram_drift: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.grid.n
         for name, shape, optional in (
-                ("e1", (n, 3), False), ("e2", (n, 3), False),
-                ("e3", (n, 3), False), ("k", (n,), False), ("tau", (n,), False),
-                ("omega1", (n,), True), ("omega2", (n,), True),
-                ("omega3", (n,), True), ("gram_drift", (n,), True)):
+                ("e1", (n, 3), False), ("e2", (n, 3), False), ("e3", (n, 3), False),
+                ("k", (n,), False), ("tau", (n,), False), ("gram_drift", (n,), True)):
             value = getattr(self, name)
             if optional and value is None:
                 continue
@@ -108,14 +105,13 @@ def _coefficient(c, grid: Grid1D) -> np.ndarray:
 
 
 def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
-                      reorthonormalize: bool = True,
-                      gram_tol: float = 1e-4) -> FrameState:
+                      reorthonormalize: bool = True) -> FrameState:
     """Integrate the spatial frame system E_x = A(x) E across the grid by RK4.
 
     frame0 is the (3, 3) row-stack at grid.x0 and must be orthonormal within
     1e-8.  k and tau may be scalars or per-point arrays; per-point values are
     linearly interpolated at stage points.  The orthonormality deviation is
-    recorded at every point before re-orthonormalization; exceeding gram_tol
+    recorded at every point before re-orthonormalization; exceeding GRAM_TOL
     raises GramDriftError (integration blow-up).
     """
     e0 = np.asarray(frame0, dtype=float)
@@ -139,10 +135,10 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
         nxt = step_rk4(cur, rhs, grid.dx, t=xs[i])
         dev = gram_deviation(nxt)
         drift[i + 1] = dev
-        if dev > gram_tol:
+        if dev > GRAM_TOL:
             raise GramDriftError(
                 f"frame transport lost orthonormality at x index {i + 1} "
-                f"(deviation {dev:.3e} > {gram_tol:.1e})", deviation=dev)
+                f"(deviation {dev:.3e} > {GRAM_TOL:.1e})", deviation=dev)
         if reorthonormalize:
             nxt = _reorthonormalize(nxt)
         frames[i + 1] = nxt
@@ -183,7 +179,7 @@ class CTFields:
         return np.zeros(self.grid.shape)
 
 
-def compatibility_residual(ct: CTFields, g2: Grid2D | None = None):
+def compatibility_residual(ct: CTFields):
     """Residuals of the curvature/torsion compatibility system.
 
     r1 = k_t - omega3_x - tau*omega2
@@ -193,16 +189,15 @@ def compatibility_residual(ct: CTFields, g2: Grid2D | None = None):
     All three vanish exactly when (k, tau, omega2, omega3) comes from a
     common frame field.  Returns three arrays on the grid.
     """
-    g = ct.grid if g2 is None else g2
-    r1 = diff_t(ct.k, g) - diff_x(ct.omega3, g) - ct.tau * ct.omega2
-    r2 = diff_t(ct.tau, g) + ct.k * ct.omega2
-    r3 = diff_x(ct.omega2, g) - ct.tau * ct.omega3
+    r1 = diff_t(ct.k, ct.grid) - diff_x(ct.omega3, ct.grid) - ct.tau * ct.omega2
+    r2 = diff_t(ct.tau, ct.grid) + ct.k * ct.omega2
+    r3 = diff_x(ct.omega2, ct.grid) - ct.tau * ct.omega3
     return r1, r2, r3
 
 
-def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray, g2: Grid2D,
-                               omega1: np.ndarray | None = None) -> np.ndarray:
-    """Residual tau_t - omega1_x - e1 . (e1_x ^ e1_t) on a frame time-series.
+def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray,
+                               g2: Grid2D) -> np.ndarray:
+    """Residual tau_t - e1 . (e1_x ^ e1_t) on a frame time-series.
 
     e1 has shape (nx, nt, 3), tau has shape (nx, nt).  On trajectories of the
     spin system (tau identified with v, omega1 = 0) the triple-product term
@@ -217,7 +212,4 @@ def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray, g2: Grid2D,
     e1x = diff_x(e1, g2)
     e1t = diff_t(e1, g2)
     triple = np.einsum("xtc,xtc->xt", e1, np.cross(e1x, e1t))
-    res = diff_t(tau, g2) - triple
-    if omega1 is not None:
-        res = res - diff_x(np.asarray(omega1, dtype=float), g2)
-    return res
+    return diff_t(tau, g2) - triple

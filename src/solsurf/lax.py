@@ -156,51 +156,41 @@ def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
     return phi
 
 
-def eigenfunction_field(L: LaxPairField, phi0: np.ndarray,
-                        start: Tuple[int, int] = (0, 0)) -> Eigenfunction:
-    """Fill the whole grid: march x along the start row, then t up each column.
+def eigenfunction_field(L: LaxPairField, phi0: np.ndarray) -> Eigenfunction:
+    """Fill the grid from phi0 at node (0, 0): march x along t = t0, then t up
+    each column.
 
     Off-solution data makes the result path dependent; the construction
     order above is part of the contract.
     """
     nx, nt = L.grid.shape
-    ix0, it0 = int(start[0]), int(start[1])
     phi = np.empty((nx, nt, 2, 2), dtype=complex)
-    phi[ix0, it0] = np.asarray(phi0, dtype=complex)
+    phi[0, 0] = np.asarray(phi0, dtype=complex)
     dx = L.grid.gx.dx
     dt = L.grid.gt.dx
-    for ix in range(ix0 + 1, nx):
-        phi[ix, it0] = _edge_step(phi[ix - 1, it0], L.U[ix - 1, it0],
-                                  L.U[ix, it0], dx)
-    for ix in range(ix0 - 1, -1, -1):
-        phi[ix, it0] = _edge_step(phi[ix + 1, it0], L.U[ix + 1, it0],
-                                  L.U[ix, it0], -dx)
+    for ix in range(1, nx):
+        phi[ix, 0] = _edge_step(phi[ix - 1, 0], L.U[ix - 1, 0], L.U[ix, 0], dx)
     for ix in range(nx):
-        for it in range(it0 + 1, nt):
+        for it in range(1, nt):
             phi[ix, it] = _edge_step(phi[ix, it - 1], L.V[ix, it - 1],
                                      L.V[ix, it], dt)
-        for it in range(it0 - 1, -1, -1):
-            phi[ix, it] = _edge_step(phi[ix, it + 1], L.V[ix, it + 1],
-                                     L.V[ix, it], -dt)
     if not np.all(np.isfinite(phi)):
         raise NonFiniteFieldError("phi became non-finite while filling the grid")
     return Eigenfunction(phi=phi, grid=L.grid)
 
 
 def holonomy_defect(L: LaxPairField, corner: Tuple[int, int] = (0, 0),
-                    sizes: Tuple[int, int] = (1, 1),
-                    phi0: np.ndarray | None = None) -> float:
+                    sizes: Tuple[int, int] = (1, 1)) -> float:
     """Frobenius defect of transport around a rectangle of grid cells.
 
-    The loop runs sizes[0] cells in +x, sizes[1] in +t, then back; the
-    defect is ||phi_loop - phi0||_F, which scales like loop area times the
-    local curvature residual for small cells.
+    The loop runs sizes[0] cells in +x, sizes[1] in +t, then back, starting
+    from the identity; the defect is ||phi_loop - I||_F, which scales like
+    loop area times the local curvature residual for small cells.
     """
     mx, mt = int(sizes[0]), int(sizes[1])
     if mx < 1 or mt < 1:
         raise GridError(f"loop sizes must be >= 1, got {sizes!r}")
-    if phi0 is None:
-        phi0 = np.eye(2, dtype=complex)
+    eye = np.eye(2, dtype=complex)
     path = ["+x"] * mx + ["+t"] * mt + ["-x"] * mx + ["-t"] * mt
-    phi = propagate_phi(L, phi0, path, start=corner)
-    return float(np.sqrt(np.sum(np.abs(phi - np.asarray(phi0, dtype=complex)) ** 2)))
+    phi = propagate_phi(L, eye, path, start=corner)
+    return float(np.sqrt(np.sum(np.abs(phi - eye) ** 2)))

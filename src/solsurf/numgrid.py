@@ -167,16 +167,12 @@ def diff_tt(f, grid) -> np.ndarray:
     return _along_t(f, grid, _d2_axis0)
 
 
-def integrate_x(f, grid, anchor=0.0) -> np.ndarray:
-    """Cumulative trapezoid along axis 0; result[0] = anchor.
-
-    anchor may be a scalar or an array matching the trailing shape.
-    """
+def integrate_x(f, grid) -> np.ndarray:
+    """Cumulative trapezoid along axis 0; result[0] = 0."""
     a, g = _along_x(f, grid)
-    out = np.empty_like(a)
-    out[0] = anchor
-    steps = 0.5 * g.dx * (a[1:] + a[:-1])
-    out[1:] = np.asarray(out[0]) + np.cumsum(steps, axis=0)
+    out = np.zeros_like(a)
+    # adding out[0] turns a -0.0 sum into +0.0
+    out[1:] = out[0] + np.cumsum(0.5 * g.dx * (a[1:] + a[:-1]), axis=0)
     return out
 
 

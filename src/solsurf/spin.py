@@ -6,9 +6,9 @@ each integration stage by marching its spatial constraint
 
     u_x = v * sqrt(k^2 - u^2),        k = |S_x|
 
-from a user-supplied left-boundary value.  The square root uses the on-shell
-identity |S_t|^2 = k^2 (a consequence of the evolution law), which avoids a
-circular dependence of u on S_t.
+from a left-boundary value, u(x0) = 0 during evolution.  The square root
+uses the on-shell identity |S_t|^2 = k^2 (a consequence of the evolution
+law), which avoids a circular dependence of u on S_t.
 
 Discretization note: the centered difference S_x picks up an O(dx^2)
 component along S that the continuum field does not have.  The tangent
@@ -29,8 +29,9 @@ from .errors import (ConfigError, DegenerateFrameError, GridError,
 from .frames import CTFields, FrameState
 from .numgrid import Grid1D, Grid2D, diff_x, step_rk4
 
-K_MIN_DEFAULT = 1e-8
-CLAMP_SLACK_DEFAULT = 1e-12
+# |S_x| below K_MIN has no frame; k^2 - u^2 down to -CLAMP_SLACK clamps to 0.
+K_MIN = 1e-8
+CLAMP_SLACK = 1e-12
 
 
 @dataclass
@@ -93,35 +94,35 @@ class SpinRates:
     dv: np.ndarray
 
 
-def _clamped_radicand(k: np.ndarray, u: np.ndarray, slack: float) -> np.ndarray:
+def _clamped_radicand(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     # Where |u| passes ~1e154, u*u overflows to inf; the radicand is then
     # -inf, which the check below reports as a domain error.
     with np.errstate(over="ignore"):
         rad = k * k - u * u
     flat = np.ravel(rad)
-    bad = flat < -slack
+    bad = flat < -CLAMP_SLACK
     if np.any(bad):
         i = int(np.argmax(bad))
         raise SqrtDomainError(
-            f"radicand k^2 - u^2 = {flat[i]:.6e} below -{slack:.1e} at index {i}",
+            f"radicand k^2 - u^2 = {flat[i]:.6e} below -{CLAMP_SLACK:.1e} at index {i}",
             index=i, value=float(flat[i]))
     return np.maximum(rad, 0.0)
 
 
-def _tangent_frame(S: np.ndarray, grid: Grid1D, k_min: float):
+def _tangent_frame(S: np.ndarray, grid: Grid1D):
     """S_x, k = |S_x|, and the orthonormal triad (e1, e2, e3) built from S."""
     S_x = diff_x(S, grid)
     k = np.linalg.norm(S_x, axis=1)
-    if np.any(k < k_min):
-        i = int(np.argmax(k < k_min))
+    if np.any(k < K_MIN):
+        i = int(np.argmax(k < K_MIN))
         raise DegenerateFrameError(
-            f"|S_x| = {k[i]:.3e} below k_min = {k_min:.1e} at index {i}", index=i)
+            f"|S_x| = {k[i]:.3e} below k_min = {K_MIN:.1e} at index {i}", index=i)
     e1 = S / np.linalg.norm(S, axis=1)[:, None]
     along = np.einsum("ij,ij->i", e1, S_x)
     proj = S_x - along[:, None] * e1
     pn = np.linalg.norm(proj, axis=1)
-    if np.any(pn < k_min):
-        i = int(np.argmax(pn < k_min))
+    if np.any(pn < K_MIN):
+        i = int(np.argmax(pn < K_MIN))
         raise DegenerateFrameError(
             f"tangential part of S_x is {pn[i]:.3e} below k_min at index {i}", index=i)
     e2 = proj / pn[:, None]
@@ -129,33 +130,31 @@ def _tangent_frame(S: np.ndarray, grid: Grid1D, k_min: float):
     return S_x, k, e1, e2, e3
 
 
-def _rates(S, u, v, frame, slack):
+def _rates(S, u, v, frame):
     """dS, dv and the clamped radicand k^2 - u^2, given _tangent_frame(S)."""
     S_x, k, _, e2, e3 = frame
-    rad = _clamped_radicand(k, u, slack)
+    rad = _clamped_radicand(k, u)
     root = np.sqrt(rad)
     dS = -root[:, None] * e2 + u[:, None] * e3
     dv = -np.einsum("ij,ij->i", S, np.cross(dS, S_x))
     return dS, dv, rad
 
 
-def spin_rhs(f: SpinField, k_min: float = K_MIN_DEFAULT,
-             clamp_slack: float = CLAMP_SLACK_DEFAULT) -> SpinRates:
+def spin_rhs(f: SpinField) -> SpinRates:
     """Rates of the spin system at the given state, with u taken as stored."""
-    frame = _tangent_frame(f.S, f.grid, k_min)
-    dS, dv, rad = _rates(f.S, f.u, f.v, frame, clamp_slack)
+    frame = _tangent_frame(f.S, f.grid)
+    dS, dv, rad = _rates(f.S, f.u, f.v, frame)
     u_x = diff_x(f.u, f.grid)
     u_residual = u_x - f.v * np.sqrt(rad)
     return SpinRates(dS=dS, u_residual=u_residual, dv=dv)
 
 
 def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
-                       u_left: float = 0.0,
-                       clamp_slack: float = CLAMP_SLACK_DEFAULT) -> np.ndarray:
+                       u_left: float = 0.0) -> np.ndarray:
     """March u_x = v*sqrt(k^2 - u^2) from u(x0) = u_left (Heun, second order).
 
     Radicands of internal trial values are clamped at zero; the returned
-    field is then verified against the k^2 - u^2 >= -clamp_slack contract.
+    field is then verified against the k^2 - u^2 >= -CLAMP_SLACK contract.
     On periodic grids the closure sample is identified with the first one
     (any seam mismatch surfaces in the reported constraint residual).
     """
@@ -180,7 +179,7 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
     u = np.array(us)
     if grid.boundary == "periodic":
         u[-1] = u[0]
-    _clamped_radicand(k, u, clamp_slack)
+    _clamped_radicand(k, u)
     return u
 
 
@@ -235,8 +234,7 @@ class SpinSeries:
                          t=float(self.times[j]))
 
 
-def _advance(f: SpinField, dt: float, steps: int, renorm: bool, u_left: float,
-             k_min: float, clamp_slack: float) -> list:
+def _advance(f: SpinField, dt: float, steps: int, renorm: bool) -> list:
     """RK4 march of the (n, 4) state [S | v] with u re-solved at every stage.
 
     Returns the (S, u, v) levels, every level from the input on.
@@ -245,9 +243,9 @@ def _advance(f: SpinField, dt: float, steps: int, renorm: bool, u_left: float,
 
     def rhs(t, y):
         S, v = y[:, :3], y[:, 3]
-        frame = _tangent_frame(S, grid, k_min)
-        u = solve_u_constraint(frame[1], v, grid, u_left=u_left, clamp_slack=clamp_slack)
-        dS, dv, _ = _rates(S, u, v, frame, clamp_slack)
+        frame = _tangent_frame(S, grid)
+        u = solve_u_constraint(frame[1], v, grid)
+        dS, dv, _ = _rates(S, u, v, frame)
         return np.column_stack((dS, dv))
 
     y = np.column_stack((f.S, f.v))
@@ -264,20 +262,19 @@ def _advance(f: SpinField, dt: float, steps: int, renorm: bool, u_left: float,
         if grid.boundary == "periodic":
             y[-1] = y[0]
         k = np.linalg.norm(diff_x(S, grid), axis=1)
-        u = solve_u_constraint(k, v, grid, u_left=u_left, clamp_slack=clamp_slack)
+        u = solve_u_constraint(k, v, grid)
         levels.append((S, u, v))
     return levels
 
 
-def evolve_series(f: SpinField, dt: float, steps: int, renorm: bool = True,
-                  u_left: float = 0.0, k_min: float = K_MIN_DEFAULT,
-                  clamp_slack: float = CLAMP_SLACK_DEFAULT) -> SpinSeries:
+def evolve_series(f: SpinField, dt: float, steps: int,
+                  renorm: bool = True) -> SpinSeries:
     """RK4 advance of (S, v) over steps*dt, recording every time level.
 
-    u is re-solved at every stage; with renorm on, S is projected back to
-    the unit sphere after each step.  Level 0 stores the input u as given,
-    later levels the re-solved constraint field.  dt = 0 or steps = 0
-    gives the one-level series of the input.
+    u is re-solved from u(x0) = 0 at every stage; with renorm on, S is
+    projected back to the unit sphere after each step.  Level 0 stores the
+    input u as given, later levels the re-solved constraint field.  dt = 0
+    or steps = 0 gives the one-level series of the input.
     """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
         raise ConfigError(f"steps must be an integer, got {steps!r}")
@@ -287,29 +284,23 @@ def evolve_series(f: SpinField, dt: float, steps: int, renorm: bool = True,
         raise ConfigError(f"dt must be finite and >= 0, got {dt!r}")
     if dt == 0:
         steps = 0
-    levels = _advance(f, dt, steps, renorm, u_left, k_min, clamp_slack)
+    levels = _advance(f, dt, steps, renorm)
     S, u, v = (np.stack(a, axis=1) for a in zip(*levels))
     return SpinSeries(grid=f.grid, times=f.t + dt * np.arange(steps + 1), S=S, u=u, v=v)
 
 
-def build_frame(f: SpinField, k_min: float = K_MIN_DEFAULT,
-                clamp_slack: float = CLAMP_SLACK_DEFAULT) -> FrameState:
+def build_frame(f: SpinField) -> FrameState:
     """Orthonormal triad and scalar frame data read off one spin state.
 
     e1 = S, e2 = unit tangential part of S_x, e3 = e1 ^ e2, k = |S_x|
-    (positive root).  tau is extracted geometrically as (e2_x . e3), and the
-    time-rotation rates follow from the evolution law:
-    omega1 = 0, omega2 = -u, omega3 = -sqrt(k^2 - u^2).
+    (positive root), and tau extracted geometrically as (e2_x . e3).
     """
-    S_x, k, e1, e2, e3 = _tangent_frame(f.S, f.grid, k_min)
+    _, k, e1, e2, e3 = _tangent_frame(f.S, f.grid)
     tau = np.einsum("ij,ij->i", diff_x(e2, f.grid), e3)
-    rad = _clamped_radicand(k, f.u, clamp_slack)
-    return FrameState(e1=e1, e2=e2, e3=e3, k=k, tau=tau, grid=f.grid,
-                      omega1=np.zeros(f.grid.n), omega2=-f.u, omega3=-np.sqrt(rad))
+    return FrameState(e1=e1, e2=e2, e3=e3, k=k, tau=tau, grid=f.grid)
 
 
-def ct_from_spin_series(series: SpinSeries, k_min: float = K_MIN_DEFAULT,
-                        clamp_slack: float = CLAMP_SLACK_DEFAULT) -> CTFields:
+def ct_from_spin_series(series: SpinSeries) -> CTFields:
     """Curvature/torsion fields along a trajectory, with tau identified as v.
 
     k = |S_x|, tau = v, omega2 = -u, omega3 = -sqrt(k^2 - u^2) per level.
@@ -317,10 +308,10 @@ def ct_from_spin_series(series: SpinSeries, k_min: float = K_MIN_DEFAULT,
     g2 = series.grid2
     S_x = diff_x(series.S, g2)
     k = np.linalg.norm(S_x, axis=-1)
-    if np.any(k < k_min):
-        flat = int(np.argmax(k < k_min))
+    if np.any(k < K_MIN):
+        flat = int(np.argmax(k < K_MIN))
         raise DegenerateFrameError(
-            f"|S_x| below k_min = {k_min:.1e} at flat index {flat}", index=flat)
-    rad = _clamped_radicand(k, series.u, clamp_slack)
+            f"|S_x| below k_min = {K_MIN:.1e} at flat index {flat}", index=flat)
+    rad = _clamped_radicand(k, series.u)
     return CTFields(k=k, tau=series.v.copy(), omega2=-series.u,
                     omega3=-np.sqrt(rad), grid=g2)

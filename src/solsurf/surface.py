@@ -55,31 +55,33 @@ def reconstruct(series: SpinSeries) -> SurfaceMesh:
     are uniformly spaced.
     """
     g2 = series.grid2
-    return SurfaceMesh(r=integrate_x(series.S, g2, anchor=0.0), grid=g2)
+    return SurfaceMesh(r=integrate_x(series.S, g2), grid=g2)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def mesh_forms(m: SurfaceMesh, tol: float = DEGENERATE_TOL) -> FundamentalForms:
+def mesh_forms(m: SurfaceMesh) -> FundamentalForms:
     """First and second form coefficients by finite differences.
 
-    E, F, G are defined everywhere; L, M, N are NaN where the tangent plane
-    degenerates, |r_x ^ r_t| < tol (mask recoverable as ~isfinite(L)).
+    E, F, G are defined everywhere; L, M, N are NaN (mask ~isfinite(L)) where
+    |r_x ^ r_t| <= DEGENERATE_TOL max|r_x| max|r_t|, a bound that scales with
+    the surface: at r_t = 0, or at round-off on that scale (closure rows).
     """
     r_x = diff_x(m.r, m.grid)
     r_t = diff_t(m.r, m.grid)
+    E, G = _dot(r_x, r_x), _dot(r_t, r_t)
     cross = np.cross(r_x, r_t)
     mag = np.linalg.norm(cross, axis=-1)
     n = np.full_like(cross, np.nan)
-    good = ~(mag < tol)
+    good = mag > DEGENERATE_TOL * np.sqrt(np.max(E) * np.max(G))
     n[good] = cross[good] / mag[good][..., None]
     r_xx = diff_xx(m.r, m.grid)
     r_tt = diff_tt(m.r, m.grid)
     r_xt = diff_t(r_x, m.grid)
     return FundamentalForms(
-        E=_dot(r_x, r_x), F=_dot(r_x, r_t), G=_dot(r_t, r_t),
+        E=E, F=_dot(r_x, r_t), G=G,
         L=_dot(r_xx, n), M=_dot(r_xt, n), N=_dot(r_tt, n), grid=m.grid)
 
 
@@ -88,9 +90,9 @@ def _form_curvatures(f: FundamentalForms):
         return _gauss_mean(f, f.E * f.G - f.F ** 2)
 
 
-def mesh_curvatures(m: SurfaceMesh, tol: float = DEGENERATE_TOL):
+def mesh_curvatures(m: SurfaceMesh):
     """(K, H) per grid point, NaN where the tangent plane degenerates."""
-    return _form_curvatures(mesh_forms(m, tol))
+    return _form_curvatures(mesh_forms(m))
 
 
 def export_obj(m: SurfaceMesh, path) -> None:

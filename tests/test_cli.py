@@ -41,9 +41,9 @@ class TestResolveConfig:
         assert cfg.params["radius"] == 1.0
 
     def test_flags_override_file(self):
-        cfg = resolve_config({"steps": 4, "seed": 9}, {"steps": 2})
+        cfg = resolve_config({"steps": 4, "levels": 5}, {"steps": 2})
         assert cfg.steps == 2
-        assert cfg.seed == 9
+        assert cfg.levels == 5
 
     def test_params_union_across_layers(self):
         cfg = resolve_config({"scenario": "sphere", "params": {"radius": 2.0}}, {})
@@ -63,8 +63,9 @@ class TestResolveConfig:
                             "params": {"radius": 1.0}}, {})
 
     def test_which_alias_m0(self):
-        cfg = resolve_config({}, {"which": "m0"})
-        assert cfg.which == "torsion"
+        # the m0 alias of torsion is gone: it is an unknown which now
+        with pytest.raises(ss.ConfigError, match="which"):
+            resolve_config({}, {"which": "m0"})
 
     def test_violations_reported_together(self):
         with pytest.raises(ss.ConfigError) as exc:
@@ -143,12 +144,6 @@ class TestCheck:
     def test_spin_scenario_default_diagnostic(self, tmp_path):
         rc = main(["check", "--scenario", "random_smooth", "--n", "65",
                    "--steps", "32", "--out", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "check_torsion.json").exists()
-
-    def test_m0_alias_maps_to_torsion(self, tmp_path):
-        rc = main(["check", "--scenario", "traveling_circle", "--which", "m0",
-                   "--n", "33", "--steps", "8", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "check_torsion.json").exists()
 
@@ -405,6 +400,9 @@ BAD_PARAMS = [
     (["simulate", "--scenario", "random_smooth", "--param", "seed=-1"], "seed"),
     (["simulate", "--scenario", "random_smooth", "--seed", "-1"], "seed"),
     (["check", "--scenario", "random_ct", "--param", "seed=-1"], "seed"),
+    # a zero curvature leaves the frame undefined
+    (["simulate", "--scenario", "traveling_circle", "--param", "k=0"], "k"),
+    (["simulate", "--scenario", "traveling_circle", "--param", "k=1e-300"], "k"),
     (["simulate", "--scenario", "random_smooth", "--param", "winding=1.5"],
      "winding"),
     (["simulate", "--scenario", "random_smooth", "--param", "theta_amp=abc"],
@@ -433,6 +431,28 @@ def test_overflowing_amplitude_prints_only_the_error(tmp_path, argv, code):
                            "--out", str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == code
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--scenario", "sphere", "--param", "radius=1e200"],
+    ["surface", "--scenario", "sphere", "--param", "radius=1e80"],
+    ["surface", "--scenario", "cylinder", "--param", "radius=1e300"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_overflowing_radius_prints_only_the_error(tmp_path, argv):
+    """A radius whose forms overflow exits 2 naming radius, with no warning."""
+    proc = subprocess.run([sys.executable, "-m", "solsurf", *argv,
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: radius=") and proc.stderr.count("\n") == 1
+
+
+def test_large_radius_still_runs(tmp_path):
+    """Below the overflow bound the sphere keeps K R^2 = 1 to truncation error."""
+    assert main(["surface", "--scenario", "sphere", "--param", "radius=1e76",
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "surface_summary.json").read_text())
+    assert summary["degenerate_count"] == 0
+    assert summary["K_mean"] * 1e152 == pytest.approx(1.0, abs=2e-3)
 
 
 def test_random_ct_amplitude_bound():

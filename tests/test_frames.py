@@ -71,10 +71,10 @@ class TestTransport:
         assert ss.gram_deviation(triad) < 1e-12
 
     def test_unstable_step_raises(self):
+        # one step of size 0.8 at k = 8 drifts by about 1e4, far above GRAM_TOL
         g = Grid1D(0.0, 0.8, 30, "one_sided")
         with pytest.raises(ss.GramDriftError, match="orthonormality"):
-            ss.transport_frame_x(np.eye(3), 8.0, 4.0, g, reorthonormalize=False,
-                                 gram_tol=1e-6)
+            ss.transport_frame_x(np.eye(3), 8.0, 4.0, g, reorthonormalize=False)
 
     def test_varying_coefficients_accepted(self):
         g = Grid1D(0.0, 0.01, 101, "one_sided")
@@ -125,14 +125,6 @@ class TestTorsionTransport:
             errs.append(np.max(np.abs(r)))
             hs.append(g2.gx.dx)
         assert ss.fit_order(hs, errs, floor=1e-11) >= 1.7
-
-    def test_omega1_term_subtracted(self, band_small):
-        E, ct = sphere_frame_series(band_small)
-        base = ss.torsion_transport_residual(E[:, :, 0, :], ct.tau, band_small)
-        X, _ = band_small.meshes()
-        shifted = ss.torsion_transport_residual(E[:, :, 0, :], ct.tau, band_small,
-                                                omega1=2.0 * X)
-        assert np.max(np.abs((base - shifted) - 2.0)) < 1e-10
 
 
 class TestSphereFrameSeries:

@@ -17,7 +17,7 @@ GOLDEN = {
          "--steps", "8"], 0, {
             "series.csv": "faad65d3dd31a0e1a3250d984ca099059f9b927f73c27ae63c6506b9016e551b",
             "series.json": "ee172e52bd646abc3e3bb0a1b638254b4d2f2edc9c83e18cfa1484ce31c26ac9",
-            "simulate_summary.json": "c254c65200aa3e5332bc53a67b94bd05ab2f2dd29db3eb313b751a39ca0a7946",
+            "simulate_summary.json": "845721f3074200a4508ba85edbcac41785d584c859df6c23e98b9089bfcdb7ed",
         }),
     "surface_sphere": (
         ["surface", "--scenario", "sphere"], 0, {
@@ -25,17 +25,17 @@ GOLDEN = {
             "mesh.csv": "7286b70749aa065b73dea2b626322e0e5dc42f6ad48ae4e3b71195da306e98e0",
             "mesh.json": "54c2e9f1b72561a9693405aa8909720b1311de7965212cea6b752d82d5b96330",
             "mesh.obj": "9f28783e4e9fa67b688274d401f83cc2d58ad888e464cc095ce9a18fefd66390",
-            "surface_summary.json": "13876d606e611bb409065ec32a47ce046a004244bb920e98c5c50a53fc891fe5",
+            "surface_summary.json": "a47e7d0ac915adf2246888b34be1bc02df2674418117728404a6f63a140f8567",
         }),
     "check_random_ct_lax": (
         ["check", "--scenario", "random_ct", "--which", "lax"], 1, {
-            "check_lax.json": "7df16be95c20c7c0eca3905030562a54a3290cf9d59db005ae876afd677e879c",
+            "check_lax.json": "960838c2ce95d42b21b7f8dbedd3ac487630b550d6324e3879ef0a69e92fe9a4",
             "residuals_lax.csv": "dafd48274aa605d9e52823c8a483654c2a54f699b35848c66b74aadaf9958831",
         }),
     "convergence_random_smooth": (
         ["convergence", "--scenario", "random_smooth", "--n", "33",
          "--steps", "8", "--levels", "3"], 0, {
-            "convergence_torsion.json": "38d751a1365ebba7e910a97e13d18416aa76baf78ebd6bca1b2a3233409c08bb",
+            "convergence_torsion.json": "c5c272d5613dc0bb13ae068a1a734b222604ec8c2aa062e59c948f201323f192",
             "residuals_torsion.csv": "40c08b606ca1a8968c1968a12b5c74a88a17487f285503a1a5a6fe915ed8044d",
         }),
 }

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
 from solsurf import Grid1D, Grid2D
+
+EPS = np.finfo(float).eps
+COEF = st.floats(-10.0, 10.0)
 
 
 class TestGrid1D:
@@ -79,20 +83,51 @@ class TestDerivatives:
         with pytest.raises(ss.ShapeError):
             ss.diff_x(np.zeros(7), g)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(a=COEF, b=COEF, c=COEF, x0=st.floats(-5.0, 5.0),
+           h=st.floats(0.01, 1.0), n=st.integers(4, 12))
+    def test_one_sided_stencils_exact_on_quadratics(self, a, b, c, x0, h, n):
+        """Every row, the boundary rows included, is exact to round-off."""
+        g = Grid1D(x0, h, n, "one_sided")
+        x = g.points()
+        f = a + b * x + c * x * x
+        size = float(np.max(np.abs(a) + np.abs(b * x) + np.abs(c * x * x)))
+        # the same quadratic along t, repeated over a 3-point x axis
+        g2 = Grid2D(Grid1D(0.0, 1.0, 3), g)
+        f2 = np.tile(f, (3, 1))
+        for d1, d2, field, grid in ((ss.diff_x, ss.diff_xx, f, g),
+                                    (ss.diff_t, ss.diff_tt, f2, g2)):
+            assert np.max(np.abs(d1(field, grid) - (b + 2 * c * x))) <= 32 * EPS * size / h
+            assert np.max(np.abs(d2(field, grid) - 2 * c)) <= 64 * EPS * size / h ** 2
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(unique=st.integers(3, 64), data=st.data())
+    def test_periodic_stencils_on_harmonics(self, unique, data):
+        """The centred stencils act on a harmonic by their symbols exactly."""
+        m = data.draw(st.integers(1, unique // 2))
+        g = Grid1D(0.0, 2.0 * np.pi / unique, unique + 1, "periodic")
+        x, h = g.points(), g.dx
+        tol = 64 * EPS * (1.0 + m * g.span)
+        d1 = ss.diff_x(np.sin(m * x), g) - np.sin(m * h) / h * np.cos(m * x)
+        d2 = (ss.diff_xx(np.cos(m * x), g)
+              + (2.0 - 2.0 * np.cos(m * h)) / h ** 2 * np.cos(m * x))
+        assert np.max(np.abs(d1)) <= tol / h
+        assert np.max(np.abs(d2)) <= tol / h ** 2
+
 
 class TestIntegrateX:
     def test_fundamental_theorem(self):
         g = Grid1D(0.0, 1.0 / 200, 201, "one_sided")
         x = g.points()
         f = np.exp(x)
-        F = ss.integrate_x(ss.diff_x(f, g), g, anchor=f[0])
+        F = ss.integrate_x(ss.diff_x(f, g), g) + f[0]
         assert np.max(np.abs(F - f)) < 1e-4
 
     def test_anchor_exact_at_first_point(self):
         g = Grid1D(0.0, 0.1, 21)
-        F = ss.integrate_x(np.ones(21), g, anchor=3.5)
-        assert F[0] == 3.5
-        assert F[-1] == pytest.approx(3.5 + 2.0)
+        F = ss.integrate_x(np.ones(21), g)
+        assert F[0] == 0.0
+        assert F[-1] == pytest.approx(2.0)
 
     def test_vector_field_integrates_componentwise(self):
         g = Grid1D(0.0, 0.01, 101)
@@ -145,6 +180,22 @@ class TestFitOrder:
         # a NaN sample used to be dropped like a converged one, giving +inf
         with pytest.raises(ss.NonFiniteFieldError):
             ss.fit_order([0.1, 0.05, 0.025], errors)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(p=st.floats(0.5, 6.0), C=st.floats(1e-3, 1e3), h0=st.floats(0.01, 1.0),
+           k=st.integers(2, 6), data=st.data())
+    def test_recovers_power_law_above_floor(self, p, C, h0, k, data):
+        """C h^p gives p back; samples at or below floor are dropped, and
+        fewer than two survivors read as converged (inf)."""
+        hs = h0 * 0.5 ** np.arange(k)
+        errs = C * hs ** p
+        assert ss.fit_order(hs, errs) == pytest.approx(p, abs=1e-9)
+        j = data.draw(st.integers(0, k - 1))
+        order = ss.fit_order(hs, errs, floor=float(errs[j]))
+        if j >= 2:
+            assert order == pytest.approx(p, abs=1e-9)
+        else:
+            assert order == np.inf
 
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ss.ShapeError):

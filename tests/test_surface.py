@@ -1,7 +1,11 @@
 """Surface reconstruction, fundamental forms on meshes, and OBJ round trips."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
 from solsurf import Grid1D, Grid2D
@@ -12,7 +16,7 @@ from solsurf.fixtures import (
     traveling_circle,
 )
 
-from conftest import circle_grid
+from conftest import circle_grid, polar_band
 
 
 def unit_square(nx=2, nt=2):
@@ -96,6 +100,31 @@ class TestMeshGeometry:
         K, H = ss.mesh_curvatures(mesh)
         assert np.all(np.isnan(K)) and np.all(np.isnan(H))
 
+    def test_mesh_constant_in_t_is_degenerate(self):
+        # r_t = 0 everywhere makes the bound 0; 0 <= 0 still flags the points
+        g2 = unit_square(5, 5)
+        X, _ = g2.meshes()
+        r = np.stack([X, X * X, np.zeros_like(X)], axis=2)
+        forms = ss.mesh_forms(ss.SurfaceMesh(r=r, grid=g2))
+        assert np.all(np.isnan(forms.L))
+
+    @pytest.mark.parametrize("radius", [1e-6, 1e-4, 1.0, 1e6])
+    def test_degeneracy_is_scale_free(self, radius):
+        # an absolute bound on |r_x ^ r_t| flagged every point at radius 1e-6
+        K, H = ss.mesh_curvatures(sphere_patch(polar_band(33), radius))
+        assert np.all(np.isfinite(K)) and np.all(np.isfinite(H))
+        assert np.max(np.abs(K * radius ** 2 - 1.0)) < 2e-2
+
+    def test_sweep_anchor_and_closure_rows_degenerate(self):
+        # r_t is exactly 0 on the anchor row and round-off on the closure
+        # row, where the closed circle returns to the origin
+        g = circle_grid(33)
+        mesh = ss.reconstruct(ss.evolve_series(traveling_circle(g), g.dx / 4, 8))
+        assert np.max(np.abs(mesh.r[-1])) < 1e-14
+        forms = ss.mesh_forms(mesh)
+        assert np.all(np.isnan(forms.L[[0, -1]]))
+        assert np.all(np.isfinite(forms.L[1:-1, 0]))
+
 
 class TestMeshIndexing:
     def test_faces_are_grid_quads(self):
@@ -139,6 +168,19 @@ class TestObjRoundTrip:
         ss.export_obj(mesh, path)
         back = ss.import_obj(path)
         assert back.grid.shape == (3, 4)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(nx=st.integers(2, 5), nt=st.integers(2, 5), data=st.data())
+    def test_round_trip_is_bit_exact(self, nx, nt, data):
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=nx * nt * 3, max_size=nx * nt * 3))
+        g2 = unit_square(nx, nt)
+        mesh = ss.SurfaceMesh(r=np.reshape(values, (nx, nt, 3)), grid=g2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.obj")
+            ss.export_obj(mesh, path)
+            back = ss.import_obj(path, grid=g2)
+        assert back.r.tobytes() == mesh.r.tobytes()
 
     def test_import_grid_mismatch_rejected(self, tmp_path):
         mesh = ss.SurfaceMesh(r=np.zeros((3, 4, 3)), grid=unit_square(3, 4))
