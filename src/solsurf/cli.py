@@ -380,10 +380,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     # Measured after the writers: freed before them, the (n, nt, 3)
     # temporaries below left the heap larger and raised simulate's peak RSS
     # by about 6% at 513 x 256.
-    drift = _max_abs(np.linalg.norm(series.S, axis=-1) - 1.0)
-    k = np.linalg.norm(diff_x(series.S, series.grid), axis=-1)
-    rad = np.maximum(k * k - series.u ** 2, 0.0)
-    u_res = _max_abs(diff_x(series.u, series.grid) - series.v * np.sqrt(rad))
+    # An --ic state can be finite yet overflow here; the summary then says null.
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = _max_abs(np.linalg.norm(series.S, axis=-1) - 1.0)
+        k = np.linalg.norm(diff_x(series.S, series.grid), axis=-1)
+        rad = np.maximum(k * k - series.u ** 2, 0.0)
+        u_res = _max_abs(diff_x(series.u, series.grid) - series.v * np.sqrt(rad))
     summary = {
         "command": "simulate",
         "version": __version__,
@@ -391,8 +393,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         "out": out_dir,
         "final_time": float(series.times[-1]),
         "steps": cfg.steps,
-        "max_sphere_drift": drift,
-        "max_u_residual": u_res,
+        "max_sphere_drift": _json_number(drift),
+        "max_u_residual": _json_number(u_res),
         "artifacts": artifacts + ["simulate_summary.json"],
     }
     save_json(summary, os.path.join(out_dir, "simulate_summary.json"))

@@ -35,57 +35,59 @@ def _unflat(data, shape, name: str) -> np.ndarray:
     return a.reshape(shape)
 
 
-def _encode_arrays(obj, names, cplx: bool = False) -> dict:
-    doc = {}
-    for name in names:
+def _encode_arrays(obj) -> dict:
+    """The grid and the arrays of obj's LAYOUT, complex ones as _re/_im pairs."""
+    layout = type(obj).LAYOUT
+    doc = {"grid": to_jsonable(obj.grid)}
+    for name in layout.shapes:
         a = getattr(obj, name)
-        if cplx:
+        if layout.dtype is complex:
             doc[f"{name}_re"], doc[f"{name}_im"] = _flat(a.real), _flat(a.imag)
         else:
             doc[name] = _flat(a)
     return doc
 
 
-def _decode_arrays(doc: dict, shapes: dict, cplx: bool = False) -> dict:
-    if cplx:
-        return {name: _unflat(doc[f"{name}_re"], shape, f"{name}_re")
-                + 1j * _unflat(doc[f"{name}_im"], shape, f"{name}_im")
-                for name, shape in shapes.items()}
-    return {name: _unflat(doc[name], shape, name) for name, shape in shapes.items()}
+def _decode_arrays(cls, doc: dict, lead: tuple) -> dict:
+    """The arrays cls.LAYOUT declares, each of shape lead + its own."""
+    layout = cls.LAYOUT
+    if layout.dtype is complex:
+        return {name: _unflat(doc[f"{name}_re"], lead + trail, f"{name}_re")
+                + 1j * _unflat(doc[f"{name}_im"], lead + trail, f"{name}_im")
+                for name, trail in layout.shapes.items()}
+    return {name: _unflat(doc[name], lead + trail, name)
+            for name, trail in layout.shapes.items()}
 
 
-def _on_grid2(cls, names, extra=(), cplx: bool = False):
-    """Codec of a type holding named arrays of shape grid.shape + extra."""
-    def encode(obj):
-        return {"grid": to_jsonable(obj.grid), **_encode_arrays(obj, names, cplx)}
-
+def _on_grid2(cls):
+    """Codec of a type holding its LAYOUT's arrays over a Grid2D."""
     def decode(doc):
         g2 = from_jsonable(doc["grid"])
-        shapes = {name: g2.shape + extra for name in names}
-        return cls(grid=g2, **_decode_arrays(doc, shapes, cplx))
+        return cls(grid=g2, **_decode_arrays(cls, doc, g2.shape))
 
-    return cls, encode, decode
+    return cls, _encode_arrays, decode
 
 
-def _spin_arrays(doc: dict, shape: tuple) -> dict:
+def _spin_arrays(cls, doc: dict, lead: tuple) -> dict:
     # Spin documents written before the beta option was removed carry
     # "beta": 1; any other value describes a branch this package never ran.
     if doc.get("beta", 1) != 1:
         raise ConfigError(f"{doc['kind']} document has beta={doc['beta']!r}; "
                           f"only beta = 1 is supported")
-    return _decode_arrays(doc, {"S": shape + (3,), "u": shape, "v": shape})
+    return _decode_arrays(cls, doc, lead)
 
 
 def _decode_spin_field(doc):
     grid = from_jsonable(doc["grid"])
-    return SpinField(grid=grid, t=float(doc["t"]), **_spin_arrays(doc, (grid.n,)))
+    return SpinField(grid=grid, t=float(doc["t"]),
+                     **_spin_arrays(SpinField, doc, (grid.n,)))
 
 
 def _decode_spin_series(doc):
     grid = from_jsonable(doc["grid"])
     times = np.asarray(doc["times"], dtype=float)
     return SpinSeries(grid=grid, times=times,
-                      **_spin_arrays(doc, (grid.n, times.size)))
+                      **_spin_arrays(SpinSeries, doc, (grid.n, times.size)))
 
 
 def _encode_array(obj):
@@ -112,20 +114,17 @@ _CODECS = {
                lambda g: {"gx": to_jsonable(g.gx), "gt": to_jsonable(g.gt)},
                lambda doc: Grid2D(gx=from_jsonable(doc["gx"]),
                                   gt=from_jsonable(doc["gt"]))),
-    "spin_field": (SpinField,
-                   lambda f: {"grid": to_jsonable(f.grid), "t": f.t,
-                              **_encode_arrays(f, ("S", "u", "v"))},
+    "spin_field": (SpinField, lambda f: {"t": f.t, **_encode_arrays(f)},
                    _decode_spin_field),
     "spin_series": (SpinSeries,
-                    lambda s: {"grid": to_jsonable(s.grid),
-                               **_encode_arrays(s, ("times", "S", "u", "v"))},
+                    lambda s: {"times": _flat(s.times), **_encode_arrays(s)},
                     _decode_spin_series),
-    "ct_fields": _on_grid2(CTFields, ("k", "tau", "omega2", "omega3")),
-    "gc_data": _on_grid2(GCData, ("psi1", "psi2", "tpsi1", "tpsi2", "p", "q")),
-    "fundamental_forms": _on_grid2(FundamentalForms, ("E", "F", "G", "L", "M", "N")),
-    "surface_mesh": _on_grid2(SurfaceMesh, ("r",), extra=(3,)),
-    "lax_pair": _on_grid2(LaxPairField, ("U", "V"), extra=(2, 2), cplx=True),
-    "eigenfunction": _on_grid2(Eigenfunction, ("phi",), extra=(2, 2), cplx=True),
+    "ct_fields": _on_grid2(CTFields),
+    "gc_data": _on_grid2(GCData),
+    "fundamental_forms": _on_grid2(FundamentalForms),
+    "surface_mesh": _on_grid2(SurfaceMesh),
+    "lax_pair": _on_grid2(LaxPairField),
+    "eigenfunction": _on_grid2(Eigenfunction),
     "array": (np.ndarray, _encode_array, _decode_array),
 }
 
@@ -152,9 +151,10 @@ def from_jsonable(doc: dict):
 
 
 def dump_json_str(obj) -> str:
-    """Deterministic JSON text for a supported object or plain dict."""
-    doc = obj if isinstance(obj, dict) else to_jsonable(obj)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text for a supported object, strict for a plain dict."""
+    plain = isinstance(obj, dict)
+    doc = obj if plain else to_jsonable(obj)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=not plain) + "\n"
 
 
 def save_json(obj, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GramDriftError, ShapeError
-from .numgrid import Grid1D, Grid2D, diff_t, diff_x, step_rk4
+from .numgrid import Grid1D, Grid2D, GridFields, Layout, diff_t, diff_x, step_rk4
 
 # Transport whose triad drifts further than this from orthonormal has blown up.
 GRAM_TOL = 1e-4
@@ -24,10 +24,8 @@ GRAM_TOL = 1e-4
 class FrameState:
     """Orthonormal triad per grid point plus the scalar frame data.
 
-    e1, e2, e3 have shape (n, 3); k and tau have shape (n,).  gram_drift
-    records, per grid point, the orthonormality deviation observed during
-    transport before any re-orthonormalization; it is None for frames built
-    directly from data.
+    gram_drift, per grid point, is the orthonormality deviation seen during
+    transport before re-orthonormalization; None for frames built from data.
 
     k is nonnegative for frames built from spin fields (positive square
     root convention); raw user data with signed k is accepted.
@@ -41,18 +39,12 @@ class FrameState:
     grid: Grid1D
     gram_drift: np.ndarray | None = None
 
+    LAYOUT = Layout({"e1": (3,), "e2": (3,), "e3": (3,), "k": (), "tau": ()})
+
     def __post_init__(self):
-        n = self.grid.n
-        for name, shape, optional in (
-                ("e1", (n, 3), False), ("e2", (n, 3), False), ("e3", (n, 3), False),
-                ("k", (n,), False), ("tau", (n,), False), ("gram_drift", (n,), True)):
-            value = getattr(self, name)
-            if optional and value is None:
-                continue
-            value = np.asarray(value, dtype=float)
-            if value.shape != shape:
-                raise ShapeError(f"{name} must have shape {shape}, got {value.shape}")
-            setattr(self, name, value)
+        self.LAYOUT.check(self, (self.grid.n,))
+        if self.gram_drift is not None:
+            Layout({"gram_drift": ()}).check(self, (self.grid.n,))
 
     def triad(self, i: int) -> np.ndarray:
         """Row-stack (3, 3) of the triad at grid point i."""
@@ -149,7 +141,7 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
 
 
 @dataclass
-class CTFields:
+class CTFields(GridFields):
     """Curvature/torsion data (k, tau, omega2, omega3) on a 2-D grid.
 
     omega1 is identically zero for this data type.  k may change sign here:
@@ -164,15 +156,7 @@ class CTFields:
     omega3: np.ndarray
     grid: Grid2D
 
-    def __post_init__(self):
-        shape = self.grid.shape
-        for name in ("k", "tau", "omega2", "omega3"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise ShapeError(f"{name} contains non-finite values")
-            setattr(self, name, a)
+    LAYOUT = Layout({"k": (), "tau": (), "omega2": (), "omega3": ()}, nonfinite=ShapeError)
 
     @property
     def omega1(self) -> np.ndarray:

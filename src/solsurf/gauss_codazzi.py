@@ -28,11 +28,11 @@ import numpy as np
 
 from .errors import DegenerateMetricError, MapInconsistentError, ShapeError
 from .frames import CTFields
-from .numgrid import Grid2D, diff_t, diff_x
+from .numgrid import Grid2D, GridFields, Layout, diff_t, diff_x
 
 
 @dataclass
-class GCData:
+class GCData(GridFields):
     """Surface data on a Grid2D. Metric roots must be strictly positive."""
 
     psi1: np.ndarray
@@ -43,15 +43,11 @@ class GCData:
     q: np.ndarray
     grid: Grid2D
 
+    LAYOUT = Layout(dict.fromkeys(("psi1", "psi2", "tpsi1", "tpsi2", "p", "q"), ()),
+                    nonfinite=ShapeError)
+
     def __post_init__(self):
-        shape = self.grid.shape
-        for name in ("psi1", "psi2", "tpsi1", "tpsi2", "p", "q"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise ShapeError(f"{name} contains non-finite values")
-            setattr(self, name, a)
+        super().__post_init__()
         for name in ("tpsi1", "tpsi2"):
             a = getattr(self, name)
             if np.any(a <= 0):
@@ -114,7 +110,7 @@ def metric_residual(d: GCData, derivs: GCAnalytic | None = None):
 
 
 @dataclass
-class FundamentalForms:
+class FundamentalForms(GridFields):
     """First (E, F, G) and second (L, M, N) form coefficients on a Grid2D.
 
     Curvature-line data have F = M = 0.  NaN entries are allowed: mesh_forms
@@ -129,13 +125,7 @@ class FundamentalForms:
     N: np.ndarray
     grid: Grid2D
 
-    def __post_init__(self):
-        shape = self.grid.shape
-        for name in ("E", "F", "G", "L", "M", "N"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
-            setattr(self, name, a)
+    LAYOUT = Layout(dict.fromkeys(("E", "F", "G", "L", "M", "N"), ()))
 
 
 def fundamental_forms(d: GCData) -> FundamentalForms:
@@ -189,26 +179,21 @@ def map_frame_to_gc(ct: CTFields, tpsi1, tpsi2, tol: float = 1e-6,
     derivative arrays; the default differentiates numerically, whose O(h^2)
     truncation then needs an h-aware tol.
     """
-    g2 = ct.grid
-    tpsi1 = np.asarray(tpsi1, dtype=float)
-    tpsi2 = np.asarray(tpsi2, dtype=float)
-    for name, a in (("tpsi1", tpsi1), ("tpsi2", tpsi2)):
-        if a.shape != g2.shape:
-            raise ShapeError(f"{name} must have shape {g2.shape}, got {a.shape}")
-        if np.any(a <= 0):
-            raise DegenerateMetricError(f"{name} must be strictly positive")
+    d = GCData(psi1=-ct.omega2, psi2=ct.tau.copy(),
+               tpsi1=np.array(tpsi1, dtype=float), tpsi2=np.array(tpsi2, dtype=float),
+               p=-ct.omega3, q=ct.k.copy(), grid=ct.grid)
     if metric_derivs is None:
-        tpsi1_x = diff_x(tpsi1, g2)
-        tpsi2_t = diff_t(tpsi2, g2)
+        tpsi1_x = diff_x(d.tpsi1, d.grid)
+        tpsi2_t = diff_t(d.tpsi2, d.grid)
     else:
         tpsi1_x, tpsi2_t = (np.asarray(a, dtype=float) for a in metric_derivs)
 
-    q_implied = tpsi2_t / tpsi1
-    p_implied = tpsi1_x / tpsi2
-    dev_k = np.max(np.abs(ct.k - q_implied))
-    dev_w3 = np.max(np.abs(ct.omega3 + p_implied))
-    scale_k = max(np.max(np.abs(ct.k)), np.max(np.abs(q_implied)), 1e-300)
-    scale_w3 = max(np.max(np.abs(ct.omega3)), np.max(np.abs(p_implied)), 1e-300)
+    q_implied = tpsi2_t / d.tpsi1
+    p_implied = tpsi1_x / d.tpsi2
+    dev_k = np.max(np.abs(d.q - q_implied))
+    dev_w3 = np.max(np.abs(d.p - p_implied))
+    scale_k = max(np.max(np.abs(d.q)), np.max(np.abs(q_implied)), 1e-300)
+    scale_w3 = max(np.max(np.abs(d.p)), np.max(np.abs(p_implied)), 1e-300)
     deviation = max(dev_k / scale_k, dev_w3 / scale_w3)
     if deviation > tol:
         raise MapInconsistentError(
@@ -216,6 +201,4 @@ def map_frame_to_gc(ct: CTFields, tpsi1, tpsi2, tol: float = 1e-6,
             f"{deviation:.6e} > tol {tol:.1e} "
             f"(|k - tpsi2_t/tpsi1| = {dev_k:.6e}, "
             f"|omega3 + tpsi1_x/tpsi2| = {dev_w3:.6e})", deviation=deviation)
-    return GCData(psi1=-ct.omega2, psi2=ct.tau.copy(),
-                  tpsi1=tpsi1.copy(), tpsi2=tpsi2.copy(),
-                  p=-ct.omega3, q=ct.k.copy(), grid=g2)
+    return d

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GridError, NonFiniteFieldError, ShapeError
 from .frames import CTFields
-from .numgrid import Grid2D, diff_t, diff_x, step_rk4
+from .numgrid import Grid2D, GridFields, Layout, diff_t, diff_x, step_rk4
 
 _HALF_OVER_I = 1.0 / 2.0j   # exactly -0.5i
 
@@ -36,46 +36,33 @@ _HALF_OVER_I = 1.0 / 2.0j   # exactly -0.5i
 MOVES = {"+x": (0, 1), "-x": (0, -1), "+t": (1, 1), "-t": (1, -1)}
 
 
-def _check_mat2(name: str, a: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.shape != shape + (2, 2):
-        raise ShapeError(f"{name} must have shape {shape + (2, 2)}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteFieldError(f"{name} contains non-finite values")
-    tr = np.abs(a[..., 0, 0] + a[..., 1, 1])
-    if np.max(tr) > 1e-12:
-        raise ShapeError(f"{name} is not traceless: max |trace| = {np.max(tr):.3e}")
-    return a
-
-
 @dataclass
-class LaxPairField:
+class LaxPairField(GridFields):
     """Traceless complex 2x2 matrices U, V per grid point."""
 
     U: np.ndarray
     V: np.ndarray
     grid: Grid2D
 
+    LAYOUT = Layout({"U": (2, 2), "V": (2, 2)}, complex, NonFiniteFieldError)
+
     def __post_init__(self):
-        self.U = _check_mat2("U", self.U, self.grid.shape)
-        self.V = _check_mat2("V", self.V, self.grid.shape)
+        super().__post_init__()
+        for name in ("U", "V"):
+            tr = np.abs(np.trace(getattr(self, name), axis1=-2, axis2=-1))
+            if np.max(tr) > 1e-12:
+                raise ShapeError(
+                    f"{name} is not traceless: max |trace| = {np.max(tr):.3e}")
 
 
 @dataclass
-class Eigenfunction:
+class Eigenfunction(GridFields):
     """Fundamental 2x2 solution matrix per grid point (right transport)."""
 
     phi: np.ndarray
     grid: Grid2D
 
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=complex)
-        if phi.shape != self.grid.shape + (2, 2):
-            raise ShapeError(
-                f"phi must have shape {self.grid.shape + (2, 2)}, got {phi.shape}")
-        if not np.all(np.isfinite(phi)):
-            raise NonFiniteFieldError("phi contains non-finite values")
-        self.phi = phi
+    LAYOUT = Layout({"phi": (2, 2)}, complex, NonFiniteFieldError)
 
 
 def build_lax(ct: CTFields) -> LaxPairField:

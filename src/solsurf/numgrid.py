@@ -14,12 +14,39 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridError, NonFiniteFieldError, ShapeError
 
 BOUNDARIES = ("one_sided", "periodic")
+
+
+class Layout(NamedTuple):
+    """A field type's arrays: name -> shape after the grid's, their dtype, and
+    the error class a NaN or Inf entry raises (None allows them)."""
+
+    shapes: dict
+    dtype: type = float
+    nonfinite: type | None = None
+
+    def check(self, obj, lead: tuple) -> None:
+        """Convert obj's arrays to dtype in place and check them against lead."""
+        for name, trail in self.shapes.items():
+            a = np.asarray(getattr(obj, name), dtype=self.dtype)
+            if a.shape != lead + trail:
+                raise ShapeError(f"{name} must have shape {lead + trail}, got {a.shape}")
+            if self.nonfinite is not None and not np.all(np.isfinite(a)):
+                raise self.nonfinite(f"{name} contains non-finite values")
+            setattr(obj, name, a)
+
+
+class GridFields:
+    """Base of a dataclass of LAYOUT arrays over a Grid2D; the constructor checks them."""
+
+    def __post_init__(self):
+        self.LAYOUT.check(self, self.grid.shape)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateFrameError, GridError,
                      NonFiniteFieldError, ShapeError, SqrtDomainError)
 from .frames import CTFields, FrameState
-from .numgrid import Grid1D, Grid2D, diff_x, step_rk4
+from .numgrid import Grid1D, Grid2D, Layout, diff_x, step_rk4
 
 # |S_x| below K_MIN has no frame; k^2 - u^2 down to -CLAMP_SLACK clamps to 0.
 K_MIN = 1e-8
@@ -36,7 +36,8 @@ CLAMP_SLACK = 1e-12
 
 @dataclass
 class SpinField:
-    """Spin state at one time level. The constructor renormalizes S row-wise.
+    """Spin state at one time level. The constructor renormalizes S row-wise
+    and copies u and v.
 
     On periodic grids the closure sample must match the first sample (within
     1e-9 on input); it is then identified with it exactly.
@@ -48,36 +49,25 @@ class SpinField:
     grid: Grid1D
     t: float = 0.0
 
+    LAYOUT = Layout({"S": (3,), "u": (), "v": ()}, nonfinite=NonFiniteFieldError)
+
     def __post_init__(self):
-        n = self.grid.n
-        S = np.array(self.S, dtype=float)
-        if S.shape != (n, 3):
-            raise ShapeError(f"S must have shape ({n}, 3), got {S.shape}")
-        if not np.all(np.isfinite(S)):
-            raise NonFiniteFieldError("S contains non-finite values")
-        norms = np.linalg.norm(S, axis=1)
+        self.LAYOUT.check(self, (self.grid.n,))
+        norms = np.linalg.norm(self.S, axis=1)
         if np.any(norms < 1e-8):
             i = int(np.argmax(norms < 1e-8))
             raise ShapeError(f"spin vector vanishes at index {i}")
-        self.S = S / norms[:, None]
-        for name in ("u", "v"):
-            a = np.array(getattr(self, name), dtype=float)
-            if a.shape != (n,):
-                raise ShapeError(f"{name} must have shape ({n},), got {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise NonFiniteFieldError(f"{name} contains non-finite values")
-            setattr(self, name, a)
+        self.S = self.S / norms[:, None]
+        self.u, self.v = self.u.copy(), self.v.copy()
         if self.grid.boundary == "periodic":
-            gap = max(float(np.max(np.abs(self.S[-1] - self.S[0]))),
-                      abs(float(self.u[-1] - self.u[0])),
-                      abs(float(self.v[-1] - self.v[0])))
+            arrays = (self.S, self.u, self.v)
+            gap = max(float(np.max(np.abs(a[-1] - a[0]))) for a in arrays)
             if gap > 1e-9:
                 raise ShapeError(
                     f"periodic field does not close: closure sample differs from "
                     f"first sample by {gap:.3e}")
-            self.S[-1] = self.S[0]
-            self.u[-1] = self.u[0]
-            self.v[-1] = self.v[0]
+            for a in arrays:
+                a[-1] = a[0]
 
 
 @dataclass
@@ -197,6 +187,8 @@ class SpinSeries:
     u: np.ndarray
     v: np.ndarray
 
+    LAYOUT = Layout({"S": (3,), "u": (), "v": ()})
+
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         nt = self.times.shape[0]
@@ -210,12 +202,7 @@ class SpinSeries:
             scale = max(abs(dt), float(np.max(np.abs(self.times))), 1.0)
             if not np.max(np.abs(steps - dt)) <= 1e-12 * scale:
                 raise GridError("time levels must be uniformly spaced")
-        shape = (self.grid.n, nt)
-        for name, extra in (("S", (3,)), ("u", ()), ("v", ())):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape + extra:
-                raise ShapeError(f"{name} must have shape {shape + extra}, got {a.shape}")
-            setattr(self, name, a)
+        self.LAYOUT.check(self, (self.grid.n, nt))
 
     @property
     def nt(self) -> int:
@@ -229,9 +216,8 @@ class SpinSeries:
         return Grid2D(self.grid, Grid1D(float(self.times[0]), dt, self.nt, "one_sided"))
 
     def slice(self, j: int) -> SpinField:
-        return SpinField(S=self.S[:, j].copy(), u=self.u[:, j].copy(),
-                         v=self.v[:, j].copy(), grid=self.grid,
-                         t=float(self.times[j]))
+        return SpinField(S=self.S[:, j], u=self.u[:, j], v=self.v[:, j],
+                         grid=self.grid, t=float(self.times[j]))
 
 
 def _advance(f: SpinField, dt: float, steps: int, renorm: bool) -> list:

@@ -19,27 +19,21 @@ import numpy as np
 
 from .errors import NonFiniteFieldError, ShapeError
 from .gauss_codazzi import FundamentalForms, _gauss_mean
-from .numgrid import Grid1D, Grid2D, diff_t, diff_tt, diff_x, diff_xx, integrate_x
+from .numgrid import (Grid1D, Grid2D, GridFields, Layout, diff_t, diff_tt, diff_x,
+                      diff_xx, integrate_x)
 from .spin import SpinSeries
 
 DEGENERATE_TOL = 1e-10
 
 
 @dataclass
-class SurfaceMesh:
+class SurfaceMesh(GridFields):
     """Positions r over a Grid2D; quad connectivity follows the grid."""
 
     r: np.ndarray
     grid: Grid2D
 
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if r.shape != self.grid.shape + (3,):
-            raise ShapeError(
-                f"r must have shape {self.grid.shape + (3,)}, got {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise NonFiniteFieldError("mesh positions contain non-finite values")
-        self.r = r
+    LAYOUT = Layout({"r": (3,)}, nonfinite=NonFiniteFieldError)
 
     def faces(self) -> np.ndarray:
         """(nfaces, 4) 0-based quad indices, one per grid cell."""
@@ -67,21 +61,22 @@ def mesh_forms(m: SurfaceMesh) -> FundamentalForms:
 
     E, F, G are defined everywhere; L, M, N are NaN (mask ~isfinite(L)) where
     |r_x ^ r_t| <= DEGENERATE_TOL max|r_x| max|r_t|, a bound that scales with
-    the surface: at r_t = 0, or at round-off on that scale (closure rows).
+    the surface: at r_t = 0, or at round-off on that scale (closure rows),
+    and where E G - F^2, which K and H divide by, cancels to <= 0.
     """
     r_x = diff_x(m.r, m.grid)
     r_t = diff_t(m.r, m.grid)
-    E, G = _dot(r_x, r_x), _dot(r_t, r_t)
+    E, F, G = _dot(r_x, r_x), _dot(r_x, r_t), _dot(r_t, r_t)
     cross = np.cross(r_x, r_t)
     mag = np.linalg.norm(cross, axis=-1)
     n = np.full_like(cross, np.nan)
-    good = mag > DEGENERATE_TOL * np.sqrt(np.max(E) * np.max(G))
+    good = (mag > DEGENERATE_TOL * np.sqrt(np.max(E) * np.max(G))) & (E * G - F ** 2 > 0)
     n[good] = cross[good] / mag[good][..., None]
     r_xx = diff_xx(m.r, m.grid)
     r_tt = diff_tt(m.r, m.grid)
     r_xt = diff_t(r_x, m.grid)
     return FundamentalForms(
-        E=E, F=_dot(r_x, r_t), G=G,
+        E=E, F=F, G=G,
         L=_dot(r_xx, n), M=_dot(r_xt, n), N=_dot(r_tt, n), grid=m.grid)
 
 

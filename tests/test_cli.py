@@ -15,7 +15,7 @@ import solsurf as ss
 from solsurf import cli
 from solsurf import fieldio as fio
 from solsurf.cli import SCENARIOS, build_parser, main, resolve_config
-from solsurf.fixtures import random_ct, traveling_circle
+from solsurf.fixtures import random_ct, random_smooth_spin, traveling_circle
 
 from conftest import circle_grid
 
@@ -239,6 +239,20 @@ class TestSurface:
         assert calls == {"mesh_forms": 1, "diff_x": 1, "diff_t": 2,
                          "diff_xx": 1, "diff_tt": 1}
 
+    def test_degenerate_mask_matches_curvatures(self, tmp_path):
+        """Points where E G - F^2 cancels to 0 are degenerate, so the K/H
+        statistics of the planar sweep stay numbers."""
+        rc = main(["surface", "--scenario", "traveling_circle", "--no-renorm",
+                   "--n", "33", "--steps", "8", "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "surface_summary.json").read_text())
+        mesh = fio.load_json(tmp_path / "mesh.json")
+        degenerate = ~np.isfinite(ss.mesh_forms(mesh).L)
+        K, _ = ss.mesh_curvatures(mesh)
+        assert np.array_equal(degenerate, ~np.isfinite(K))
+        assert summary["degenerate_count"] == np.count_nonzero(degenerate)
+        assert isinstance(summary["K_mean"], float)
+
     def test_obj_reexport_stable(self, tmp_path):
         rc = main(["surface", "--scenario", "cylinder", "--out", str(tmp_path)])
         assert rc == 0
@@ -444,6 +458,27 @@ def test_overflowing_radius_prints_only_the_error(tmp_path, argv):
                            "--out", str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: radius=") and proc.stderr.count("\n") == 1
+
+
+def test_overflowing_ic_gives_strict_json_summary(tmp_path):
+    """A finite --ic state whose u residual overflows: no numpy warning, and
+    the summary is strict JSON with a null residual."""
+    f = random_smooth_spin(ss.Grid1D(0.0, 0.1, 17, "one_sided"), seed=1, n_modes=2)
+    f.u = np.where(np.arange(17) % 2 == 0, 1e308, -1e308)
+    fio.save_json(f, tmp_path / "ic.json")
+    proc = subprocess.run([sys.executable, "-m", "solsurf", "simulate", "--ic",
+                           str(tmp_path / "ic.json"), "--steps", "0", "--format", "json",
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("simulate ") and proc.stdout.count("\n") == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((tmp_path / "simulate_summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["max_u_residual"] is None
 
 
 def test_large_radius_still_runs(tmp_path):

@@ -247,6 +247,52 @@ def test_every_kind_round_trips_exactly(kind, data):
     assert _same(fio.from_jsonable(json.loads(text)), obj)
 
 
+# What a NaN entry in each field type's arrays raises; None: it is kept.
+NONFINITE = {
+    "spin_field": ss.NonFiniteFieldError, "spin_series": None,
+    "ct_fields": ss.ShapeError, "gc_data": ss.ShapeError,
+    "fundamental_forms": None, "surface_mesh": ss.NonFiniteFieldError,
+    "lax_pair": ss.NonFiniteFieldError, "eigenfunction": ss.NonFiniteFieldError,
+}
+FIELD_ARRAYS = [(kind, name) for kind, (cls, _, _) in fio._CODECS.items()
+                if hasattr(cls, "LAYOUT") for name in cls.LAYOUT.shapes]
+
+
+def _valid_field(kind):
+    band = small_band()
+    ct = sphere_ct(band)
+    lax_pair = ss.build_lax(ct)
+    f = traveling_circle(circle_grid(9))
+    return {
+        "spin_field": f, "spin_series": ss.evolve_series(f, 0.01, 2), "ct_fields": ct,
+        "gc_data": sphere_gc(band)[0], "fundamental_forms": sphere_forms(band),
+        "surface_mesh": ss.fixtures.sphere_patch(band), "lax_pair": lax_pair,
+        "eigenfunction": ss.eigenfunction_field(lax_pair, np.eye(2, dtype=complex)),
+    }[kind]
+
+
+def test_every_field_kind_has_a_nonfinite_rule():
+    assert {kind for kind, _ in FIELD_ARRAYS} == set(NONFINITE)
+
+
+@pytest.mark.parametrize("kind,name", FIELD_ARRAYS, ids="-".join)
+def test_constructor_checks_declared_arrays(kind, name):
+    """Each declared array: a wrong trailing shape raises ShapeError naming
+    it, and a NaN entry raises the type's class or is kept."""
+    obj = _valid_field(kind)
+    a = getattr(obj, name)
+    with pytest.raises(ss.ShapeError, match=f"^{name} must have shape"):
+        dataclasses.replace(obj, **{name: np.stack([a, a], axis=-1)})
+    bad = a.copy()
+    spot = (1,) * bad.ndim
+    bad[spot] = np.nan
+    if NONFINITE[kind] is None:
+        assert np.isnan(getattr(dataclasses.replace(obj, **{name: bad}), name)[spot])
+    else:
+        with pytest.raises(NONFINITE[kind], match=f"^{name} contains non-finite values$"):
+            dataclasses.replace(obj, **{name: bad})
+
+
 class TestJsonDeterminism:
     def test_repeat_dumps_identical(self):
         f = traveling_circle(circle_grid(17))
