@@ -36,11 +36,12 @@ from .fixtures import (cylinder_patch, plane_patch, random_ct,
                        random_smooth_spin, sphere_ct, sphere_frame_series,
                        sphere_gc, sphere_patch, traveling_circle)
 from .frames import compatibility_residual, torsion_transport_residual
-from .gauss_codazzi import gc_residual, metric_residual
+from .gauss_codazzi import curvatures, gc_residual, metric_residual
 from .lax import build_lax, zero_curvature_residual
 from .numgrid import BOUNDARIES, Grid1D, Grid2D, diff_x, fit_order
-from .spin import SpinField, ct_from_spin_series, evolve_series
-from .surface import _form_curvatures, export_obj, mesh_forms, reconstruct
+from .spin import (SpinField, ct_from_spin_series, evolve_series,
+                   u_constraint_residual)
+from .surface import export_obj, mesh_forms, reconstruct
 
 ORDER_MIN = 1.7
 RESIDUAL_FLOOR = 1e-11
@@ -286,6 +287,11 @@ def _initial_state(cfg: RunConfig) -> SpinField:
     return obj
 
 
+def _label(cfg: RunConfig) -> str:
+    """What a run's stdout line names: the --ic file, else the scenario."""
+    return f"ic:{cfg.ic}" if cfg.ic is not None else cfg.scenario
+
+
 def _max_abs(*fields) -> float:
     return float(max(np.max(np.abs(f)) for f in fields))
 
@@ -380,12 +386,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     # Measured after the writers: freed before them, the (n, nt, 3)
     # temporaries below left the heap larger and raised simulate's peak RSS
     # by about 6% at 513 x 256.
-    # An --ic state can be finite yet overflow here; the summary then says null.
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = _max_abs(np.linalg.norm(series.S, axis=-1) - 1.0)
-        k = np.linalg.norm(diff_x(series.S, series.grid), axis=-1)
-        rad = np.maximum(k * k - series.u ** 2, 0.0)
-        u_res = _max_abs(diff_x(series.u, series.grid) - series.v * np.sqrt(rad))
+    drift = _max_abs(np.linalg.norm(series.S, axis=-1) - 1.0)
+    k = np.linalg.norm(diff_x(series.S, series.grid), axis=-1)
+    u_res = _max_abs(u_constraint_residual(k, series.u, series.v, series.grid))
     summary = {
         "command": "simulate",
         "version": __version__,
@@ -398,8 +401,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         "artifacts": artifacts + ["simulate_summary.json"],
     }
     save_json(summary, os.path.join(out_dir, "simulate_summary.json"))
-    label = f"ic:{cfg.ic}" if cfg.ic is not None else cfg.scenario
-    print(f"simulate {label}: final_time={summary['final_time']:.6g} "
+    print(f"simulate {_label(cfg)}: final_time={summary['final_time']:.6g} "
           f"sphere_drift={drift:.3e} u_residual={u_res:.3e}")
     return 0
 
@@ -416,7 +418,7 @@ def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
     else:
         raise ConfigError(f"scenario {cfg.scenario!r} has no surface")
     forms = mesh_forms(mesh)
-    K, H = _form_curvatures(forms)
+    K, H = curvatures(forms)
     degenerate = ~np.isfinite(forms.L)
     good = ~degenerate
     artifacts = []
@@ -447,7 +449,7 @@ def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
         "artifacts": artifacts + ["surface_summary.json"],
     }
     save_json(summary, os.path.join(out_dir, "surface_summary.json"))
-    print(f"surface {cfg.scenario}: points={summary['n_points']} "
+    print(f"surface {_label(cfg)}: points={summary['n_points']} "
           f"degenerate={summary['degenerate_count']} "
           f"K_mean={summary['K_mean']}")
     return 0

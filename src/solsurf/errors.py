@@ -27,10 +27,6 @@ class ShapeError(SolsurfError):
 class NonFiniteFieldError(SolsurfError):
     """NaN or Inf appeared in a field or an integration stage."""
 
-    def __init__(self, message: str, stage: str | None = None):
-        super().__init__(message)
-        self.stage = stage
-
 
 class SqrtDomainError(SolsurfError):
     """A radicand fell below the clamp slack. Carries the offending grid index."""
@@ -44,17 +40,9 @@ class SqrtDomainError(SolsurfError):
 class DegenerateFrameError(SolsurfError):
     """|S_x| fell below spin.K_MIN somewhere; the tangent frame is undefined there."""
 
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
 
 class GramDriftError(SolsurfError):
     """Transported frame lost orthonormality beyond the allowed tolerance."""
-
-    def __init__(self, message: str, deviation: float | None = None):
-        super().__init__(message)
-        self.deviation = deviation
 
 
 class DegenerateMetricError(SolsurfError):
@@ -63,7 +51,3 @@ class DegenerateMetricError(SolsurfError):
 
 class MapInconsistentError(SolsurfError):
     """Frame fields and metric roots disagree beyond tolerance in a change of variables."""
-
-    def __init__(self, message: str, deviation: float | None = None):
-        super().__init__(message)
-        self.deviation = deviation

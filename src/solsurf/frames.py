@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GramDriftError, ShapeError
-from .numgrid import Grid1D, Grid2D, GridFields, Layout, diff_t, diff_x, step_rk4
+from .numgrid import (Grid1D, Grid2D, GridFields, Layout, as_shape, diff_t, diff_x,
+                      step_rk4)
 
 # Transport whose triad drifts further than this from orthonormal has blown up.
 GRAM_TOL = 1e-4
@@ -71,9 +72,7 @@ def matrix_b(omega1: float, omega2: float, omega3: float) -> np.ndarray:
 
 def gram_deviation(triad: np.ndarray) -> float:
     """Max-abs deviation of triad @ triad.T from the identity."""
-    e = np.asarray(triad, dtype=float)
-    if e.shape != (3, 3):
-        raise ShapeError(f"triad must be a 3x3 row-stack, got shape {e.shape}")
+    e = as_shape(triad, (3, 3), "triad")
     return float(np.max(np.abs(e @ e.T - np.eye(3))))
 
 
@@ -85,15 +84,12 @@ def _reorthonormalize(triad: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2, e3])
 
 
-def _coefficient(c, grid: Grid1D) -> np.ndarray:
+def _coefficient(c, grid: Grid1D, name: str) -> np.ndarray:
     """A scalar or per-point coefficient as its (n,) values at the nodes."""
     arr = np.array(c, dtype=float)
     if arr.ndim == 0:
         return np.full(grid.n, float(arr))
-    if arr.shape != (grid.n,):
-        raise ShapeError(f"coefficient must be scalar or shape ({grid.n},), "
-                         f"got {arr.shape}")
-    return arr
+    return as_shape(arr, (grid.n,), name)
 
 
 def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
@@ -109,10 +105,9 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
     e0 = np.asarray(frame0, dtype=float)
     dev0 = gram_deviation(e0)
     if dev0 > 1e-8:
-        raise GramDriftError(f"initial triad is not orthonormal (deviation {dev0:.3e})",
-                             deviation=dev0)
-    k = _coefficient(k, grid)
-    tau = _coefficient(tau, grid)
+        raise GramDriftError(f"initial triad is not orthonormal (deviation {dev0:.3e})")
+    k = _coefficient(k, grid, "k")
+    tau = _coefficient(tau, grid, "tau")
     xs = grid.points()
 
     def rhs(x, e):
@@ -130,7 +125,7 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
         if dev > GRAM_TOL:
             raise GramDriftError(
                 f"frame transport lost orthonormality at x index {i + 1} "
-                f"(deviation {dev:.3e} > {GRAM_TOL:.1e})", deviation=dev)
+                f"(deviation {dev:.3e} > {GRAM_TOL:.1e})")
         if reorthonormalize:
             nxt = _reorthonormalize(nxt)
         frames[i + 1] = nxt
@@ -187,12 +182,8 @@ def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray,
     spin system (tau identified with v, omega1 = 0) the triple-product term
     equals tau_t, so the residual converges to zero under grid refinement.
     """
-    e1 = np.asarray(e1, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if e1.shape != g2.shape + (3,):
-        raise ShapeError(f"e1 must have shape {g2.shape + (3,)}, got {e1.shape}")
-    if tau.shape != g2.shape:
-        raise ShapeError(f"tau must have shape {g2.shape}, got {tau.shape}")
+    e1 = as_shape(e1, g2.shape + (3,), "e1")
+    tau = as_shape(tau, g2.shape, "tau")
     e1x = diff_x(e1, g2)
     e1t = diff_t(e1, g2)
     triple = np.einsum("xtc,xtc->xt", e1, np.cross(e1x, e1t))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, MapInconsistentError, ShapeError
 from .frames import CTFields
-from .numgrid import Grid2D, GridFields, Layout, diff_t, diff_x
+from .numgrid import Grid2D, GridFields, Layout, as_shape, diff_t, diff_x
 
 
 @dataclass
@@ -61,7 +61,7 @@ class GCAnalytic:
 
     Numerical differentiation caps residual accuracy at O(h^2); fixtures with
     known formulas provide these arrays so residual checks can reach
-    round-off instead.
+    round-off instead.  Each array must have the shape of the data's grid.
     """
 
     psi1_x: np.ndarray
@@ -70,6 +70,11 @@ class GCAnalytic:
     q_t: np.ndarray
     tpsi1_x: np.ndarray
     tpsi2_t: np.ndarray
+
+
+def _closed_form(arrays, names, d: GCData) -> list:
+    """Closed-form derivative arrays, each checked against the grid of d."""
+    return [as_shape(a, d.grid.shape, n) for a, n in zip(arrays, names, strict=True)]
 
 
 def gc_residual(d: GCData, derivs: GCAnalytic | None = None):
@@ -85,8 +90,9 @@ def gc_residual(d: GCData, derivs: GCAnalytic | None = None):
         p_x = diff_x(d.p, d.grid)
         q_t = diff_t(d.q, d.grid)
     else:
-        psi1_x, psi2_t = derivs.psi1_x, derivs.psi2_t
-        p_x, q_t = derivs.p_x, derivs.q_t
+        psi1_x, psi2_t, p_x, q_t = _closed_form(
+            (derivs.psi1_x, derivs.psi2_t, derivs.p_x, derivs.q_t),
+            ("psi1_x", "psi2_t", "p_x", "q_t"), d)
     r1 = psi1_x - d.p * d.psi2
     r2 = psi2_t - d.q * d.psi1
     r3 = q_t + p_x + d.psi1 * d.psi2
@@ -103,7 +109,8 @@ def metric_residual(d: GCData, derivs: GCAnalytic | None = None):
         tpsi1_x = diff_x(d.tpsi1, d.grid)
         tpsi2_t = diff_t(d.tpsi2, d.grid)
     else:
-        tpsi1_x, tpsi2_t = derivs.tpsi1_x, derivs.tpsi2_t
+        tpsi1_x, tpsi2_t = _closed_form((derivs.tpsi1_x, derivs.tpsi2_t),
+                                        ("tpsi1_x", "tpsi2_t"), d)
     r1 = tpsi1_x - d.p * d.tpsi2
     r2 = tpsi2_t - d.q * d.tpsi1
     return r1, r2
@@ -140,16 +147,15 @@ def curvatures(f: FundamentalForms):
 
     K = (LN - M^2) / (EG - F^2)
     H = (EN - 2FM + GL) / (2 (EG - F^2))
+
+    K and H are NaN where L is NaN, as mesh_forms marks degenerate points;
+    EG - F^2 <= 0 where L is finite raises DegenerateMetricError.
     """
     den = f.E * f.G - f.F ** 2
-    if np.any(den <= 0):
-        raise DegenerateMetricError(
-            f"metric determinant must be positive (min {float(den.min()):.6e})")
-    return _gauss_mean(f, den)
-
-
-def _gauss_mean(f: FundamentalForms, den):
-    """(K, H) from the forms and den = EG - F^2, unchecked."""
+    singular = (den <= 0) & np.isfinite(f.L)
+    if np.any(singular):
+        low = float(den[singular].min())
+        raise DegenerateMetricError(f"metric determinant must be positive (min {low:.6e})")
     K = (f.L * f.N - f.M ** 2) / den
     H = (f.E * f.N - 2 * f.F * f.M + f.G * f.L) / (2 * den)
     return K, H
@@ -186,7 +192,7 @@ def map_frame_to_gc(ct: CTFields, tpsi1, tpsi2, tol: float = 1e-6,
         tpsi1_x = diff_x(d.tpsi1, d.grid)
         tpsi2_t = diff_t(d.tpsi2, d.grid)
     else:
-        tpsi1_x, tpsi2_t = (np.asarray(a, dtype=float) for a in metric_derivs)
+        tpsi1_x, tpsi2_t = _closed_form(metric_derivs, ("tpsi1_x", "tpsi2_t"), d)
 
     q_implied = tpsi2_t / d.tpsi1
     p_implied = tpsi1_x / d.tpsi2
@@ -200,5 +206,5 @@ def map_frame_to_gc(ct: CTFields, tpsi1, tpsi2, tol: float = 1e-6,
             f"frame fields and metric roots disagree: relative deviation "
             f"{deviation:.6e} > tol {tol:.1e} "
             f"(|k - tpsi2_t/tpsi1| = {dev_k:.6e}, "
-            f"|omega3 + tpsi1_x/tpsi2| = {dev_w3:.6e})", deviation=deviation)
+            f"|omega3 + tpsi1_x/tpsi2| = {dev_w3:.6e})")
     return d

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GridError, NonFiniteFieldError, ShapeError
 from .frames import CTFields
-from .numgrid import Grid2D, GridFields, Layout, diff_t, diff_x, step_rk4
+from .numgrid import Grid2D, GridFields, Layout, as_shape, diff_t, diff_x, step_rk4
 
 _HALF_OVER_I = 1.0 / 2.0j   # exactly -0.5i
 
@@ -106,6 +106,14 @@ def _edge_step(phi: np.ndarray, m_from: np.ndarray, m_to: np.ndarray,
     return step_rk4(phi, rhs, h)
 
 
+def _initial_phi(phi0) -> np.ndarray:
+    """phi0 as a complex 2x2 matrix; ShapeError unless it is invertible."""
+    phi = as_shape(phi0, (2, 2), "phi0", complex)
+    if abs(np.linalg.det(phi)) < 1e-300:
+        raise ShapeError("phi0 must be invertible")
+    return phi
+
+
 def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
                   start: Tuple[int, int] = (0, 0)) -> np.ndarray:
     """Transport phi0 along a list of grid moves ("+x", "-x", "+t", "-t").
@@ -114,11 +122,7 @@ def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
     the edge endpoints; x-moves use U, t-moves use V, increments multiply on
     the right.  Returns the 2x2 value at the endpoint.
     """
-    phi = np.asarray(phi0, dtype=complex)
-    if phi.shape != (2, 2):
-        raise ShapeError(f"phi0 must be a 2x2 matrix, got shape {phi.shape}")
-    if abs(np.linalg.det(phi)) < 1e-300:
-        raise ShapeError("phi0 must be invertible")
+    phi = _initial_phi(phi0)
     nx, nt = L.grid.shape
     ix, it = int(start[0]), int(start[1])
     if not (0 <= ix < nx and 0 <= it < nt):
@@ -136,9 +140,6 @@ def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
                 f"(from node ({ix}, {it}))")
         gen = gens[axis]
         phi = _edge_step(phi, gen[ix, it], gen[jx, jt], sign * hs[axis])
-        if not np.all(np.isfinite(phi)):
-            raise NonFiniteFieldError(
-                f"phi became non-finite after path position {step}")
         ix, it = jx, jt
     return phi
 
@@ -152,7 +153,7 @@ def eigenfunction_field(L: LaxPairField, phi0: np.ndarray) -> Eigenfunction:
     """
     nx, nt = L.grid.shape
     phi = np.empty((nx, nt, 2, 2), dtype=complex)
-    phi[0, 0] = np.asarray(phi0, dtype=complex)
+    phi[0, 0] = _initial_phi(phi0)
     dx = L.grid.gx.dx
     dt = L.grid.gt.dx
     for ix in range(1, nx):
@@ -161,8 +162,6 @@ def eigenfunction_field(L: LaxPairField, phi0: np.ndarray) -> Eigenfunction:
         for it in range(1, nt):
             phi[ix, it] = _edge_step(phi[ix, it - 1], L.V[ix, it - 1],
                                      L.V[ix, it], dt)
-    if not np.all(np.isfinite(phi)):
-        raise NonFiniteFieldError("phi became non-finite while filling the grid")
     return Eigenfunction(phi=phi, grid=L.grid)
 
 

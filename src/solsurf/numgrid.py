@@ -23,6 +23,14 @@ from .errors import GridError, NonFiniteFieldError, ShapeError
 BOUNDARIES = ("one_sided", "periodic")
 
 
+def as_shape(a, shape: tuple, name: str, dtype=float) -> np.ndarray:
+    """a as an array of dtype; ShapeError naming it unless its shape is shape."""
+    a = np.asarray(a, dtype=dtype)
+    if a.shape != shape:
+        raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
+    return a
+
+
 class Layout(NamedTuple):
     """A field type's arrays: name -> shape after the grid's, their dtype, and
     the error class a NaN or Inf entry raises (None allows them)."""
@@ -34,9 +42,7 @@ class Layout(NamedTuple):
     def check(self, obj, lead: tuple) -> None:
         """Convert obj's arrays to dtype in place and check them against lead."""
         for name, trail in self.shapes.items():
-            a = np.asarray(getattr(obj, name), dtype=self.dtype)
-            if a.shape != lead + trail:
-                raise ShapeError(f"{name} must have shape {lead + trail}, got {a.shape}")
+            a = as_shape(getattr(obj, name), lead + trail, name, self.dtype)
             if self.nonfinite is not None and not np.all(np.isfinite(a)):
                 raise self.nonfinite(f"{name} contains non-finite values")
             setattr(obj, name, a)
@@ -106,11 +112,9 @@ def _axis_grid(grid, axis: int) -> Grid1D:
     raise TypeError(f"expected Grid1D or Grid2D, got {type(grid).__name__}")
 
 
-def _check_leading(f: np.ndarray, g: Grid1D, axis_name: str):
-    if f.shape[0] != g.n:
-        raise ShapeError(
-            f"field has {f.shape[0]} samples along {axis_name}, grid has {g.n}"
-        )
+def _check_axis(f: np.ndarray, axis: int, g: Grid1D, name: str):
+    if f.shape[axis] != g.n:
+        raise ShapeError(f"field has {f.shape[axis]} samples along {name}, grid has {g.n}")
 
 
 def _as_field(f) -> np.ndarray:
@@ -157,7 +161,7 @@ def _d2_axis0(f: np.ndarray, g: Grid1D) -> np.ndarray:
 def _along_x(f, grid):
     a = _as_field(f)
     g = _axis_grid(grid, 0)
-    _check_leading(a, g, "x")
+    _check_axis(a, 0, g, "x")
     return a, g
 
 
@@ -167,9 +171,8 @@ def _along_t(f, g2: Grid2D, op):
         raise TypeError("t-derivatives need a Grid2D")
     if f.ndim < 2:
         raise ShapeError("t-derivatives need a field with a t axis")
-    _check_leading(f, g2.gx, "x")
-    if f.shape[1] != g2.gt.n:
-        raise ShapeError(f"field has {f.shape[1]} samples along t, grid has {g2.gt.n}")
+    _check_axis(f, 0, g2.gx, "x")
+    _check_axis(f, 1, g2.gt, "t")
     swapped = np.moveaxis(f, 1, 0)
     return np.moveaxis(op(swapped, g2.gt), 0, 1)
 
@@ -205,8 +208,7 @@ def integrate_x(f, grid) -> np.ndarray:
 
 def _check_finite(y: np.ndarray, stage: str):
     if not np.all(np.isfinite(y)):
-        raise NonFiniteFieldError(f"non-finite value in integration state ({stage})",
-                                  stage=stage)
+        raise NonFiniteFieldError(f"non-finite value in integration state ({stage})")
 
 
 def step_rk4(y: np.ndarray, rhs, dt: float, t: float = 0.0) -> np.ndarray:

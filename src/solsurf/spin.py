@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateFrameError, GridError,
                      NonFiniteFieldError, ShapeError, SqrtDomainError)
 from .frames import CTFields, FrameState
-from .numgrid import Grid1D, Grid2D, Layout, diff_x, step_rk4
+from .numgrid import Grid1D, Grid2D, Layout, as_shape, diff_x, step_rk4
 
 # |S_x| below K_MIN has no frame; k^2 - u^2 down to -CLAMP_SLACK clamps to 0.
 K_MIN = 1e-8
@@ -99,14 +99,27 @@ def _clamped_radicand(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.maximum(rad, 0.0)
 
 
-def _tangent_frame(S: np.ndarray, grid: Grid1D):
-    """S_x, k = |S_x|, and the orthonormal triad (e1, e2, e3) built from S."""
+def u_constraint_residual(k, u, v, grid) -> np.ndarray:
+    """r_u = u_x - v*sqrt(max(k^2 - u^2, 0)) on grid, zero where u meets its
+    constraint; where u overflows it holds inf or NaN, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return diff_x(u, grid) - v * np.sqrt(np.maximum(k * k - u * u, 0.0))
+
+
+def _curvature(S: np.ndarray, grid: Grid1D):
+    """S_x and k = |S_x| over any leading shape; k below K_MIN has no frame."""
     S_x = diff_x(S, grid)
-    k = np.linalg.norm(S_x, axis=1)
+    k = np.linalg.norm(S_x, axis=-1)
     if np.any(k < K_MIN):
         i = int(np.argmax(k < K_MIN))
         raise DegenerateFrameError(
-            f"|S_x| = {k[i]:.3e} below k_min = {K_MIN:.1e} at index {i}", index=i)
+            f"|S_x| = {k.flat[i]:.3e} below k_min = {K_MIN:.1e} at index {i}")
+    return S_x, k
+
+
+def _tangent_frame(S: np.ndarray, grid: Grid1D):
+    """S_x, k = |S_x|, and the orthonormal triad (e1, e2, e3) built from S."""
+    S_x, k = _curvature(S, grid)
     e1 = S / np.linalg.norm(S, axis=1)[:, None]
     along = np.einsum("ij,ij->i", e1, S_x)
     proj = S_x - along[:, None] * e1
@@ -114,29 +127,26 @@ def _tangent_frame(S: np.ndarray, grid: Grid1D):
     if np.any(pn < K_MIN):
         i = int(np.argmax(pn < K_MIN))
         raise DegenerateFrameError(
-            f"tangential part of S_x is {pn[i]:.3e} below k_min at index {i}", index=i)
+            f"tangential part of S_x is {pn[i]:.3e} below k_min at index {i}")
     e2 = proj / pn[:, None]
     e3 = np.cross(e1, e2)
     return S_x, k, e1, e2, e3
 
 
 def _rates(S, u, v, frame):
-    """dS, dv and the clamped radicand k^2 - u^2, given _tangent_frame(S)."""
+    """dS and dv, given _tangent_frame(S)."""
     S_x, k, _, e2, e3 = frame
-    rad = _clamped_radicand(k, u)
-    root = np.sqrt(rad)
+    root = np.sqrt(_clamped_radicand(k, u))
     dS = -root[:, None] * e2 + u[:, None] * e3
     dv = -np.einsum("ij,ij->i", S, np.cross(dS, S_x))
-    return dS, dv, rad
+    return dS, dv
 
 
 def spin_rhs(f: SpinField) -> SpinRates:
     """Rates of the spin system at the given state, with u taken as stored."""
     frame = _tangent_frame(f.S, f.grid)
-    dS, dv, rad = _rates(f.S, f.u, f.v, frame)
-    u_x = diff_x(f.u, f.grid)
-    u_residual = u_x - f.v * np.sqrt(rad)
-    return SpinRates(dS=dS, u_residual=u_residual, dv=dv)
+    dS, dv = _rates(f.S, f.u, f.v, frame)
+    return SpinRates(dS, u_constraint_residual(frame[1], f.u, f.v, f.grid), dv)
 
 
 def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
@@ -148,11 +158,9 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
     On periodic grids the closure sample is identified with the first one
     (any seam mismatch surfaces in the reported constraint residual).
     """
-    k = np.asarray(k, dtype=float)
-    v = np.asarray(v, dtype=float)
     n = grid.n
-    if k.shape != (n,) or v.shape != (n,):
-        raise ShapeError(f"k and v must have shape ({n},)")
+    k = as_shape(k, (n,), "k")
+    v = as_shape(v, (n,), "v")
     h = grid.dx
 
     # Python floats: an overflowing trial radicand is -inf and clamps silently
@@ -220,39 +228,6 @@ class SpinSeries:
                          grid=self.grid, t=float(self.times[j]))
 
 
-def _advance(f: SpinField, dt: float, steps: int, renorm: bool) -> list:
-    """RK4 march of the (n, 4) state [S | v] with u re-solved at every stage.
-
-    Returns the (S, u, v) levels, every level from the input on.
-    """
-    grid = f.grid
-
-    def rhs(t, y):
-        S, v = y[:, :3], y[:, 3]
-        frame = _tangent_frame(S, grid)
-        u = solve_u_constraint(frame[1], v, grid)
-        dS, dv, _ = _rates(S, u, v, frame)
-        return np.column_stack((dS, dv))
-
-    y = np.column_stack((f.S, f.v))
-    levels = [(f.S, f.u, f.v)]
-    for j in range(steps):
-        try:
-            y = step_rk4(y, rhs, dt, t=f.t + j * dt)
-        except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
-            e.args = (f"step {j}: {e}",)
-            raise
-        S, v = y[:, :3], y[:, 3]
-        if renorm:
-            S /= np.linalg.norm(S, axis=1)[:, None]
-        if grid.boundary == "periodic":
-            y[-1] = y[0]
-        k = np.linalg.norm(diff_x(S, grid), axis=1)
-        u = solve_u_constraint(k, v, grid)
-        levels.append((S, u, v))
-    return levels
-
-
 def evolve_series(f: SpinField, dt: float, steps: int,
                   renorm: bool = True) -> SpinSeries:
     """RK4 advance of (S, v) over steps*dt, recording every time level.
@@ -270,7 +245,29 @@ def evolve_series(f: SpinField, dt: float, steps: int,
         raise ConfigError(f"dt must be finite and >= 0, got {dt!r}")
     if dt == 0:
         steps = 0
-    levels = _advance(f, dt, steps, renorm)
+    grid = f.grid
+
+    def rhs(t, y):
+        S, v = y[:, :3], y[:, 3]
+        frame = _tangent_frame(S, grid)
+        u = solve_u_constraint(frame[1], v, grid)
+        return np.column_stack(_rates(S, u, v, frame))
+
+    y = np.column_stack((f.S, f.v))
+    levels = [(f.S, f.u, f.v)]
+    for j in range(steps):
+        try:
+            y = step_rk4(y, rhs, dt, t=f.t + j * dt)
+        except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
+            e.args = (f"step {j}: {e}",)
+            raise
+        S, v = y[:, :3], y[:, 3]
+        if renorm:
+            S /= np.linalg.norm(S, axis=1)[:, None]
+        if grid.boundary == "periodic":
+            y[-1] = y[0]
+        k = np.linalg.norm(diff_x(S, grid), axis=1)
+        levels.append((S, solve_u_constraint(k, v, grid), v))
     S, u, v = (np.stack(a, axis=1) for a in zip(*levels))
     return SpinSeries(grid=f.grid, times=f.t + dt * np.arange(steps + 1), S=S, u=u, v=v)
 
@@ -292,12 +289,6 @@ def ct_from_spin_series(series: SpinSeries) -> CTFields:
     k = |S_x|, tau = v, omega2 = -u, omega3 = -sqrt(k^2 - u^2) per level.
     """
     g2 = series.grid2
-    S_x = diff_x(series.S, g2)
-    k = np.linalg.norm(S_x, axis=-1)
-    if np.any(k < K_MIN):
-        flat = int(np.argmax(k < K_MIN))
-        raise DegenerateFrameError(
-            f"|S_x| below k_min = {K_MIN:.1e} at flat index {flat}", index=flat)
-    rad = _clamped_radicand(k, series.u)
+    _, k = _curvature(series.S, g2)
     return CTFields(k=k, tau=series.v.copy(), omega2=-series.u,
-                    omega3=-np.sqrt(rad), grid=g2)
+                    omega3=-np.sqrt(_clamped_radicand(k, series.u)), grid=g2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteFieldError, ShapeError
-from .gauss_codazzi import FundamentalForms, _gauss_mean
+from .gauss_codazzi import FundamentalForms, curvatures
 from .numgrid import (Grid1D, Grid2D, GridFields, Layout, diff_t, diff_tt, diff_x,
                       diff_xx, integrate_x)
 from .spin import SpinSeries
@@ -80,14 +80,9 @@ def mesh_forms(m: SurfaceMesh) -> FundamentalForms:
         L=_dot(r_xx, n), M=_dot(r_xt, n), N=_dot(r_tt, n), grid=m.grid)
 
 
-def _form_curvatures(f: FundamentalForms):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _gauss_mean(f, f.E * f.G - f.F ** 2)
-
-
 def mesh_curvatures(m: SurfaceMesh):
     """(K, H) per grid point, NaN where the tangent plane degenerates."""
-    return _form_curvatures(mesh_forms(m))
+    return curvatures(mesh_forms(m))
 
 
 def export_obj(m: SurfaceMesh, path) -> None:

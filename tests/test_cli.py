@@ -253,6 +253,16 @@ class TestSurface:
         assert summary["degenerate_count"] == np.count_nonzero(degenerate)
         assert isinstance(summary["K_mean"], float)
 
+    def test_surface_ic_label(self, tmp_path, capsys):
+        """surface names the --ic file on stdout, as simulate does, not the
+        scenario it never ran."""
+        ic = tmp_path / "ic.json"
+        fio.save_json(traveling_circle(circle_grid(33)), ic)
+        for command in ("simulate", "surface"):
+            assert main([command, "--ic", str(ic), "--steps", "4",
+                         "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().out.startswith(f"{command} ic:{ic}: ")
+
     def test_obj_reexport_stable(self, tmp_path):
         rc = main(["surface", "--scenario", "cylinder", "--out", str(tmp_path)])
         assert rc == 0

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import solsurf as ss
-from solsurf.fixtures import random_ct, sphere_ct, sphere_forms, sphere_gc
+from solsurf.fixtures import (random_ct, sphere_ct, sphere_forms, sphere_gc,
+                              traveling_circle)
 
 from conftest import polar_band
 
@@ -35,6 +36,19 @@ class TestSphereResiduals:
             hs.append(g2.gx.dx)
         assert ss.fit_order(hs, errs, floor=1e-11) >= 1.7
 
+    def test_gc_closed_form_shape_checked(self, band_small):
+        # a (1, 17) psi2_t broadcast silently to a residual of about 0.7
+        d, exact = sphere_gc(band_small)
+        bad = dataclasses.replace(exact, psi2_t=exact.psi2_t[:1])
+        with pytest.raises(ss.ShapeError, match=r"^psi2_t must have shape \(17, 17\)"):
+            ss.gc_residual(d, bad)
+
+    def test_metric_closed_form_shape_checked(self, band_small):
+        d, exact = sphere_gc(band_small)
+        bad = dataclasses.replace(exact, tpsi1_x=0.0)
+        with pytest.raises(ss.ShapeError, match=r"^tpsi1_x must have shape"):
+            ss.metric_residual(d, bad)
+
     def test_plane_data_is_exact(self):
         g2 = ss.Grid2D(ss.Grid1D(0.0, 0.1, 9), ss.Grid1D(0.0, 0.1, 9))
         zero, one = np.zeros(g2.shape), np.ones(g2.shape)
@@ -52,6 +66,12 @@ class TestFrameMap:
         back = ss.map_frame_to_gc(ct, d.tpsi1, d.tpsi2, metric_derivs=metric_derivs)
         for name in ("psi1", "psi2", "p", "q"):
             assert np.array_equal(getattr(back, name), getattr(d, name)), name
+
+    def test_metric_derivs_shape_checked(self, band_small):
+        d, exact = sphere_gc(band_small)
+        with pytest.raises(ss.ShapeError, match=r"^tpsi2_t must have shape"):
+            ss.map_frame_to_gc(ss.map_gc_to_frame(d), d.tpsi1, d.tpsi2,
+                               metric_derivs=(exact.tpsi1_x, exact.tpsi2_t[:, :1]))
 
     def test_mapped_fields(self, band_small):
         d, _ = sphere_gc(band_small)
@@ -141,6 +161,22 @@ class TestCurvatures:
                                  E=np.zeros(band_small.shape))
         with pytest.raises(ss.DegenerateMetricError):
             ss.curvatures(ff)
+
+    def test_nan_marked_mesh_forms(self):
+        """The planar sweep has points where mesh_forms NaN-marks L because
+        E G - F^2 cancels to <= 0; curvatures gives NaN K, H there."""
+        g = ss.Grid1D(0.0, 2.0 * np.pi / 32, 33, "periodic")
+        series = ss.evolve_series(traveling_circle(g), g.dx / 4.0, 8, renorm=False)
+        mesh = ss.reconstruct(series)
+        forms = ss.mesh_forms(mesh)
+        marked = np.isnan(forms.L)
+        assert np.count_nonzero(marked) == 24
+        assert np.any(forms.E * forms.G - forms.F ** 2 <= 0)
+        K, H = ss.curvatures(forms)
+        K_mesh, H_mesh = ss.mesh_curvatures(mesh)
+        assert K.tobytes() == K_mesh.tobytes() and H.tobytes() == H_mesh.tobytes()
+        assert np.array_equal(np.isnan(K), marked)
+        assert np.array_equal(np.isnan(H), marked)
 
     def test_cross_terms_accepted(self, band_small):
         # sphere forms in sheared coordinates (a, b) = (x - t, t): the first

@@ -151,6 +151,19 @@ class TestEigenfunctionField:
         assert np.array_equal(ef.phi[0, 0], phi0)
         assert np.all(np.isfinite(ef.phi.view(float)))
 
+    @pytest.mark.parametrize("phi0,match", [
+        (1.0, r"^phi0 must have shape \(2, 2\), got \(\)$"),
+        ([1.0, 0.0], r"^phi0 must have shape \(2, 2\), got \(2,\)$"),
+        ([[1.0, 0.0], [1.0, 0.0]], "^phi0 must be invertible$"),
+    ])
+    def test_phi0_checked_as_in_path_transport(self, band_small, phi0, match):
+        # a scalar or row phi0 used to broadcast to a singular start value
+        L = ss.build_lax(sphere_ct(band_small))
+        for fill in (lambda: ss.eigenfunction_field(L, phi0),
+                     lambda: ss.propagate_phi(L, phi0, ["+x"])):
+            with pytest.raises(ss.ShapeError, match=match):
+                fill()
+
     def test_matches_path_transport(self, band_small):
         L = ss.build_lax(sphere_ct(band_small))
         ef = ss.eigenfunction_field(L, np.eye(2, dtype=complex))

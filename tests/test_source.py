@@ -1,4 +1,5 @@
-"""Source hygiene: every name a solsurf module imports is used in it."""
+"""Source hygiene: every name a solsurf module imports is used in it, and no
+module imports another solsurf module's private names."""
 
 import ast
 from pathlib import Path
@@ -23,12 +24,35 @@ def unused_imports(source: str) -> list:
     return sorted(bound - read)
 
 
+def private_imports(source: str) -> list:
+    """Underscore names (not dunders) imported from solsurf modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "solsurf"):
+            found += [a.name for a in node.names
+                      if a.name.startswith("_") and not a.name.endswith("__")]
+    return sorted(found)
+
+
 def test_checker_finds_unused_names():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from typing import Tuple, Sequence\nx: Sequence = np.zeros(2)\n")
     assert unused_imports(source) == ["Tuple", "os"]
 
 
+def test_checker_finds_private_imports():
+    source = ("from . import __version__\nfrom .surface import _form_curvatures, reconstruct\n"
+              "from solsurf.spin import _advance\nfrom os.path import _joinrealpath\n"
+              "from .gauss_codazzi import _gauss_mean as gm\n")
+    assert private_imports(source) == ["_advance", "_form_curvatures", "_gauss_mean"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
