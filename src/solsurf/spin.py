@@ -2,7 +2,7 @@
 
 State is a unit 3-vector field S with scalar fields u and v on a 1-D grid.
 S and v are evolved in time; u carries no time derivative and is re-solved
-each integration stage by marching its spatial constraint
+for each integration stage by marching its spatial constraint
 
     u_x = v * sqrt(k^2 - u^2),        k = |S_x|
 
@@ -117,6 +117,12 @@ def _curvature(S: np.ndarray, grid: Grid1D):
     return S_x, k
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (n, 3) arrays, the same products and differences as np.cross."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.column_stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
 def _tangent_frame(S: np.ndarray, grid: Grid1D):
     """S_x, k = |S_x|, and the orthonormal triad (e1, e2, e3) built from S."""
     S_x, k = _curvature(S, grid)
@@ -129,7 +135,7 @@ def _tangent_frame(S: np.ndarray, grid: Grid1D):
         raise DegenerateFrameError(
             f"tangential part of S_x is {pn[i]:.3e} below k_min at index {i}")
     e2 = proj / pn[:, None]
-    e3 = np.cross(e1, e2)
+    e3 = _cross(e1, e2)
     return S_x, k, e1, e2, e3
 
 
@@ -138,7 +144,7 @@ def _rates(S, u, v, frame):
     S_x, k, _, e2, e3 = frame
     root = np.sqrt(_clamped_radicand(k, u))
     dS = -root[:, None] * e2 + u[:, None] * e3
-    dv = -np.einsum("ij,ij->i", S, np.cross(dS, S_x))
+    dv = -np.einsum("ij,ij->i", S, _cross(dS, S_x))
     return dS, dv
 
 
@@ -153,7 +159,8 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
                        u_left: float = 0.0) -> np.ndarray:
     """March u_x = v*sqrt(k^2 - u^2) from u(x0) = u_left (Heun, second order).
 
-    Radicands of internal trial values are clamped at zero; the returned
+    The march runs on Python floats.  Its radicands are clamped as max(r, 0.0)
+    clamps: negatives to 0.0, while NaN and -0.0 pass unchanged.  The returned
     field is then verified against the k^2 - u^2 >= -CLAMP_SLACK contract.
     On periodic grids the closure sample is identified with the first one
     (any seam mismatch surfaces in the reported constraint residual).
@@ -161,19 +168,19 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
     n = grid.n
     k = as_shape(k, (n,), "k")
     v = as_shape(v, (n,), "v")
-    h = grid.dx
+    h, half, sqrt = grid.dx, 0.5 * grid.dx, math.sqrt
 
     # Python floats: an overflowing trial radicand is -inf and clamps silently
-    def slope(ki, vi, ui):
-        return vi * math.sqrt(max(ki * ki - ui * ui, 0.0))
-
-    ks, vs = k.tolist(), v.tolist()
-    us = [float(u_left)]
-    for i in range(n - 1):
-        f1 = slope(ks[i], vs[i], us[i])
-        trial = us[i] + h * f1
-        f2 = slope(ks[i + 1], vs[i + 1], trial)
-        us.append(us[i] + 0.5 * h * (f1 + f2))
+    kk, vs = (k * k).tolist(), v.tolist()
+    ui = float(u_left)
+    us = [ui]
+    for kk_i, v_i, kk_j, v_j in zip(kk, vs, kk[1:], vs[1:]):
+        r = kk_i - ui * ui
+        f1 = v_i * sqrt(0.0 if r < 0.0 else r)
+        trial = ui + h * f1
+        r = kk_j - trial * trial
+        ui = ui + half * (f1 + v_j * sqrt(0.0 if r < 0.0 else r))
+        us.append(ui)
     u = np.array(us)
     if grid.boundary == "periodic":
         u[-1] = u[0]
@@ -232,10 +239,13 @@ def evolve_series(f: SpinField, dt: float, steps: int,
                   renorm: bool = True) -> SpinSeries:
     """RK4 advance of (S, v) over steps*dt, recording every time level.
 
-    u is re-solved from u(x0) = 0 at every stage; with renorm on, S is
-    projected back to the unit sphere after each step.  Level 0 stores the
-    input u as given, later levels the re-solved constraint field.  dt = 0
-    or steps = 0 gives the one-level series of the input.
+    u is marched from u(x0) = 0 for every stage; stage 1 of each step after the
+    first reuses the u recorded for the level it starts from, so steps >= 1
+    make 4*steps + 1 marches.  With renorm on, S is projected back to the unit
+    sphere after each step.  Level 0 stores the input u as given, later levels
+    the re-solved constraint field.  dt = 0 or steps = 0 gives the one-level
+    series of the input.  A breakdown in step j, or in the march of the level
+    it records, reads "step j: ...".
     """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
         raise ConfigError(f"steps must be an integer, got {steps!r}")
@@ -247,10 +257,14 @@ def evolve_series(f: SpinField, dt: float, steps: int,
         steps = 0
     grid = f.grid
 
+    carried = None  # the last recorded u, marched from the y that stage 1 gets
+
     def rhs(t, y):
+        nonlocal carried
         S, v = y[:, :3], y[:, 3]
         frame = _tangent_frame(S, grid)
-        u = solve_u_constraint(frame[1], v, grid)
+        u = solve_u_constraint(frame[1], v, grid) if carried is None else carried
+        carried = None
         return np.column_stack(_rates(S, u, v, frame))
 
     y = np.column_stack((f.S, f.v))
@@ -258,16 +272,16 @@ def evolve_series(f: SpinField, dt: float, steps: int,
     for j in range(steps):
         try:
             y = step_rk4(y, rhs, dt, t=f.t + j * dt)
+            S, v = y[:, :3], y[:, 3]
+            if renorm:
+                S /= np.linalg.norm(S, axis=1)[:, None]
+            if grid.boundary == "periodic":
+                y[-1] = y[0]
+            carried = solve_u_constraint(np.linalg.norm(diff_x(S, grid), axis=1), v, grid)
         except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
             e.args = (f"step {j}: {e}",)
             raise
-        S, v = y[:, :3], y[:, 3]
-        if renorm:
-            S /= np.linalg.norm(S, axis=1)[:, None]
-        if grid.boundary == "periodic":
-            y[-1] = y[0]
-        k = np.linalg.norm(diff_x(S, grid), axis=1)
-        levels.append((S, solve_u_constraint(k, v, grid), v))
+        levels.append((S, carried, v))
     S, u, v = (np.stack(a, axis=1) for a in zip(*levels))
     return SpinSeries(grid=f.grid, times=f.t + dt * np.arange(steps + 1), S=S, u=u, v=v)
 

@@ -1,10 +1,14 @@
 """Spin field construction, rates, the constraint march, and evolution."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
-from solsurf import Grid1D
+from solsurf import Grid1D, spin
 from solsurf.fixtures import random_smooth_spin, traveling_circle, traveling_circle_exact
 
 from conftest import circle_grid
@@ -129,6 +133,62 @@ class TestSolveUConstraint:
         with pytest.raises(ss.SqrtDomainError):
             ss.solve_u_constraint(np.ones(11), np.ones(11), g, u_left=2.0)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(4, 24),
+           boundary=st.sampled_from(["one_sided", "periodic"]),
+           dx=st.floats(1e-3, 2.0), u_left=st.floats(-3.0, 3.0).filter(bool))
+    def test_matches_reference_march(self, data, n, boundary, dx, u_left):
+        # entries near |u|, entries whose slope overflows the trial value, and
+        # NaN/inf entries, which the clamp must pass through as max(r, 0.0) does
+        entry = st.one_of(
+            st.floats(-3.0, 3.0), st.just(abs(u_left)),
+            st.floats(0.999, 1.001).map(lambda s: s * abs(u_left)),
+            st.floats(1e150, 1e300), st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+        k = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        v = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        g = Grid1D(0.0, dx, n, boundary)
+        ref = reference_march(k, v, g, u_left)
+        # inf - inf in the final radicand check is NaN, which numpy warns about
+        with np.errstate(over="ignore", invalid="ignore"):
+            rad = k * k - ref * ref
+            bad = np.flatnonzero(rad < -spin.CLAMP_SLACK)
+            if bad.size:
+                with pytest.raises(ss.SqrtDomainError) as exc:
+                    ss.solve_u_constraint(k, v, g, u_left=u_left)
+                assert (exc.value.index, exc.value.value) == (bad[0], rad[bad[0]])
+            else:
+                u = ss.solve_u_constraint(k, v, g, u_left=u_left)
+                assert nan_blind_bytes(u) == nan_blind_bytes(ref)
+
+
+def nan_blind_bytes(a):
+    """a's bytes with every NaN written as the same NaN.  Where two NaNs of
+    opposite sign meet in a float operation, the sign of the result can differ
+    between calls of the same CPython code (it changes once the interpreter
+    specializes the operation), so only where NaNs sit is reproducible; every
+    other value keeps its bits."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def reference_march(k, v, grid, u_left):
+    """The Heun march as first written, a slope closure clamped with max;
+    unchecked, with the periodic closure sample copied."""
+    def slope(ki, vi, ui):
+        return vi * math.sqrt(max(ki * ki - ui * ui, 0.0))
+
+    ks, vs = k.tolist(), v.tolist()
+    h = grid.dx
+    us = [float(u_left)]
+    for i in range(grid.n - 1):
+        f1 = slope(ks[i], vs[i], us[i])
+        trial = us[i] + h * f1
+        f2 = slope(ks[i + 1], vs[i + 1], trial)
+        us.append(us[i] + 0.5 * h * (f1 + f2))
+    u = np.array(us)
+    if grid.boundary == "periodic":
+        u[-1] = u[0]
+    return u
+
 
 def evolved(f, dt, steps, **kwargs):
     """The last level of evolve_series."""
@@ -193,6 +253,44 @@ class TestEvolve:
         ic = random_smooth_spin(g, seed=5)
         with pytest.raises(ss.SqrtDomainError, match="step"):
             ss.evolve_series(ic, g.dx / 4, 128)
+
+    def test_recorded_level_breakdown_reports_step(self):
+        # step 141 completes, then the march of the level it records breaks down
+        g = Grid1D(0.0, 2.0 * np.pi / 128, 129, "one_sided")
+        ic = random_smooth_spin(g, seed=11)
+        with pytest.raises(ss.SqrtDomainError, match="^step 141: radicand") as exc:
+            ss.evolve_series(ic, g.dx / 4, 142)
+        assert exc.value.index == 123
+
+    @pytest.mark.parametrize("boundary, renorm, digest", [
+        ("one_sided", True, "384d1cbab4ac2443c82b93edf113de6bfc6354504e97fb44f4e399186f081750"),
+        ("one_sided", False, "160b61b2e45abbf02b485699cc3c79a53bca2808b36f7e76f999cd6cdf0e8487"),
+        ("periodic", True, "1a560ad3c0f9f47e7ea578286533d16c8eef2444fd631638a784debdfb4fd79c"),
+        ("periodic", False, "0da5f0bb9a05f1dda6d70c7d1eeaaf67ee6049180624c58e8c6c5184dbce2d77"),
+    ])
+    def test_series_bits_pinned(self, boundary, renorm, digest):
+        g = Grid1D(0.0, 2.0 * np.pi / 64, 65, boundary)
+        ic = random_smooth_spin(g, seed=1)
+        series = ss.evolve_series(ic, g.dx / 4, 16, renorm=renorm)
+        h = hashlib.sha256()
+        for a in (series.S, series.u, series.v):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_march_count(self, monkeypatch, steps):
+        # a recorded level's u is the u that stage 1 of the next step needs
+        calls = []
+        march = spin.solve_u_constraint
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(spin, "solve_u_constraint", counted)
+        g = circle_grid(33)
+        ss.evolve_series(random_smooth_spin(g, seed=1), g.dx / 4, steps)
+        assert len(calls) == (4 * steps + 1 if steps else 0)
 
     def test_u_left_threaded_through(self):
         # every level marches u from u(x0) = 0
