@@ -13,10 +13,10 @@ from .errors import (ConfigError, DegenerateFrameError, DegenerateMetricError,
                      NonFiniteFieldError, ShapeError, SolsurfError,
                      SqrtDomainError)
 from .numgrid import (BOUNDARIES, Grid1D, Grid2D, diff_t, diff_tt, diff_x,
-                      diff_xx, fit_order, integrate_x, step_rk4)
+                      diff_xx, fit_order, integrate_x, step_linear, step_rk4)
 from .frames import (CTFields, FrameState, compatibility_residual,
-                     gram_deviation, matrix_a, matrix_b,
-                     torsion_transport_residual, transport_frame_x)
+                     gram_deviation, matrix_a, torsion_transport_residual,
+                     transport_frame_x)
 from .spin import (SpinField, SpinRates, SpinSeries, build_frame,
                    ct_from_spin_series, evolve_series, solve_u_constraint,
                    spin_rhs)
@@ -36,8 +36,8 @@ __all__ = [
     "NonFiniteFieldError", "SqrtDomainError", "DegenerateFrameError",
     "GramDriftError", "DegenerateMetricError", "MapInconsistentError",
     "BOUNDARIES", "Grid1D", "Grid2D", "diff_x", "diff_t", "diff_xx",
-    "diff_tt", "integrate_x", "step_rk4", "fit_order",
-    "FrameState", "CTFields", "matrix_a", "matrix_b", "gram_deviation",
+    "diff_tt", "integrate_x", "step_rk4", "step_linear", "fit_order",
+    "FrameState", "CTFields", "matrix_a", "gram_deviation",
     "transport_frame_x", "compatibility_residual",
     "torsion_transport_residual",
     "SpinField", "SpinRates", "SpinSeries", "spin_rhs", "solve_u_constraint",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GramDriftError, ShapeError
 from .numgrid import (Grid1D, Grid2D, GridFields, Layout, as_shape, diff_t, diff_x,
-                      step_rk4)
+                      step_linear)
 
 # Transport whose triad drifts further than this from orthonormal has blown up.
 GRAM_TOL = 1e-4
@@ -52,22 +52,14 @@ class FrameState:
         return np.stack([self.e1[i], self.e2[i], self.e3[i]])
 
 
-def matrix_a(k: float, tau: float) -> np.ndarray:
-    """Spatial coefficient matrix of the frame system."""
-    return np.array([
-        [0.0, k, 0.0],
-        [-k, 0.0, tau],
-        [0.0, -tau, 0.0],
-    ])
-
-
-def matrix_b(omega1: float, omega2: float, omega3: float) -> np.ndarray:
-    """Temporal coefficient matrix of the frame system."""
-    return np.array([
-        [0.0, omega3, -omega2],
-        [-omega3, 0.0, omega1],
-        [omega2, -omega1, 0.0],
-    ])
+def matrix_a(k, tau) -> np.ndarray:
+    """Spatial coefficient matrix of the frame system; array k and tau give a
+    stack of shape k.shape + (3, 3)."""
+    k, tau = np.broadcast_arrays(k, tau)
+    a = np.zeros(k.shape + (3, 3))
+    a[..., 0, 1], a[..., 1, 0] = k, -k
+    a[..., 1, 2], a[..., 2, 1] = tau, -tau
+    return a
 
 
 def gram_deviation(triad: np.ndarray) -> float:
@@ -97,8 +89,8 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
     """Integrate the spatial frame system E_x = A(x) E across the grid by RK4.
 
     frame0 is the (3, 3) row-stack at grid.x0 and must be orthonormal within
-    1e-8.  k and tau may be scalars or per-point arrays; per-point values are
-    linearly interpolated at stage points.  The orthonormality deviation is
+    1e-8.  k and tau may be scalars or per-point arrays; A is linear in x
+    between the points.  The orthonormality deviation is
     recorded at every point before re-orthonormalization; exceeding GRAM_TOL
     raises GramDriftError (integration blow-up).
     """
@@ -108,18 +100,14 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
         raise GramDriftError(f"initial triad is not orthonormal (deviation {dev0:.3e})")
     k = _coefficient(k, grid, "k")
     tau = _coefficient(tau, grid, "tau")
-    xs = grid.points()
-
-    def rhs(x, e):
-        return matrix_a(np.interp(x, xs, k), np.interp(x, xs, tau)) @ e
-
+    # E_x = A E is (E^T)_x = E^T A^T, the right-multiplied form step_linear takes
+    a_t = np.swapaxes(matrix_a(k, tau), -1, -2)
     n = grid.n
     frames = np.empty((n, 3, 3))
     drift = np.zeros(n)
     frames[0] = e0
-    cur = e0
     for i in range(n - 1):
-        nxt = step_rk4(cur, rhs, grid.dx, t=xs[i])
+        nxt = step_linear(frames[i].T, a_t[i], a_t[i + 1], grid.dx).T
         dev = gram_deviation(nxt)
         drift[i + 1] = dev
         if dev > GRAM_TOL:
@@ -129,7 +117,6 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
         if reorthonormalize:
             nxt = _reorthonormalize(nxt)
         frames[i + 1] = nxt
-        cur = nxt
     return FrameState(
         e1=frames[:, 0], e2=frames[:, 1], e3=frames[:, 2],
         k=k, tau=tau, grid=grid, gram_drift=drift)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GridError, NonFiniteFieldError, ShapeError
 from .frames import CTFields
-from .numgrid import Grid2D, GridFields, Layout, as_shape, diff_t, diff_x, step_rk4
+from .numgrid import Grid2D, GridFields, Layout, as_shape, diff_t, diff_x, step_linear
 
 _HALF_OVER_I = 1.0 / 2.0j   # exactly -0.5i
 
@@ -95,17 +95,6 @@ def zero_curvature_residual(L: LaxPairField) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(R) ** 2, axis=(-2, -1)))
 
 
-def _edge_step(phi: np.ndarray, m_from: np.ndarray, m_to: np.ndarray,
-               h: float) -> np.ndarray:
-    """One RK4 step of phi' = phi*M(s) along an edge, M linear from m_from to m_to."""
-    dm = m_to - m_from
-
-    def rhs(s, y):
-        return y @ (m_from + (s / h) * dm)
-
-    return step_rk4(phi, rhs, h)
-
-
 def _initial_phi(phi0) -> np.ndarray:
     """phi0 as a complex 2x2 matrix; ShapeError unless it is invertible."""
     phi = as_shape(phi0, (2, 2), "phi0", complex)
@@ -139,14 +128,14 @@ def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
                 f"move {move!r} at path position {step} leaves the grid "
                 f"(from node ({ix}, {it}))")
         gen = gens[axis]
-        phi = _edge_step(phi, gen[ix, it], gen[jx, jt], sign * hs[axis])
+        phi = step_linear(phi, gen[ix, it], gen[jx, jt], sign * hs[axis])
         ix, it = jx, jt
     return phi
 
 
 def eigenfunction_field(L: LaxPairField, phi0: np.ndarray) -> Eigenfunction:
     """Fill the grid from phi0 at node (0, 0): march x along t = t0, then t up
-    each column.
+    every column at once.
 
     Off-solution data makes the result path dependent; the construction
     order above is part of the contract.
@@ -157,11 +146,9 @@ def eigenfunction_field(L: LaxPairField, phi0: np.ndarray) -> Eigenfunction:
     dx = L.grid.gx.dx
     dt = L.grid.gt.dx
     for ix in range(1, nx):
-        phi[ix, 0] = _edge_step(phi[ix - 1, 0], L.U[ix - 1, 0], L.U[ix, 0], dx)
-    for ix in range(nx):
-        for it in range(1, nt):
-            phi[ix, it] = _edge_step(phi[ix, it - 1], L.V[ix, it - 1],
-                                     L.V[ix, it], dt)
+        phi[ix, 0] = step_linear(phi[ix - 1, 0], L.U[ix - 1, 0], L.U[ix, 0], dx)
+    for it in range(1, nt):
+        phi[:, it] = step_linear(phi[:, it - 1], L.V[:, it - 1], L.V[:, it], dt)
     return Eigenfunction(phi=phi, grid=L.grid)
 
 

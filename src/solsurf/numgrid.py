@@ -1,4 +1,4 @@
-"""Grids, finite-difference stencils, quadrature, and the RK4 stepper.
+"""Grids, finite-difference stencils, quadrature, and the RK4 steppers.
 
 Conventions used throughout the package:
 
@@ -102,16 +102,6 @@ class Grid2D:
         return np.meshgrid(self.gx.points(), self.gt.points(), indexing="ij")
 
 
-def _axis_grid(grid, axis: int) -> Grid1D:
-    if isinstance(grid, Grid2D):
-        return grid.gx if axis == 0 else grid.gt
-    if isinstance(grid, Grid1D):
-        if axis != 0:
-            raise ShapeError("1-D grid has no t axis")
-        return grid
-    raise TypeError(f"expected Grid1D or Grid2D, got {type(grid).__name__}")
-
-
 def _check_axis(f: np.ndarray, axis: int, g: Grid1D, name: str):
     if f.shape[axis] != g.n:
         raise ShapeError(f"field has {f.shape[axis]} samples along {name}, grid has {g.n}")
@@ -160,9 +150,12 @@ def _d2_axis0(f: np.ndarray, g: Grid1D) -> np.ndarray:
 
 def _along_x(f, grid):
     a = _as_field(f)
-    g = _axis_grid(grid, 0)
-    _check_axis(a, 0, g, "x")
-    return a, g
+    if isinstance(grid, Grid2D):
+        grid = grid.gx
+    elif not isinstance(grid, Grid1D):
+        raise TypeError(f"expected Grid1D or Grid2D, got {type(grid).__name__}")
+    _check_axis(a, 0, grid, "x")
+    return a, grid
 
 
 def _along_t(f, g2: Grid2D, op):
@@ -228,6 +221,19 @@ def step_rk4(y: np.ndarray, rhs, dt: float, t: float = 0.0) -> np.ndarray:
     out = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     _check_finite(out, "update")
     return out
+
+
+def step_linear(y: np.ndarray, m0: np.ndarray, m1: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of y' = y M(s) over s in [0, h], M linear from m0 to m1.
+
+    y, m0 and m1 may carry matching leading batch axes: one step per matrix.
+    """
+    dm = m1 - m0
+
+    def rhs(s, y):
+        return y @ (m0 + (s / h) * dm)
+
+    return step_rk4(y, rhs, h)
 
 
 def fit_order(hs, errors, floor: float = 0.0) -> float:

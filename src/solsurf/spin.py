@@ -162,12 +162,16 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
     The march runs on Python floats.  Its radicands are clamped as max(r, 0.0)
     clamps: negatives to 0.0, while NaN and -0.0 pass unchanged.  The returned
     field is then verified against the k^2 - u^2 >= -CLAMP_SLACK contract.
-    On periodic grids the closure sample is identified with the first one
-    (any seam mismatch surfaces in the reported constraint residual).
+    A NaN or Inf entry of k or v raises NonFiniteFieldError.  On periodic
+    grids the closure sample is identified with the first one (any seam
+    mismatch surfaces in the reported constraint residual).
     """
     n = grid.n
     k = as_shape(k, (n,), "k")
     v = as_shape(v, (n,), "v")
+    for name, a in (("k", k), ("v", v)):
+        if not np.isfinite(a).all():
+            raise NonFiniteFieldError(f"{name} contains non-finite values")
     h, half, sqrt = grid.dx, 0.5 * grid.dx, math.sqrt
 
     # Python floats: an overflowing trial radicand is -inf and clamps silently

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
 from solsurf import Grid1D, Grid2D
+from solsurf.frames import GRAM_TOL
 from solsurf.fixtures import (
     expm_skew3,
     sphere_ct,
@@ -23,19 +25,17 @@ class TestCoefficientMatrices:
                              [0.0, -3.0, 0.0]])
         assert np.array_equal(A, expected)
 
-    def test_matrix_b_layout(self):
-        B = ss.matrix_b(1.0, 2.0, 3.0)
-        assert B[0, 1] == 3.0 and B[1, 0] == -3.0
-        assert B[0, 2] == -2.0 and B[2, 0] == 2.0
-        assert B[1, 2] == 1.0 and B[2, 1] == -1.0
-
     @pytest.mark.parametrize("maker,args", [
         (ss.matrix_a, (0.7, -1.3)),
-        (ss.matrix_b, (0.2, -0.5, 1.1)),
+        (ss.matrix_a, (np.array([0.7, 0.0, -2.5, 1e-300]),
+                       np.array([-1.3, 4.0, 0.0, -0.0]))),
     ])
     def test_antisymmetry(self, maker, args):
         M = maker(*args)
-        assert np.array_equal(M, -M.T)
+        assert np.array_equal(M, -np.swapaxes(M, -1, -2))
+        # array arguments give the stack of the scalar calls
+        rows = [maker(*row) for row in zip(*map(np.atleast_1d, args))]
+        assert np.stack(rows).tobytes() == M.reshape(-1, 3, 3).tobytes()
 
 
 class TestTransport:
@@ -82,6 +82,56 @@ class TestTransport:
         fr = ss.transport_frame_x(np.eye(3), 1.0 + 0.3 * np.sin(x), 0.2 * np.cos(x), g)
         assert fr.e1.shape == (101, 3)
         assert fr.gram_drift.max() < 1e-10
+
+
+def reference_transport(frame0, k, tau, grid, reorthonormalize):
+    """Frame transport as first written: E' = A(x) E stepped by step_rk4, with
+    A built at each stage point from np.interp of the node coefficients."""
+    xs = grid.points()
+    k = np.broadcast_to(np.asarray(k, dtype=float), xs.shape)
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), xs.shape)
+
+    def rhs(x, e):
+        return ss.matrix_a(np.interp(x, xs, k), np.interp(x, xs, tau)) @ e
+
+    frames, drift = [np.asarray(frame0, dtype=float)], [0.0]
+    for i in range(grid.n - 1):
+        nxt = ss.step_rk4(frames[-1], rhs, grid.dx, t=xs[i])
+        drift.append(ss.gram_deviation(nxt))
+        assert drift[-1] <= GRAM_TOL
+        if reorthonormalize:
+            e1 = nxt[0] / np.linalg.norm(nxt[0])
+            e2 = nxt[1] - (nxt[1] @ e1) * e1
+            e2 = e2 / np.linalg.norm(e2)
+            nxt = np.stack([e1, e2, np.cross(e1, e2)])
+        frames.append(nxt)
+    return np.stack(frames), np.array(drift)
+
+
+class TestAgainstReferenceTransport:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), dx=st.floats(1e-3, 0.05),
+           coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           turn=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           reorthonormalize=st.booleans())
+    def test_matches_interpolated_scheme(self, n, dx, coeffs, turn, reorthonormalize):
+        g = Grid1D(0.0, dx, n, "one_sided")
+        x = g.points()
+        k0, k1, kw, t0, t1, tw = coeffs
+        k = k0 + k1 * np.sin(3 * kw * x + 1.0)
+        tau = t0 + t1 * np.cos(3 * tw * x)
+        frame0 = expm_skew3(ss.matrix_a(*turn))
+        for kk, tt, tol in ((k, tau, 1e-12), (k0, t0, 0.0)):
+            ref, ref_drift = reference_transport(frame0, kk, tt, g, reorthonormalize)
+            fr = ss.transport_frame_x(frame0, kk, tt, g, reorthonormalize=reorthonormalize)
+            got = np.stack([fr.e1, fr.e2, fr.e3], axis=1)
+            if tol:
+                assert np.max(np.abs(got - ref)) <= tol
+                assert np.max(np.abs(fr.gram_drift - ref_drift)) <= tol
+            else:
+                # scalar coefficients: A is constant and the two schemes agree bit for bit
+                assert got.tobytes() == ref.tobytes()
+                assert fr.gram_drift.tobytes() == ref_drift.tobytes()
 
 
 class TestGramDeviation:

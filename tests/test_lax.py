@@ -164,11 +164,19 @@ class TestEigenfunctionField:
             with pytest.raises(ss.ShapeError, match=match):
                 fill()
 
-    def test_matches_path_transport(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
-        ef = ss.eigenfunction_field(L, np.eye(2, dtype=complex))
-        direct = ss.propagate_phi(L, np.eye(2, dtype=complex), ["+x"] * 3 + ["+t"] * 2)
-        assert np.max(np.abs(ef.phi[3, 2] - direct)) < 1e-12
+    def test_matches_path_transport(self):
+        # every node equals transport along +x then +t, bit for bit, on a
+        # solution field and on two incompatible ones, with nx != nt
+        g2 = ss.Grid2D(ss.Grid1D(0.0, np.pi / 16, 11, "one_sided"),
+                       ss.Grid1D(0.3, (np.pi - 0.6) / 16, 7, "one_sided"))
+        phi0 = np.array([[1.0, 0.5j], [-0.25, 2.0 - 1.0j]])
+        for ct in (sphere_ct(g2), random_ct(g2, seed=1), random_ct(g2, seed=2)):
+            L = ss.build_lax(ct)
+            ef = ss.eigenfunction_field(L, phi0)
+            for ix in range(11):
+                for it in range(7):
+                    direct = ss.propagate_phi(L, phi0, ["+x"] * ix + ["+t"] * it)
+                    assert ef.phi[ix, it].tobytes() == direct.tobytes(), (ix, it)
 
 
 class TestHolonomy:

@@ -1,10 +1,13 @@
-"""Source hygiene: every name a solsurf module imports is used in it, and no
-module imports another solsurf module's private names."""
+"""Source hygiene: every name a solsurf module imports is used in it, no
+module imports another solsurf module's private names, and the package
+exports exactly what its __init__ binds."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import solsurf
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "solsurf"
 # __init__.py imports names to re-export them
@@ -35,6 +38,22 @@ def private_imports(source: str) -> list:
     return sorted(found)
 
 
+def export_gaps(source: str) -> tuple:
+    """(names __all__ lists that no top-level statement binds, names bound at
+    top level by an assignment or a relative import that __all__ leaves out)."""
+    listed, bound = set(), set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if target.id == "__all__":
+                    listed = set(ast.literal_eval(node.value))
+                else:
+                    bound.add(target.id)
+    return sorted(listed - bound), sorted(bound - listed)
+
+
 def test_checker_finds_unused_names():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from typing import Tuple, Sequence\nx: Sequence = np.zeros(2)\n")
@@ -48,6 +67,13 @@ def test_checker_finds_private_imports():
     assert private_imports(source) == ["_advance", "_form_curvatures", "_gauss_mean"]
 
 
+def test_checker_finds_export_gaps():
+    source = ("__version__ = '1'\nfrom .frames import matrix_a, gram_deviation\n"
+              "from . import fixtures\nimport numpy as np\n"
+              "__all__ = ['__version__', 'matrix_a', 'matrix_b', 'fixtures']\n")
+    assert export_gaps(source) == (["matrix_b"], ["gram_deviation"])
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -56,3 +82,8 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_exports_match_init():
+    assert export_gaps((SRC / "__init__.py").read_text(encoding="utf-8")) == ([], [])
+    assert [name for name in solsurf.__all__ if not hasattr(solsurf, name)] == []

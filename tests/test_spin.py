@@ -133,13 +133,25 @@ class TestSolveUConstraint:
         with pytest.raises(ss.SqrtDomainError):
             ss.solve_u_constraint(np.ones(11), np.ones(11), g, u_left=2.0)
 
+    @pytest.mark.parametrize("k,v,name", [
+        ([1.0, np.nan, 1.0, 1.0, 1.0], 0.3, "k"),        # used to return NaN u
+        ([np.inf] * 5, 0.3, "k"),                        # used to return NaN u
+        ([1.0] * 5, [0.3, 0.3, np.inf, 0.3, 0.3], "v"),  # used to blame the radicand
+    ])
+    def test_non_finite_coefficients_raise(self, k, v, name):
+        g = Grid1D(0.0, 0.1, 5)
+        with pytest.raises(ss.NonFiniteFieldError,
+                           match=f"^{name} contains non-finite values$"):
+            ss.solve_u_constraint(np.array(k), np.broadcast_to(v, (5,)), g)
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(4, 24),
            boundary=st.sampled_from(["one_sided", "periodic"]),
            dx=st.floats(1e-3, 2.0), u_left=st.floats(-3.0, 3.0).filter(bool))
     def test_matches_reference_march(self, data, n, boundary, dx, u_left):
-        # entries near |u|, entries whose slope overflows the trial value, and
-        # NaN/inf entries, which the clamp must pass through as max(r, 0.0) does
+        # entries near |u|, entries whose slope overflows the trial value (an
+        # inf - inf radicand is NaN, which the clamp must pass through as
+        # max(r, 0.0) does), and NaN/inf entries, which the march rejects
         entry = st.one_of(
             st.floats(-3.0, 3.0), st.just(abs(u_left)),
             st.floats(0.999, 1.001).map(lambda s: s * abs(u_left)),
@@ -147,6 +159,10 @@ class TestSolveUConstraint:
         k = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
         v = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
         g = Grid1D(0.0, dx, n, boundary)
+        if not (np.isfinite(k).all() and np.isfinite(v).all()):
+            with pytest.raises(ss.NonFiniteFieldError, match="contains non-finite values"):
+                ss.solve_u_constraint(k, v, g, u_left=u_left)
+            return
         ref = reference_march(k, v, g, u_left)
         # inf - inf in the final radicand check is NaN, which numpy warns about
         with np.errstate(over="ignore", invalid="ignore"):
