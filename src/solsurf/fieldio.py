@@ -1,16 +1,24 @@
 """JSON and CSV serialization for grids, fields, meshes, and matrix fields.
 
 JSON documents are tagged with a "kind" key and hold arrays as flat C-order
-(x-major) lists, complex data as paired _re/_im lists.  Writing is
-deterministic: sorted keys, two-space indent, trailing newline, no
-timestamps.  CSV exports cover trajectories, meshes and scalar fields on a
-Grid2D; they use one header row and 17-significant-digit values, rows in
-x-major order.
+(x-major) lists, complex data as paired _re/_im lists.  CSV exports cover
+trajectories, meshes and scalar fields on a Grid2D: one header row, then one
+x-major row per grid point.
+
+The writers keep a byte contract.  JSON text equals
+``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline: floats by
+float.__repr__, NaN/Infinity/-Infinity tokens in field documents and the
+same ValueError for them in a plain dict (run summaries stay strict).  A
+small emitter makes that text and hands each all-float list to the C
+encoder.  CSV (and OBJ, see surface.export_obj) values are ``%.17g``, one
+``%`` format per row through surface.write_rows, written in chunks.  A
+writer change must keep the sha256 digests in tests/test_golden.py.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -20,7 +28,7 @@ from .gauss_codazzi import FundamentalForms, GCData
 from .lax import Eigenfunction, LaxPairField
 from .numgrid import Grid1D, Grid2D
 from .spin import SpinField, SpinSeries
-from .surface import SurfaceMesh
+from .surface import LINES_PER_WRITE, SurfaceMesh, write_rows
 
 
 def _flat(a: np.ndarray) -> list:
@@ -148,56 +156,132 @@ def from_jsonable(doc: dict):
         return _CODECS[kind][2](doc)
     except KeyError as e:
         raise ConfigError(f"document of kind {kind!r} is missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"document of kind {kind!r} holds a bad value: {e}") from e
+
+
+# float.__repr__ of the non-finite values -> their JSON tokens
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _emit(o, pad: str, allow_nan: bool, write) -> None:
+    """Pass the text of o, its nested lines indented from pad, to write."""
+    if isinstance(o, str):
+        write(encode_basestring_ascii(o))
+    elif o is None:
+        write("null")
+    elif o is True:
+        write("true")
+    elif o is False:
+        write("false")
+    elif isinstance(o, int):
+        write(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        if text in _NONFINITE:
+            if not allow_nan:
+                raise ValueError(
+                    f"Out of range float values are not JSON compliant: {o!r}")
+            text = _NONFINITE[text]
+        write(text)
+    elif isinstance(o, (list, tuple, dict)):
+        if not o:
+            write("{}" if isinstance(o, dict) else "[]")
+            return
+        inner = pad + "  "
+        if isinstance(o, dict):
+            sep = "{\n" + inner
+            for key, value in sorted(o.items()):
+                write(sep + encode_basestring_ascii(key) + ": ")
+                _emit(value, inner, allow_nan, write)
+                sep = ",\n" + inner
+            write("\n" + pad + "}")
+        elif allow_nan and set(map(type, o)) == {float}:
+            # The C encoder writes float.__repr__ and NaN/Infinity tokens
+            # joined by ", ", which no float token contains.
+            sep = ",\n" + inner
+            write("[\n" + inner)
+            for i in range(0, len(o), LINES_PER_WRITE):
+                if i:
+                    write(sep)
+                write(json.dumps(o[i:i + LINES_PER_WRITE])[1:-1].replace(", ", sep))
+            write("\n" + pad + "]")
+        else:
+            sep = "[\n" + inner
+            for item in o:
+                write(sep)
+                _emit(item, inner, allow_nan, write)
+                sep = ",\n" + inner
+            write("\n" + pad + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _document(obj):
+    """The document of obj and whether it may hold NaN/Infinity: a plain
+    dict (a run summary) is strict, to_jsonable(obj) is not."""
+    if isinstance(obj, dict):
+        return obj, False
+    return to_jsonable(obj), True
 
 
 def dump_json_str(obj) -> str:
     """Deterministic JSON text for a supported object, strict for a plain dict."""
-    plain = isinstance(obj, dict)
-    doc = obj if plain else to_jsonable(obj)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=not plain) + "\n"
+    doc, allow_nan = _document(obj)
+    out = []
+    _emit(doc, "", allow_nan, out.append)
+    return "".join(out) + "\n"
 
 
 def save_json(obj, path) -> None:
+    doc, allow_nan = _document(obj)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_json_str(obj))
+        _emit(doc, "", allow_nan, fh.write)
+        fh.write("\n")
 
 
 def load_json(path):
-    """Load a tagged JSON document and rebuild the object it describes."""
+    """Load a tagged JSON document and rebuild the object it describes.
+
+    A file that is not ASCII JSON raises ConfigError naming the path.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise ConfigError(f"{path} is not an ASCII JSON document: {e}") from e
     return from_jsonable(doc)
 
 
-def _write_csv(path, header, columns) -> None:
-    cols = [np.asarray(c, dtype=float).ravel(order="C") for c in columns]
-    n = cols[0].size
-    for c in cols:
-        if c.size != n:
-            raise ShapeError("CSV columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(f"{c[i]:.17g}" for c in cols))
+def _write_csv(path, header, x, t, columns) -> None:
+    """One x-major row per point of the x by t grid: x, t, then columns.
+
+    Each distinct x and t value is formatted once.
+    """
+    cols = [np.asarray(c, dtype=float).ravel(order="C").tolist() for c in columns]
+    nx, nt = len(x), len(t)
+    if any(len(c) != nx * nt for c in cols):
+        raise ShapeError("CSV columns must have equal length")
+    xs = ["%.17g" % v for v in x.tolist()]
+    ts = ["%.17g" % v for v in t.tolist()]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        write_rows(fh, "%s,%s" + ",%.17g" * len(cols) + "\n",
+                   [[v for v in xs for _ in range(nt)], ts * nx, *cols])
 
 
 def save_series_csv(s: SpinSeries, path) -> None:
-    nx, nt = s.grid.n, s.nt
-    X = np.repeat(s.grid.points(), nt)
-    T = np.tile(s.times, nx)
-    _write_csv(path, ["x", "t", "S1", "S2", "S3", "u", "v"],
-               [X, T, s.S[..., 0], s.S[..., 1], s.S[..., 2], s.u, s.v])
+    _write_csv(path, ["x", "t", "S1", "S2", "S3", "u", "v"], s.grid.points(), s.times,
+               [s.S[..., 0], s.S[..., 1], s.S[..., 2], s.u, s.v])
 
 
 def save_mesh_csv(m: SurfaceMesh, path) -> None:
-    X, T = m.grid.meshes()
-    _write_csv(path, ["x", "t", "rx", "ry", "rz"],
-               [X, T, m.r[..., 0], m.r[..., 1], m.r[..., 2]])
+    _write_csv(path, ["x", "t", "rx", "ry", "rz"], m.grid.gx.points(),
+               m.grid.gt.points(), [m.r[..., 0], m.r[..., 1], m.r[..., 2]])
 
 
 def save_scalars_csv(fields: dict, grid: Grid2D, path) -> None:
     """Named scalar fields over a Grid2D, one column each."""
-    X, T = grid.meshes()
-    _write_csv(path, ["x", "t"] + list(fields.keys()),
-               [X, T] + list(fields.values()))
+    _write_csv(path, ["x", "t", *fields], grid.gx.points(), grid.gt.points(),
+               fields.values())

@@ -14,6 +14,7 @@ so curvature reporting stays honest on meshes that are fine elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .numgrid import (Grid1D, Grid2D, GridFields, Layout, diff_t, diff_tt, diff_
 from .spin import SpinSeries
 
 DEGENERATE_TOL = 1e-10
+# Lines of text per write call in every writer: a few hundred kB, so a
+# large file is never held as one string.
+LINES_PER_WRITE = 4096
 
 
 @dataclass
@@ -85,22 +89,24 @@ def mesh_curvatures(m: SurfaceMesh):
     return curvatures(mesh_forms(m))
 
 
+def write_rows(fh, fmt: str, columns) -> None:
+    """Write fmt % row for each row of the columns (lists or iterables),
+    LINES_PER_WRITE rows to a write."""
+    rows = map(fmt.__mod__, zip(*columns))
+    while text := "".join(islice(rows, LINES_PER_WRITE)):
+        fh.write(text)
+
+
 def export_obj(m: SurfaceMesh, path) -> None:
     """Wavefront OBJ: vertices in grid order (x-major), 1-based quad faces.
 
     Formatting is deterministic (17 significant digits), so identical
     meshes export byte-identically.
     """
-    lines = []
-    nx, nt = m.grid.shape
-    flat = m.r.reshape(nx * nt, 3)
-    for p in flat:
-        lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    for quad in m.faces():
-        a, b, c, d = (int(i) + 1 for i in quad)
-        lines.append(f"f {a} {b} {c} {d}")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write_rows(fh, "v %.17g %.17g %.17g\n",
+                   [m.r[..., i].ravel().tolist() for i in range(3)])
+        write_rows(fh, "f %d %d %d %d\n", (m.faces() + 1).T.tolist())
 
 
 def import_obj(path, grid: Grid2D | None = None) -> SurfaceMesh:

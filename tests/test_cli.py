@@ -491,6 +491,41 @@ def test_overflowing_ic_gives_strict_json_summary(tmp_path):
     assert summary["max_u_residual"] is None
 
 
+def _malformed_ic(case: str) -> bytes:
+    text = fio.dump_json_str(traveling_circle(circle_grid(9)))
+    if case == "truncated":
+        return text[:len(text) // 2].encode()
+    if case == "non_ascii":
+        return text.encode().replace(b"spin_field", b"spin_field\xe9")
+    doc = json.loads(text)
+    if case == "string_in_S":
+        doc["S"][0] = "a"
+    else:
+        doc["grid"]["n"] = "x"
+    return json.dumps(doc).encode()
+
+
+# Each malformed --ic case and words of the one error line it must give.
+MALFORMED_IC = {
+    "truncated": "is not an ASCII JSON document: Expecting",
+    "non_ascii": "is not an ASCII JSON document: 'ascii' codec",
+    "string_in_S": "'spin_field' holds a bad value: could not convert string",
+    "grid_n_string": "'grid1d' holds a bad value: invalid literal for int()",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_IC))
+def test_malformed_ic_exits_two(tmp_path, capsys, case):
+    """A malformed --ic file ends in one error line and exit 2, not a traceback."""
+    (tmp_path / "ic.json").write_bytes(_malformed_ic(case))
+    rc = main(["simulate", "--ic", str(tmp_path / "ic.json"), "--n", "9",
+               "--steps", "2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert MALFORMED_IC[case] in err
+
+
 def test_large_radius_still_runs(tmp_path):
     """Below the overflow bound the sphere keeps K R^2 = 1 to truncation error."""
     assert main(["surface", "--scenario", "sphere", "--param", "radius=1e76",

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 import solsurf as ss
 from solsurf import fieldio as fio
-from solsurf.fixtures import sphere_ct, sphere_forms, sphere_gc, traveling_circle
+from solsurf.fixtures import (random_smooth_spin, sphere_ct, sphere_forms, sphere_gc,
+                              traveling_circle)
 
 from conftest import circle_grid
 
@@ -337,3 +340,186 @@ class TestCsv:
         fio.save_scalars_csv({"w": vals}, g2, tmp_path / "s.csv")
         data = np.genfromtxt(tmp_path / "s.csv", delimiter=",", names=True)
         assert np.array_equal(data["w"], vals.ravel())
+
+
+# Floats the emitter must spell as float.__repr__ or a NaN/Infinity token.
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-309, 1e308,
+     1.7976931348623157e308])
+JSON_TEXT = st.text() | st.sampled_from(
+    ["", '"quoted"', "back\\slash", "tab\there\nline", "\x00\x1f\x7f", "caf\u00e9",
+     "\u2028\ud800", "\U0001f600", ", "])
+JSON_VALUES = st.recursive(
+    JSON_FLOATS | st.integers() | st.booleans() | st.none() | JSON_TEXT,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(JSON_FLOATS, max_size=6)
+                  | st.dictionaries(JSON_TEXT, kids, max_size=4)),
+    max_leaves=25)
+
+
+def _emit(doc, allow_nan: bool) -> str:
+    out = []
+    fio._emit(doc, "", allow_nan, out.append)
+    return "".join(out)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(doc=JSON_VALUES, allow_nan=st.booleans())
+def test_emitter_matches_json_dumps(doc, allow_nan):
+    """The emitter writes json.dumps(sort_keys=True, indent=2) text, and
+    raises its ValueError on a non-finite float when NaN is not allowed."""
+    try:
+        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=allow_nan)
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            _emit(doc, allow_nan)
+        assert str(raised.value) == str(e)
+    else:
+        assert _emit(doc, allow_nan) == expected
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(doc=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4))
+def test_plain_dict_text_is_strict_json_dumps(doc):
+    try:
+        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            fio.dump_json_str(doc)
+    else:
+        assert fio.dump_json_str(doc) == expected
+
+
+def test_emitter_rejects_what_json_dumps_rejects():
+    with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
+        _emit({"n": np.int64(1)}, True)
+
+
+def oracle_csv(path, header, columns) -> None:
+    """The CSV writer fieldio had before its row formatter: one f-string a cell."""
+    cols = [np.asarray(c, dtype=float).ravel(order="C") for c in columns]
+    lines = [",".join(header)]
+    for i in range(cols[0].size):
+        lines.append(",".join(f"{c[i]:.17g}" for c in cols))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def oracle_obj(m, path) -> None:
+    """The OBJ writer surface had before its row formatter."""
+    lines = []
+    nx, nt = m.grid.shape
+    for p in m.r.reshape(nx * nt, 3):
+        lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
+    for quad in m.faces():
+        a, b, c, d = (int(i) + 1 for i in quad)
+        lines.append(f"f {a} {b} {c} {d}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def oracle_json(obj, path) -> None:
+    """The JSON writer fieldio had before its emitter."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(fio.to_jsonable(obj), sort_keys=True, indent=2) + "\n")
+
+
+def oracle_series_csv(s, path) -> None:
+    nx, nt = s.grid.n, s.nt
+    oracle_csv(path, ["x", "t", "S1", "S2", "S3", "u", "v"],
+               [np.repeat(s.grid.points(), nt), np.tile(s.times, nx),
+                s.S[..., 0], s.S[..., 1], s.S[..., 2], s.u, s.v])
+
+
+def oracle_mesh_csv(m, path) -> None:
+    X, T = m.grid.meshes()
+    oracle_csv(path, ["x", "t", "rx", "ry", "rz"],
+               [X, T, m.r[..., 0], m.r[..., 1], m.r[..., 2]])
+
+
+def oracle_scalars_csv(fields, grid, path) -> None:
+    X, T = grid.meshes()
+    oracle_csv(path, ["x", "t"] + list(fields), [X, T] + list(fields.values()))
+
+
+def _writer_pairs(series, mesh, fields):
+    """(name, writer, oracle) for every JSON, CSV and OBJ artifact."""
+    return [
+        ("series.json", lambda p: fio.save_json(series, p), lambda p: oracle_json(series, p)),
+        ("mesh.json", lambda p: fio.save_json(mesh, p), lambda p: oracle_json(mesh, p)),
+        ("series.csv", lambda p: fio.save_series_csv(series, p),
+         lambda p: oracle_series_csv(series, p)),
+        ("mesh.csv", lambda p: fio.save_mesh_csv(mesh, p),
+         lambda p: oracle_mesh_csv(mesh, p)),
+        ("curvature.csv", lambda p: fio.save_scalars_csv(fields, mesh.grid, p),
+         lambda p: oracle_scalars_csv(fields, mesh.grid, p)),
+        ("mesh.obj", lambda p: ss.export_obj(mesh, p), lambda p: oracle_obj(mesh, p)),
+    ]
+
+
+def _assert_writers_match_oracles(series, mesh, fields, directory):
+    for name, write, oracle in _writer_pairs(series, mesh, fields):
+        write(directory / name)
+        oracle(directory / f"oracle_{name}")
+        assert (directory / name).read_bytes() == (directory / f"oracle_{name}").read_bytes(), name
+
+
+class TestWritersAgainstOracle:
+    @pytest.mark.parametrize("lines_per_write", [ss.surface.LINES_PER_WRITE, 7, 1])
+    def test_trajectory_artifacts(self, tmp_path, monkeypatch, lines_per_write):
+        """A 65x33 random_smooth run: every artifact but the summaries equals
+        the old writers' bytes, NaN (degenerate points) and +-inf cells
+        included, whether a file takes one write or thousands."""
+        for module in (ss.surface, fio):
+            monkeypatch.setattr(module, "LINES_PER_WRITE", lines_per_write)
+        grid = ss.Grid1D(0.0, 2.0 * np.pi / 64, 65, "one_sided")
+        series = ss.evolve_series(random_smooth_spin(grid, seed=3), grid.dx / 4.0, 32)
+        mesh = ss.reconstruct(series)
+        K, H = ss.mesh_curvatures(mesh)
+        assert np.isnan(K).any()
+        K[5, 7], H[9, 3], H[10, 4] = np.inf, -np.inf, -0.0
+        fields = {"K": K, "H": H, "degenerate": (~np.isfinite(K)).astype(float)}
+        _assert_writers_match_oracles(series, mesh, fields, tmp_path)
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        g2 = small_band()
+        with pytest.raises(ss.ShapeError, match="equal length"):
+            fio.save_scalars_csv({"a": np.zeros(3)}, g2, tmp_path / "s.csv")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_writers_match_oracles_on_drawn_values(tmp_path_factory, data):
+    """Drawn series (NaN and inf allowed), meshes and scalar fields."""
+    series = data.draw(spin_series())
+    g2 = data.draw(GRIDS2D)
+    mesh = ss.SurfaceMesh(r=data.draw(arrays(float, g2.shape + (3,), elements=FINITE)),
+                          grid=g2)
+    with np.errstate(over="ignore"):  # the drawn dx may overflow a grid's last point
+        assume(all(np.isfinite(g.points()).all() for g in (series.grid, g2.gx, g2.gt)))
+    fields = {f"c{i}": data.draw(arrays(float, g2.shape, elements=JSON_FLOATS))
+              for i in range(data.draw(st.integers(0, 3)))}
+    _assert_writers_match_oracles(series, mesh, fields, tmp_path_factory.mktemp("w"))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, NaN at the same places and every other entry bit-equal."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@pytest.mark.parametrize("kind", ["spin_series", "surface_mesh"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_files_round_trip_bit_for_bit(tmp_path_factory, kind, data):
+    """save_json -> load_json, and for a mesh export_obj -> import_obj, give
+    back every array bit for bit (series may hold NaN and +-inf)."""
+    obj = data.draw(OBJECTS[kind])
+    path = tmp_path_factory.mktemp("rt")
+    fio.save_json(obj, path / "doc.json")
+    back = fio.load_json(path / "doc.json")
+    for name in type(obj).LAYOUT.shapes:
+        assert _same_bits(getattr(obj, name), getattr(back, name)), name
+    if kind == "surface_mesh":
+        ss.export_obj(obj, path / "mesh.obj")
+        assert ss.import_obj(path / "mesh.obj", obj.grid).r.tobytes() == obj.r.tobytes()
