@@ -85,9 +85,17 @@ def _spin_arrays(cls, doc: dict, lead: tuple) -> dict:
     return _decode_arrays(cls, doc, lead)
 
 
+def _number(doc: dict, key: str) -> float:
+    """doc[key] as a float if it is a JSON number; a bool or a string is a TypeError."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _decode_spin_field(doc):
     grid = from_jsonable(doc["grid"])
-    return SpinField(grid=grid, t=float(doc["t"]),
+    return SpinField(grid=grid, t=_number(doc, "t"),
                      **_spin_arrays(SpinField, doc, (grid.n,)))
 
 
@@ -116,8 +124,8 @@ def _decode_array(doc):
 _CODECS = {
     "grid1d": (Grid1D,
                lambda g: {"x0": g.x0, "dx": g.dx, "n": g.n, "boundary": g.boundary},
-               lambda doc: Grid1D(x0=float(doc["x0"]), dx=float(doc["dx"]),
-                                  n=int(doc["n"]), boundary=doc["boundary"])),
+               lambda doc: Grid1D(x0=_number(doc, "x0"), dx=_number(doc, "dx"),
+                                  n=doc["n"], boundary=doc["boundary"])),
     "grid2d": (Grid2D,
                lambda g: {"gx": to_jsonable(g.gx), "gt": to_jsonable(g.gt)},
                lambda doc: Grid2D(gx=from_jsonable(doc["gx"]),
@@ -156,7 +164,7 @@ def from_jsonable(doc: dict):
         return _CODECS[kind][2](doc)
     except KeyError as e:
         raise ConfigError(f"document of kind {kind!r} is missing key {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"document of kind {kind!r} holds a bad value: {e}") from e
 
 

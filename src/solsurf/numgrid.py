@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,6 +74,10 @@ class Grid1D:
             raise GridError(f"dx must be finite and positive, got {self.dx!r}")
         if not np.isfinite(self.x0):
             raise GridError(f"x0 must be finite, got {self.x0!r}")
+        # Python floats overflow to inf without a numpy warning
+        if not math.isfinite(float(self.x0) + float(self.dx) * (int(self.n) - 1)):
+            raise GridError(f"last point x0 + dx*(n-1) overflows for x0={self.x0!r}, "
+                            f"dx={self.dx!r}, n={self.n}")
         if self.boundary not in BOUNDARIES:
             raise GridError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if self.boundary == "periodic" and self.n < 4:
@@ -200,7 +205,7 @@ def integrate_x(f, grid) -> np.ndarray:
 
 
 def _check_finite(y: np.ndarray, stage: str):
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteFieldError(f"non-finite value in integration state ({stage})")
 
 

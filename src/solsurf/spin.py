@@ -91,7 +91,7 @@ def _clamped_radicand(k: np.ndarray, u: np.ndarray) -> np.ndarray:
         rad = k * k - u * u
     flat = np.ravel(rad)
     bad = flat < -CLAMP_SLACK
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise SqrtDomainError(
             f"radicand k^2 - u^2 = {flat[i]:.6e} below -{CLAMP_SLACK:.1e} at index {i}",
@@ -106,53 +106,68 @@ def u_constraint_residual(k, u, v, grid) -> np.ndarray:
         return diff_x(u, grid) - v * np.sqrt(np.maximum(k * k - u * u, 0.0))
 
 
-def _curvature(S: np.ndarray, grid: Grid1D):
-    """S_x and k = |S_x| over any leading shape; k below K_MIN has no frame."""
-    S_x = diff_x(S, grid)
-    k = np.linalg.norm(S_x, axis=-1)
-    if np.any(k < K_MIN):
-        i = int(np.argmax(k < K_MIN))
-        raise DegenerateFrameError(
-            f"|S_x| = {k.flat[i]:.3e} below k_min = {K_MIN:.1e} at index {i}")
-    return S_x, k
+def _norm(a: np.ndarray) -> np.ndarray:
+    """|a| of (3, ...) component rows, in np.linalg.norm's row order (p0 + p1) + p2."""
+    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b of (3, ...) component rows, in einsum's row order (p0 + p2) + p1."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b of (n, 3) arrays, the same products and differences as np.cross."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.column_stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    """a x b of (3, ...) component rows, with np.cross's products and differences."""
+    return np.array((a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]))
 
 
-def _tangent_frame(S: np.ndarray, grid: Grid1D):
-    """S_x, k = |S_x|, and the orthonormal triad (e1, e2, e3) built from S."""
-    S_x, k = _curvature(S, grid)
-    e1 = S / np.linalg.norm(S, axis=1)[:, None]
-    along = np.einsum("ij,ij->i", e1, S_x)
-    proj = S_x - along[:, None] * e1
-    pn = np.linalg.norm(proj, axis=1)
-    if np.any(pn < K_MIN):
-        i = int(np.argmax(pn < K_MIN))
+def _curvature(S: np.ndarray, grid):
+    """S_x as (3, ...) component rows and k = |S_x|, unchecked, of x-major S (n, ..., 3)."""
+    S_x = diff_x(S, grid)
+    S_x = S_x.transpose(-1, *range(S_x.ndim - 1))  # np.moveaxis(S_x, -1, 0), faster
+    return S_x, _norm(S_x)
+
+
+def _check_curvature(k: np.ndarray) -> None:
+    """k = |S_x| below K_MIN has no frame."""
+    bad = k < K_MIN
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateFrameError(
+            f"|S_x| = {k.flat[i]:.3e} below k_min = {K_MIN:.1e} at index {i}")
+
+
+def _frame(S: np.ndarray, S_x: np.ndarray, k: np.ndarray):
+    """Orthonormal triad (e1, e2, e3) of S as (3, n) rows, with its S_x and k."""
+    _check_curvature(k)
+    e1 = S / _norm(S)
+    proj = S_x - _dot(e1, S_x) * e1
+    pn = _norm(proj)
+    bad = pn < K_MIN
+    if bad.any():
+        i = int(np.argmax(bad))
         raise DegenerateFrameError(
             f"tangential part of S_x is {pn[i]:.3e} below k_min at index {i}")
-    e2 = proj / pn[:, None]
-    e3 = _cross(e1, e2)
-    return S_x, k, e1, e2, e3
+    e2 = proj / pn
+    return e1, e2, _cross(e1, e2)
 
 
-def _rates(S, u, v, frame):
-    """dS and dv, given _tangent_frame(S)."""
-    S_x, k, _, e2, e3 = frame
-    root = np.sqrt(_clamped_radicand(k, u))
-    dS = -root[:, None] * e2 + u[:, None] * e3
-    dv = -np.einsum("ij,ij->i", S, _cross(dS, S_x))
-    return dS, dv
+def _rates(S, S_x, frame, u, rad) -> np.ndarray:
+    """Rate rows dS0, dS1, dS2, dv at (3, n) S, given its frame and rad = max(k^2 - u^2, 0)."""
+    _, e2, e3 = frame
+    out = np.empty((4, u.shape[0]))
+    np.multiply(-np.sqrt(rad), e2, out=out[:3])
+    out[:3] += u * e3
+    out[3] = -_dot(S, _cross(out[:3], S_x))
+    return out
 
 
 def spin_rhs(f: SpinField) -> SpinRates:
     """Rates of the spin system at the given state, with u taken as stored."""
-    frame = _tangent_frame(f.S, f.grid)
-    dS, dv = _rates(f.S, f.u, f.v, frame)
-    return SpinRates(dS, u_constraint_residual(frame[1], f.u, f.v, f.grid), dv)
+    S_x, k = _curvature(f.S, f.grid)
+    rates = _rates(f.S.T, S_x, _frame(f.S.T, S_x, k), f.u, _clamped_radicand(k, f.u))
+    return SpinRates(rates[:3].T.copy(), u_constraint_residual(k, f.u, f.v, f.grid), rates[3])
 
 
 def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
@@ -167,8 +182,11 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
     mismatch surfaces in the reported constraint residual).
     """
     n = grid.n
-    k = as_shape(k, (n,), "k")
-    v = as_shape(v, (n,), "v")
+    return _march(as_shape(k, (n,), "k"), as_shape(v, (n,), "v"), grid, u_left)[0]
+
+
+def _march(k: np.ndarray, v: np.ndarray, grid: Grid1D, u_left: float = 0.0):
+    """solve_u_constraint's u and the clamped radicand it was verified with."""
     for name, a in (("k", k), ("v", v)):
         if not np.isfinite(a).all():
             raise NonFiniteFieldError(f"{name} contains non-finite values")
@@ -188,8 +206,7 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
     u = np.array(us)
     if grid.boundary == "periodic":
         u[-1] = u[0]
-    _clamped_radicand(k, u)
-    return u
+    return u, _clamped_radicand(k, u)
 
 
 @dataclass
@@ -244,12 +261,15 @@ def evolve_series(f: SpinField, dt: float, steps: int,
     """RK4 advance of (S, v) over steps*dt, recording every time level.
 
     u is marched from u(x0) = 0 for every stage; stage 1 of each step after the
-    first reuses the u recorded for the level it starts from, so steps >= 1
+    first reuses the S_x, k and u of the level it starts from, so steps >= 1
     make 4*steps + 1 marches.  With renorm on, S is projected back to the unit
     sphere after each step.  Level 0 stores the input u as given, later levels
     the re-solved constraint field.  dt = 0 or steps = 0 gives the one-level
     series of the input.  A breakdown in step j, or in the march of the level
-    it records, reads "step j: ...".
+    it records, reads "step j: ..."; |S_x| below K_MIN in a recorded level is
+    reported by the step that starts from it.  The RK4 state is (4, n), rows
+    S0, S1, S2, v; the rates take the radicand the march checked, and each
+    level is copied into the series' x-major layout.
     """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
         raise ConfigError(f"steps must be an integer, got {steps!r}")
@@ -259,35 +279,37 @@ def evolve_series(f: SpinField, dt: float, steps: int,
         raise ConfigError(f"dt must be finite and >= 0, got {dt!r}")
     if dt == 0:
         steps = 0
-    grid = f.grid
+    grid, n, nt = f.grid, f.grid.n, steps + 1
+    S_out, u_out, v_out = np.empty((n, nt, 3)), np.empty((n, nt)), np.empty((n, nt))
+    S_out[:, 0], u_out[:, 0], v_out[:, 0] = f.S, f.u, f.v
 
-    carried = None  # the last recorded u, marched from the y that stage 1 gets
+    carried = None  # S_x, k, u and radicand of the last recorded level
 
     def rhs(t, y):
         nonlocal carried
-        S, v = y[:, :3], y[:, 3]
-        frame = _tangent_frame(S, grid)
-        u = solve_u_constraint(frame[1], v, grid) if carried is None else carried
+        S, v = y[:3], y[3]
+        S_x, k, *march = carried or _curvature(S.T, grid)  # march: u and radicand
         carried = None
-        return np.column_stack(_rates(S, u, v, frame))
+        frame = _frame(S, S_x, k)  # its checks come before the march's
+        return _rates(S, S_x, frame, *(march or _march(k, v, grid)))
 
-    y = np.column_stack((f.S, f.v))
-    levels = [(f.S, f.u, f.v)]
+    y = np.empty((4, n))
+    y[:3], y[3] = f.S.T, f.v
     for j in range(steps):
         try:
             y = step_rk4(y, rhs, dt, t=f.t + j * dt)
-            S, v = y[:, :3], y[:, 3]
+            S, v = y[:3], y[3]
             if renorm:
-                S /= np.linalg.norm(S, axis=1)[:, None]
+                S /= _norm(S)
             if grid.boundary == "periodic":
-                y[-1] = y[0]
-            carried = solve_u_constraint(np.linalg.norm(diff_x(S, grid), axis=1), v, grid)
+                y[:, -1] = y[:, 0]
+            S_x, k = _curvature(S.T, grid)
+            carried = (S_x, k, *_march(k, v, grid))
         except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
             e.args = (f"step {j}: {e}",)
             raise
-        levels.append((S, carried, v))
-    S, u, v = (np.stack(a, axis=1) for a in zip(*levels))
-    return SpinSeries(grid=f.grid, times=f.t + dt * np.arange(steps + 1), S=S, u=u, v=v)
+        S_out[:, j + 1], u_out[:, j + 1], v_out[:, j + 1] = S.T, carried[2], v
+    return SpinSeries(grid=grid, times=f.t + dt * np.arange(nt), S=S_out, u=u_out, v=v_out)
 
 
 def build_frame(f: SpinField) -> FrameState:
@@ -296,9 +318,10 @@ def build_frame(f: SpinField) -> FrameState:
     e1 = S, e2 = unit tangential part of S_x, e3 = e1 ^ e2, k = |S_x|
     (positive root), and tau extracted geometrically as (e2_x . e3).
     """
-    _, k, e1, e2, e3 = _tangent_frame(f.S, f.grid)
-    tau = np.einsum("ij,ij->i", diff_x(e2, f.grid), e3)
-    return FrameState(e1=e1, e2=e2, e3=e3, k=k, tau=tau, grid=f.grid)
+    S_x, k = _curvature(f.S, f.grid)
+    frame = _frame(f.S.T, S_x, k)
+    tau = _dot(diff_x(frame[1].T, f.grid).T, frame[2])
+    return FrameState(*(e.T.copy() for e in frame), k=k, tau=tau, grid=f.grid)
 
 
 def ct_from_spin_series(series: SpinSeries) -> CTFields:
@@ -308,5 +331,6 @@ def ct_from_spin_series(series: SpinSeries) -> CTFields:
     """
     g2 = series.grid2
     _, k = _curvature(series.S, g2)
+    _check_curvature(k)
     return CTFields(k=k, tau=series.v.copy(), omega2=-series.u,
                     omega3=-np.sqrt(_clamped_radicand(k, series.u)), grid=g2)

@@ -500,17 +500,30 @@ def _malformed_ic(case: str) -> bytes:
     doc = json.loads(text)
     if case == "string_in_S":
         doc["S"][0] = "a"
-    else:
-        doc["grid"]["n"] = "x"
+    elif case == "t_string":
+        doc["t"] = "0.5"
+    elif case.startswith("grid_"):
+        _, key, _ = case.split("_", 2)
+        doc["grid"][key] = WRONG_TYPED[case]
     return json.dumps(doc).encode()
 
+
+# Grid values of the wrong JSON type: none may be coerced.
+WRONG_TYPED = {"grid_n_string": "x", "grid_n_float": 9.9, "grid_n_bool": True,
+               "grid_x0_bool": False, "grid_dx_string": "0.7", "grid_x0_huge_int": 10 ** 400}
 
 # Each malformed --ic case and words of the one error line it must give.
 MALFORMED_IC = {
     "truncated": "is not an ASCII JSON document: Expecting",
     "non_ascii": "is not an ASCII JSON document: 'ascii' codec",
     "string_in_S": "'spin_field' holds a bad value: could not convert string",
-    "grid_n_string": "'grid1d' holds a bad value: invalid literal for int()",
+    "grid_n_string": "n must be an integer, got 'x'",
+    "grid_n_float": "n must be an integer, got 9.9",
+    "grid_n_bool": "n must be an integer, got True",
+    "t_string": "'spin_field' holds a bad value: t must be a number, got '0.5'",
+    "grid_x0_bool": "'grid1d' holds a bad value: x0 must be a number, got False",
+    "grid_dx_string": "'grid1d' holds a bad value: dx must be a number, got '0.7'",
+    "grid_x0_huge_int": "'grid1d' holds a bad value: int too large to convert to float",
 }
 
 
@@ -524,6 +537,15 @@ def test_malformed_ic_exits_two(tmp_path, capsys, case):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert MALFORMED_IC[case] in err
+
+
+def test_overflowing_grid_is_a_config_error(tmp_path, capsys):
+    """A dx whose last grid point overflows exits 2 with one line, no numpy warning."""
+    rc = main(["simulate", "--dx", "1e308", "--n", "9", "--steps", "2",
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: last point x0 + dx*(n-1) overflows") and err.count("\n") == 1
 
 
 def test_large_radius_still_runs(tmp_path):

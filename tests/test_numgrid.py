@@ -26,10 +26,17 @@ class TestGrid1D:
         dict(x0=0.0, dx=-0.1, n=5),
         dict(x0=0.0, dx=0.1, n=1),
         dict(x0=0.0, dx=0.1, n=5, boundary="wrap"),
+        # the last point overflows; numpy scalars must not warn in the check
+        dict(x0=0.0, dx=1e308, n=9),
+        dict(x0=np.float64(-1e308), dx=np.float64(1e308), n=np.int64(3)),
     ])
     def test_rejects_bad_arguments(self, bad):
         with pytest.raises(ss.GridError):
             Grid1D(**bad)
+
+    def test_largest_finite_last_point_accepted(self):
+        g = Grid1D(-1e308, 1e308, 2)
+        assert np.isfinite(g.points()).all()
 
 
 class TestGrid2D:

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import solsurf as ss
 from solsurf import Grid1D, spin
 from solsurf.fixtures import random_smooth_spin, traveling_circle, traveling_circle_exact
+from solsurf.numgrid import step_rk4
 
 from conftest import circle_grid
 
@@ -295,18 +296,73 @@ class TestEvolve:
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
     def test_march_count(self, monkeypatch, steps):
-        # a recorded level's u is the u that stage 1 of the next step needs
+        # a recorded level's u is the u that stage 1 of the next step needs;
+        # every march, solve_u_constraint's too, runs spin._march
+        g = circle_grid(33)
+        ic = random_smooth_spin(g, seed=1)
         calls = []
-        march = spin.solve_u_constraint
+        march = spin._march
 
         def counted(*args, **kwargs):
             calls.append(1)
             return march(*args, **kwargs)
 
-        monkeypatch.setattr(spin, "solve_u_constraint", counted)
-        g = circle_grid(33)
-        ss.evolve_series(random_smooth_spin(g, seed=1), g.dx / 4, steps)
+        monkeypatch.setattr(spin, "_march", counted)
+        ss.evolve_series(ic, g.dx / 4, steps)
         assert len(calls) == (4 * steps + 1 if steps else 0)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_one_radicand_check_per_march(self, monkeypatch, steps):
+        # the rates take the radicand the march checked: one check per stage
+        g = circle_grid(33)
+        ic = random_smooth_spin(g, seed=1)
+        calls = []
+        check = spin._clamped_radicand
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(spin, "_clamped_radicand", counted)
+        ss.evolve_series(ic, g.dx / 4, steps)
+        assert len(calls) == (4 * steps + 1 if steps else 0)
+
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_degenerate_level_is_named_by_the_next_step(self, monkeypatch, steps):
+        # step 1 is made to record a constant S (|S_x| = 0) with v = 0; the
+        # level's |S_x| is checked by stage 1 of step 2, so the final level
+        # of a 2-step run is never checked
+        calls = []
+
+        def flattening_step(y, rhs, dt, t=0.0):
+            out = ss.step_rk4(y, rhs, dt, t)
+            calls.append(t)
+            if len(calls) == 2:
+                rows = out if out.shape[0] == 4 else out.T  # the oracle is row-major
+                rows[:3], rows[3] = [[0.0], [0.0], [1.0]], 0.0
+            return out
+
+        g = circle_grid(33)
+        ic = random_smooth_spin(g, seed=1)
+        monkeypatch.setattr(spin, "step_rk4", flattening_step)
+        monkeypatch.setitem(globals(), "step_rk4", flattening_step)
+        if steps == 2:
+            series = ss.evolve_series(ic, g.dx / 4, steps)
+            assert np.array_equal(series.S[:, 2], np.tile([0.0, 0.0, 1.0], (g.n, 1)))
+            return
+        message = r"^step 2: \|S_x\| = 0.000e\+00 below k_min = 1.0e-08 at index 0$"
+        with pytest.raises(ss.DegenerateFrameError, match=message):
+            ss.evolve_series(ic, g.dx / 4, steps)
+        calls.clear()
+        with pytest.raises(ss.DegenerateFrameError, match=message):
+            oracle_evolve_series(ic, g.dx / 4, steps)
+
+    def test_degenerate_input_is_named_by_step_zero(self):
+        g = circle_grid(33)
+        flat = ss.SpinField(S=np.tile([0.0, 0.0, 1.0], (g.n, 1)), u=np.zeros(g.n),
+                            v=np.zeros(g.n), grid=g)
+        with pytest.raises(ss.DegenerateFrameError, match=r"^step 0: \|S_x\| = 0.000e\+00"):
+            ss.evolve_series(flat, g.dx / 4, 3)
 
     def test_u_left_threaded_through(self):
         # every level marches u from u(x0) = 0
@@ -387,3 +443,132 @@ class TestCTFromSeries:
         assert np.array_equal(ct.omega2, -series.u)
         assert np.max(np.abs(ct.k - 1.0)) < 1e-2
         assert np.max(np.abs(ct.omega3 + ct.k)) < 1e-12
+
+
+# The row-major frame kernel and evolution as they were before the RK4 state
+# went component-major, kept as oracles: the (3, n) kernel must give the same
+# bytes and the same errors.
+
+def oracle_curvature(S, grid):
+    S_x = ss.diff_x(S, grid)
+    k = np.linalg.norm(S_x, axis=-1)
+    if np.any(k < spin.K_MIN):
+        i = int(np.argmax(k < spin.K_MIN))
+        raise ss.DegenerateFrameError(
+            f"|S_x| = {k.flat[i]:.3e} below k_min = {spin.K_MIN:.1e} at index {i}")
+    return S_x, k
+
+
+def oracle_cross(a, b):
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.column_stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def oracle_tangent_frame(S, grid):
+    S_x, k = oracle_curvature(S, grid)
+    e1 = S / np.linalg.norm(S, axis=1)[:, None]
+    along = np.einsum("ij,ij->i", e1, S_x)
+    proj = S_x - along[:, None] * e1
+    pn = np.linalg.norm(proj, axis=1)
+    if np.any(pn < spin.K_MIN):
+        i = int(np.argmax(pn < spin.K_MIN))
+        raise ss.DegenerateFrameError(
+            f"tangential part of S_x is {pn[i]:.3e} below k_min at index {i}")
+    e2 = proj / pn[:, None]
+    return S_x, k, e1, e2, oracle_cross(e1, e2)
+
+
+def oracle_rates(S, u, frame):
+    S_x, k, _, e2, e3 = frame
+    root = np.sqrt(spin._clamped_radicand(k, u))
+    dS = -root[:, None] * e2 + u[:, None] * e3
+    return dS, -np.einsum("ij,ij->i", S, oracle_cross(dS, S_x))
+
+
+def oracle_spin_rhs(f):
+    frame = oracle_tangent_frame(f.S, f.grid)
+    dS, dv = oracle_rates(f.S, f.u, frame)
+    return dS, spin.u_constraint_residual(frame[1], f.u, f.v, f.grid), dv
+
+
+def oracle_build_frame(f):
+    _, k, e1, e2, e3 = oracle_tangent_frame(f.S, f.grid)
+    return e1, e2, e3, k, np.einsum("ij,ij->i", ss.diff_x(e2, f.grid), e3)
+
+
+def oracle_evolve_series(f, dt, steps, renorm=True):
+    """S, u and v of evolve_series on the row-major (n, 4) state."""
+    grid = f.grid
+    carried = None
+
+    def rhs(t, y):
+        nonlocal carried
+        S, v = y[:, :3], y[:, 3]
+        frame = oracle_tangent_frame(S, grid)
+        u = ss.solve_u_constraint(frame[1], v, grid) if carried is None else carried
+        carried = None
+        return np.column_stack(oracle_rates(S, u, frame))
+
+    y = np.column_stack((f.S, f.v))
+    levels = [(f.S, f.u, f.v)]
+    for j in range(steps):
+        try:
+            y = step_rk4(y, rhs, dt, t=f.t + j * dt)
+            S, v = y[:, :3], y[:, 3]
+            if renorm:
+                S /= np.linalg.norm(S, axis=1)[:, None]
+            if grid.boundary == "periodic":
+                y[-1] = y[0]
+            carried = ss.solve_u_constraint(np.linalg.norm(ss.diff_x(S, grid), axis=1), v, grid)
+        except (ss.SqrtDomainError, ss.DegenerateFrameError, ss.NonFiniteFieldError) as e:
+            e.args = (f"step {j}: {e}",)
+            raise
+        levels.append((S, carried, v))
+    return tuple(np.stack(a, axis=1) for a in zip(*levels))
+
+
+def outcome(fn, *args, **kwargs):
+    """The bytes of fn's arrays, or its error's type and text."""
+    try:
+        return [np.asarray(a).tobytes() for a in fn(*args, **kwargs)]
+    except ss.SolsurfError as e:
+        return type(e).__name__, str(e)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(9, 65), boundary=st.sampled_from(ss.BOUNDARIES),
+       renorm=st.booleans(), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 6),
+       theta_amp=st.floats(0.0, 0.6), v_amp=st.sampled_from([0.0, 0.05, 0.5]),
+       courant=st.floats(0.05, 1.0), u_scale=st.sampled_from([1.0, -1.0, 3.0, 1e3]))
+def test_component_major_kernel_matches_row_major_oracle(
+        n, boundary, renorm, seed, steps, theta_amp, v_amp, courant, u_scale):
+    """evolve_series, build_frame (tau included) and spin_rhs give the row-major
+    oracle's bytes, or its error, on drawn smooth states."""
+    g = Grid1D(0.0, 2.0 * np.pi / (n - 1), n, boundary)
+    try:
+        f = random_smooth_spin(g, seed=seed, n_modes=min(3, (n - 1) // 2),
+                               theta_amp=theta_amp, v_amp=v_amp)
+    except ss.SolsurfError:
+        assume(False)
+    dt = courant * g.dx
+
+    def series(*args, **kwargs):
+        s = ss.evolve_series(*args, **kwargs)
+        assert np.array_equal(s.times, f.t + dt * np.arange(s.nt))
+        return s.S, s.u, s.v
+
+    assert (outcome(series, f, dt, steps, renorm=renorm)
+            == outcome(oracle_evolve_series, f, dt, steps, renorm=renorm))
+
+    def frame(f):
+        fr = ss.build_frame(f)
+        return fr.e1, fr.e2, fr.e3, fr.k, fr.tau
+
+    assert outcome(frame, f) == outcome(oracle_build_frame, f)
+    scaled = ss.SpinField(S=f.S, u=u_scale * f.u, v=f.v, grid=g)
+
+    def rhs(f):
+        r = ss.spin_rhs(f)
+        return r.dS, r.u_residual, r.dv
+
+    assert outcome(rhs, scaled) == outcome(oracle_spin_rhs, scaled)
