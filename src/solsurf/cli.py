@@ -172,18 +172,20 @@ SCENARIOS = {
 def _coerce(value, kind, bound, name, violations):
     """value as kind (int or float), checked against bound.
 
-    bool and str are not numbers, an int must be integral and a float
-    finite.  On a violation it is recorded and kind() stands in.
+    bool and str are not numbers, an int must be integral and fit an int64
+    (as numpy indexes), a float finite.  On a violation it is recorded and
+    kind() stands in.
     """
     try:
         if isinstance(value, (bool, str)):
             raise TypeError
         out = kind(value)
-        exact = out == value if kind is int else math.isfinite(out)
+        exact = (out == value and abs(out) <= sys.maxsize if kind is int
+                 else math.isfinite(out))
         if not exact:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a finite number"
+        noun = "an int64 integer" if kind is int else "a finite number"
         violations.append(f"{name} must be {noun}, got {value!r}")
         return kind()
     if bound is not None:
@@ -266,6 +268,16 @@ def _level_sizes(cfg: RunConfig, level: int):
             cfg.steps * scale)
 
 
+def _check_size(cfg: RunConfig, level: int) -> None:
+    """ConfigError unless the level's (n, steps + 1, 3) float arrays, a run's
+    largest, fit in the 2**47 bytes a 64-bit process can address."""
+    # from level 64 on no n >= 2 fits, so the clamp changes no verdict
+    n, _, _, steps = _level_sizes(cfg, min(level, 64))
+    if 24 * n * (steps + 1) > 2 ** 47:
+        raise ConfigError(f"n={cfg.n}, steps={cfg.steps} at level {level}: the (n, steps"
+                          f" + 1, 3) float arrays would need more than 2**47 bytes")
+
+
 def _grid2(cfg: RunConfig, level: int = 0) -> Grid2D:
     n, dx, dt, steps = _level_sizes(cfg, level)
     if steps < 1:
@@ -330,6 +342,7 @@ def _run_study(cfg: RunConfig, out_dir: str, command: str, n_levels: int) -> int
         raise ConfigError(
             f"which={which!r} is not defined for scenario {cfg.scenario!r}; "
             f"it is for {', '.join(defined)}")
+    _check_size(cfg, n_levels - 1)
     threshold = (cfg.threshold if cfg.threshold is not None
                  else THRESHOLD_DEFAULTS[which])
     reports = []
@@ -542,6 +555,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(file_cfg, flag_cfg)
         out_dir = (args.out or os.environ.get("SOLSURF_OUT")
                    or file_cfg.get("out") or ".")
+        _check_size(cfg, 0)
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)

@@ -5,20 +5,18 @@ JSON documents are tagged with a "kind" key and hold arrays as flat C-order
 trajectories, meshes and scalar fields on a Grid2D: one header row, then one
 x-major row per grid point.
 
-The writers keep a byte contract.  JSON text equals
-``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline: floats by
-float.__repr__, NaN/Infinity/-Infinity tokens in field documents and the
-same ValueError for them in a plain dict (run summaries stay strict).  A
-small emitter makes that text and hands each all-float list to the C
-encoder.  CSV (and OBJ, see surface.export_obj) values are ``%.17g``, one
-``%`` format per row through surface.write_rows, written in chunks.  A
-writer change must keep the sha256 digests in tests/test_golden.py.
+The writers keep a byte contract.  JSON text is json.dumps(doc,
+sort_keys=True, indent=2) plus a newline, with allow_nan=False for a plain
+dict (run summaries stay strict); field documents stream their float lists
+through the C encoder in chunks.  CSV (and OBJ, see surface.export_obj)
+values are ``%.17g``, one ``%`` format per row through surface.write_rows,
+written in chunks.  A writer change must keep the sha256 digests in
+tests/test_golden.py.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -36,6 +34,12 @@ def _flat(a: np.ndarray) -> list:
 
 
 def _unflat(data, shape, name: str) -> np.ndarray:
+    """data, a list of JSON numbers, as a float array of shape."""
+    bad = set(map(type, data)) - {int, float}
+    if bad:
+        json_types = {str: "string", bool: "boolean", type(None): "null", list: "array"}
+        names = "/".join(sorted(json_types.get(t, t.__name__) for t in bad))
+        raise TypeError(f"could not convert {names} entries of {name} to float")
     a = np.asarray(data, dtype=float)
     expected = int(np.prod(shape))
     if a.size != expected:
@@ -101,22 +105,9 @@ def _decode_spin_field(doc):
 
 def _decode_spin_series(doc):
     grid = from_jsonable(doc["grid"])
-    times = np.asarray(doc["times"], dtype=float)
+    times = _unflat(doc["times"], (len(doc["times"]),), "times")
     return SpinSeries(grid=grid, times=times,
                       **_spin_arrays(SpinSeries, doc, (grid.n, times.size)))
-
-
-def _encode_array(obj):
-    if np.iscomplexobj(obj):
-        return {"shape": list(obj.shape), "re": _flat(obj.real), "im": _flat(obj.imag)}
-    return {"shape": list(obj.shape), "data": _flat(obj)}
-
-
-def _decode_array(doc):
-    shape = tuple(doc["shape"])
-    if "re" in doc:
-        return _unflat(doc["re"], shape, "re") + 1j * _unflat(doc["im"], shape, "im")
-    return _unflat(doc["data"], shape, "data")
 
 
 # kind tag -> (type, encode, decode).  encode returns the document without
@@ -141,7 +132,6 @@ _CODECS = {
     "surface_mesh": _on_grid2(SurfaceMesh),
     "lax_pair": _on_grid2(LaxPairField),
     "eigenfunction": _on_grid2(Eigenfunction),
-    "array": (np.ndarray, _encode_array, _decode_array),
 }
 
 
@@ -168,85 +158,55 @@ def from_jsonable(doc: dict):
         raise ConfigError(f"document of kind {kind!r} holds a bad value: {e}") from e
 
 
-# float.__repr__ of the non-finite values -> their JSON tokens
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Stands in for an all-float list in a dumped document, whose only strings
+# are kind tags and boundary names.
+_SLOT = ": " + json.dumps("\0")
 
 
-def _emit(o, pad: str, allow_nan: bool, write) -> None:
-    """Pass the text of o, its nested lines indented from pad, to write."""
-    if isinstance(o, str):
-        write(encode_basestring_ascii(o))
-    elif o is None:
-        write("null")
-    elif o is True:
-        write("true")
-    elif o is False:
-        write("false")
-    elif isinstance(o, int):
-        write(int.__repr__(o))
-    elif isinstance(o, float):
-        text = float.__repr__(o)
-        if text in _NONFINITE:
-            if not allow_nan:
-                raise ValueError(
-                    f"Out of range float values are not JSON compliant: {o!r}")
-            text = _NONFINITE[text]
-        write(text)
-    elif isinstance(o, (list, tuple, dict)):
-        if not o:
-            write("{}" if isinstance(o, dict) else "[]")
-            return
-        inner = pad + "  "
-        if isinstance(o, dict):
-            sep = "{\n" + inner
-            for key, value in sorted(o.items()):
-                write(sep + encode_basestring_ascii(key) + ": ")
-                _emit(value, inner, allow_nan, write)
-                sep = ",\n" + inner
-            write("\n" + pad + "}")
-        elif allow_nan and set(map(type, o)) == {float}:
-            # The C encoder writes float.__repr__ and NaN/Infinity tokens
-            # joined by ", ", which no float token contains.
-            sep = ",\n" + inner
-            write("[\n" + inner)
-            for i in range(0, len(o), LINES_PER_WRITE):
-                if i:
-                    write(sep)
-                write(json.dumps(o[i:i + LINES_PER_WRITE])[1:-1].replace(", ", sep))
-            write("\n" + pad + "]")
-        else:
-            sep = "[\n" + inner
-            for item in o:
-                write(sep)
-                _emit(item, inner, allow_nan, write)
-                sep = ",\n" + inner
-            write("\n" + pad + "]")
-    else:
-        raise TypeError(
-            f"Object of type {type(o).__name__} is not JSON serializable")
+def _hollow(o, floats: list, inner: str = "\n  "):
+    """o with each all-float list, in sorted-key order, replaced by the string
+    in _SLOT and moved to floats along with inner, its values' line start."""
+    if isinstance(o, dict):
+        return {key: _hollow(o[key], floats, inner + "  ") for key in sorted(o)}
+    if isinstance(o, list) and set(map(type, o)) == {float}:
+        floats.append((o, inner))
+        return "\0"
+    return o
 
 
-def _document(obj):
-    """The document of obj and whether it may hold NaN/Infinity: a plain
-    dict (a run summary) is strict, to_jsonable(obj) is not."""
+def _pieces(obj):
+    """obj's JSON text in pieces.  A plain dict (a run summary) is dumped whole
+    and strict.  Any other obj's document is dumped with its float lists
+    hollowed out, then each slot gets the C encoder's text of its list, one
+    value a line, LINES_PER_WRITE values a piece."""
     if isinstance(obj, dict):
-        return obj, False
-    return to_jsonable(obj), True
+        yield json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return
+    floats = []
+    parts = json.dumps(_hollow(to_jsonable(obj), floats), sort_keys=True,
+                       indent=2).split(_SLOT)
+    yield parts[0]
+    for (values, inner), after in zip(floats, parts[1:]):
+        sep = "," + inner
+        for i in range(0, len(values), LINES_PER_WRITE):
+            text = json.dumps(values[i:i + LINES_PER_WRITE])[1:-1]
+            yield (sep if i else ": [" + inner) + text.replace(", ", sep)
+        yield inner[:-2] + "]" + after
+    yield "\n"
 
 
 def dump_json_str(obj) -> str:
     """Deterministic JSON text for a supported object, strict for a plain dict."""
-    doc, allow_nan = _document(obj)
-    out = []
-    _emit(doc, "", allow_nan, out.append)
-    return "".join(out) + "\n"
+    return "".join(_pieces(obj))
 
 
 def save_json(obj, path) -> None:
-    doc, allow_nan = _document(obj)
+    """Write obj's JSON text; a document that cannot be dumped leaves no file."""
+    pieces = _pieces(obj)
+    first = next(pieces)
     with open(path, "w", encoding="ascii") as fh:
-        _emit(doc, "", allow_nan, fh.write)
-        fh.write("\n")
+        fh.write(first)
+        fh.writelines(pieces)
 
 
 def load_json(path):

@@ -47,10 +47,13 @@ def traveling_circle(grid: Grid1D, w: float = 1.0) -> SpinField:
 
     Under the evolution law this profile translates rigidly at unit speed;
     on periodic grids w must be an integer multiple of 2 pi / span.  Its
-    curvature k = |w| must be at least K_MIN, or the frame is undefined.
+    curvature k = |w| must be at least K_MIN, or the frame is undefined, and
+    the phase w*x must be finite.
     """
     if not abs(w) >= K_MIN:
         raise ConfigError(f"curvature k = |w| = {abs(w):.3e} is below K_MIN = {K_MIN:.1e}")
+    if not math.isfinite(w * max(abs(grid.x0), abs(grid.x0 + grid.span))):
+        raise ConfigError(f"curvature k = |w| = {abs(w):.3e} is too large: w*x overflows")
     return traveling_circle_exact(grid, w, t=0.0)
 
 

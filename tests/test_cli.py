@@ -1,10 +1,14 @@
 """Command-line interface: config resolution, commands, exit codes, artifacts."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -638,3 +642,102 @@ def test_readme_flags_match_parser():
                 for action in command._actions for opt in action.option_strings
                 if opt not in ("-h", "--help")}
     assert documented == accepted
+
+
+def test_overflowing_phase_exits_two(tmp_path, capsys):
+    """A traveling_circle k whose phase k*x overflows is a config error, with
+    no numpy warning."""
+    rc = main(["simulate", "--param", "k=1e308", *SPIN_SIZE, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "w*x overflows" in err
+
+
+@pytest.mark.parametrize("key,value", [("S", "0.5"), ("v", False)], ids=["S_string", "v_false"])
+def test_wrong_typed_ic_array_entry_exits_two(tmp_path, capsys, key, value):
+    """An array entry that is not a JSON number is not coerced: exit 2, one line."""
+    doc = fio.to_jsonable(traveling_circle(circle_grid(9)))
+    doc[key][4] = value
+    (tmp_path / "ic.json").write_text(json.dumps(doc))
+    rc = main(["simulate", "--ic", str(tmp_path / "ic.json"), "--n", "9",
+               "--steps", "2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"entries of {key} to float" in err
+
+
+# Sizes no run can hold, and the words of the one error line each must give.
+HUGE_SIZES = {
+    "n_1e20": (["simulate", "--n", str(10 ** 20)], "n must be an int64 integer"),
+    "n_1e400": (["simulate", "--n", str(10 ** 400)], "n must be an int64 integer"),
+    "steps_1e20": (["simulate", "--steps", str(10 ** 20)], "steps must be an int64 integer"),
+    "n_1e12": (["simulate", "--n", str(10 ** 12)], "n=1000000000000, steps=64 at level 0: "),
+    "levels_70": (["convergence", "--scenario", "random_ct", "--levels", "70"],
+                  "n=65, steps=64 at level 69: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_SIZES))
+def test_huge_sizes_exit_two_before_running(tmp_path, capsys, monkeypatch, case):
+    argv, words = HUGE_SIZES[case]
+    monkeypatch.setattr(cli, "evolve_series", lambda *a: pytest.fail("evolve_series ran"))
+    monkeypatch.setattr(cli, "random_ct", lambda *a, **k: pytest.fail("random_ct ran"))
+    rc = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
+
+
+# Values no size key should reach a computation with, and some it may.
+HOSTILE = [0, -1, 1e308, -1e308, 10 ** 20, -(10 ** 20), 10 ** 400, math.nan,
+           math.inf, 2.5, True, "9"]
+VALUES = st.sampled_from(HOSTILE) | st.sampled_from([2, 3, 5, 0.05, 0.5])
+
+
+def _wrong_typed_ic(tmp: Path, kind: str, value) -> str:
+    doc = fio.to_jsonable(traveling_circle(circle_grid(9)))
+    doc[kind][3] = value
+    path = tmp / "ic.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(command=st.sampled_from(["simulate", "check", "convergence", "surface"]),
+       scenario=st.sampled_from(sorted(SCENARIOS)),
+       keys=st.dictionaries(st.sampled_from(["n", "steps", "levels", "dx", "dt"]),
+                            VALUES, max_size=2),
+       as_flags=st.booleans(),
+       param=st.none() | VALUES,
+       ic=st.none() | st.tuples(st.sampled_from(["S", "u", "v"]),
+                                st.sampled_from(["0.5", False, None, [0.5], {}])))
+def test_contract_fuzz(command, scenario, keys, as_flags, param, ic):
+    """Hostile sizes, params and --ic entries end in an exit code of the
+    contract with at most one error line, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = {"n": 9, "steps": 2, "levels": 2, "scenario": scenario, **keys}
+        argv = [command, "--out", str(tmp / "out"), "--format", "json"]
+        if as_flags:
+            # argparse takes an int flag as an int and a float flag as a float;
+            # only convergence has a --levels flag
+            for key, value in keys.items():
+                kind = cli.KEYS[key][1]
+                if ((kind is int and type(value) is int) or (
+                        kind is float and type(value) in (int, float))) and (
+                        key != "levels" or command == "convergence"):
+                    argv.append(f"--{key}={value}")
+                    del config[key]
+        if param is not None and SCENARIOS[scenario].params:
+            argv += ["--param", f"{min(SCENARIOS[scenario].params)}={json.dumps(param)}"]
+        if ic is not None:
+            argv += ["--ic", _wrong_typed_ic(tmp, *ic)]
+        (tmp / "config.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--config", str(tmp / "config.json")])
+    assert rc in (0, 1, 2, 3)
+    err = err.getvalue()
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,12 +108,6 @@ class TestJsonRoundTrips:
         back = fio.load_json(tmp_path / "e.json")
         assert np.array_equal(back.phi, ef.phi)
 
-    def test_plain_arrays(self):
-        real = np.arange(6.0).reshape(2, 3)
-        cplx = real + 1j * real[::-1]
-        assert np.array_equal(fio.from_jsonable(fio.to_jsonable(real)), real)
-        assert np.array_equal(fio.from_jsonable(fio.to_jsonable(cplx)), cplx)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ss.ConfigError, match="bogus"):
             fio.from_jsonable({"kind": "bogus"})
@@ -205,8 +200,6 @@ def spin_series(draw):
     return ss.SpinSeries(grid=g, times=times, S=S, u=u, v=v)
 
 
-SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
-
 # One generator per fieldio kind.  Forms allow NaN (and inf) everywhere, as
 # mesh_forms writes NaN into L, M, N at degenerate points.
 OBJECTS = {
@@ -229,8 +222,6 @@ OBJECTS = {
         grid=st.just(g2))),
     "eigenfunction": GRIDS2D.flatmap(lambda g2: st.builds(
         ss.Eigenfunction, phi=_complex(g2.shape + (2, 2)), grid=st.just(g2))),
-    "array": st.one_of(SHAPES.flatmap(lambda s: arrays(float, s, elements=st.floats())),
-                       SHAPES.flatmap(_complex)),
 }
 
 
@@ -360,25 +351,33 @@ JSON_VALUES = st.recursive(
     max_leaves=25)
 
 
-def _emit(doc, allow_nan: bool) -> str:
-    out = []
-    fio._emit(doc, "", allow_nan, out.append)
-    return "".join(out)
+# A field document: nested dicts whose leaves are kind tags, boundary names
+# and other strings (none of them the NUL string the writer hollows float
+# lists into), ints, floats, empty lists and float lists.
+FIELD_LEAVES = (st.sampled_from(sorted(fio._CODECS) + list(ss.BOUNDARIES))
+                | JSON_TEXT.filter(lambda s: s != "\0") | st.integers() | JSON_FLOATS
+                | st.just([]) | st.lists(JSON_FLOATS, min_size=1, max_size=20))
+FIELD_DOCS = st.recursive(st.dictionaries(JSON_TEXT, FIELD_LEAVES, max_size=4),
+                          lambda kids: st.dictionaries(JSON_TEXT, kids | FIELD_LEAVES,
+                                                       max_size=4),
+                          max_leaves=12)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(doc=JSON_VALUES, allow_nan=st.booleans())
-def test_emitter_matches_json_dumps(doc, allow_nan):
-    """The emitter writes json.dumps(sort_keys=True, indent=2) text, and
-    raises its ValueError on a non-finite float when NaN is not allowed."""
-    try:
-        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=allow_nan)
-    except ValueError as e:
-        with pytest.raises(ValueError) as raised:
-            _emit(doc, allow_nan)
-        assert str(raised.value) == str(e)
-    else:
-        assert _emit(doc, allow_nan) == expected
+def _field_text(doc, lines_per_write: int) -> str:
+    """The text save_json writes for a field object whose document is doc."""
+    with mock.patch.object(fio, "to_jsonable", lambda box: box[0]), \
+            mock.patch.object(fio, "LINES_PER_WRITE", lines_per_write):
+        return "".join(fio._pieces((doc,)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=FIELD_DOCS)
+def test_emitter_matches_json_dumps(doc):
+    """A field document's pieces are json.dumps(sort_keys=True, indent=2) text,
+    also when a float list spans several LINES_PER_WRITE chunks."""
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for lines_per_write in (fio.LINES_PER_WRITE, 7, 1):
+        assert _field_text(doc, lines_per_write) == expected
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -395,7 +394,37 @@ def test_plain_dict_text_is_strict_json_dumps(doc):
 
 def test_emitter_rejects_what_json_dumps_rejects():
     with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
-        _emit({"n": np.int64(1)}, True)
+        _field_text({"grid": {"n": np.int64(1)}, "S": [0.5]}, 7)
+
+
+def test_strict_summary_leaves_no_file(tmp_path):
+    """A summary json.dumps rejects raises its ValueError before the file is opened."""
+    with pytest.raises(ValueError) as raised:
+        json.dumps({"x": math.nan}, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+        fio.save_json({"x": math.nan}, tmp_path / "s.json")
+    assert not (tmp_path / "s.json").exists()
+
+
+# A document entry of a JSON type other than a number: none may be coerced.
+WRONG_ENTRIES = [("S", 4, "0.5", "string"), ("v", 2, False, "boolean"),
+                 ("u", 0, None, "null"), ("S", 0, [0.5], "array")]
+
+
+@pytest.mark.parametrize("key,index,value,word", WRONG_ENTRIES,
+                         ids=[w for *_, w in WRONG_ENTRIES])
+def test_wrong_typed_array_entry_rejected(key, index, value, word):
+    doc = fio.to_jsonable(traveling_circle(circle_grid(9)))
+    doc[key][index] = value
+    with pytest.raises(ss.ConfigError, match=f"could not convert {word} entries of {key}"):
+        fio.from_jsonable(doc)
+
+
+def test_string_time_rejected():
+    doc = _spin_docs()[1]
+    doc["times"][1] = str(doc["times"][1])
+    with pytest.raises(ss.ConfigError, match="could not convert string entries of times"):
+        fio.from_jsonable(doc)
 
 
 def oracle_csv(path, header, columns) -> None:
