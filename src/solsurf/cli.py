@@ -94,6 +94,8 @@ KEYS = {
 DERIVED = {"dx": lambda c: 2.0 * math.pi / max(c["n"] - 1, 1),
            "dt": lambda c: c["dx"] / 4.0}
 KNOWN_CONFIG_KEYS = frozenset(KEYS) | {"out"}
+NUMBER_FLAGS = frozenset("--" + key.replace("_", "-")
+                         for key, (_, kind, _) in KEYS.items() if kind in (int, float))
 
 RunConfig = dataclasses.make_dataclass(
     "RunConfig", [(key, kind) for key, (_, kind, _) in KEYS.items()],
@@ -482,6 +484,26 @@ def _parse_params(pairs) -> dict:
     return out
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numbers(argv) -> list:
+    """argv with a number flag's negative value attached to it, as in
+    --dt=-1e-3: argparse takes a token like -1e-3 or -inf for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in NUMBER_FLAGS and token.startswith("-") and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="JSON config file")
@@ -533,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramDriftError, ShapeError
+from .errors import GramDriftError, NonFiniteFieldError, ShapeError
 from .numgrid import (Grid1D, Grid2D, GridFields, Layout, as_shape, diff_t, diff_x,
-                      step_linear)
+                      walk_linear)
 
 # Transport whose triad drifts further than this from orthonormal has blown up.
 GRAM_TOL = 1e-4
@@ -84,39 +84,65 @@ def _coefficient(c, grid: Grid1D, name: str) -> np.ndarray:
     return as_shape(arr, (grid.n,), name)
 
 
+def _checked_drift(frames: np.ndarray, first: int) -> np.ndarray:
+    """max|E E^T - I| of transported triads, frames[j] at x index first + j.
+
+    The first index that is non-finite or over GRAM_TOL raises: a non-finite
+    triad NonFiniteFieldError (its step blew up), else GramDriftError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.max(np.abs(frames @ np.swapaxes(frames, -1, -2) - np.eye(3)), axis=(-2, -1))
+    finite = np.isfinite(frames).all(axis=(-2, -1))
+    bad = np.flatnonzero(~finite | (dev > GRAM_TOL))
+    if bad.size:
+        i = bad[0]
+        if not finite[i]:
+            raise NonFiniteFieldError(f"frame transport went non-finite at x index {first + i}")
+        raise GramDriftError(
+            f"frame transport lost orthonormality at x index {first + i} "
+            f"(deviation {dev[i]:.3e} > {GRAM_TOL:.1e})")
+    return dev
+
+
 def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
                       reorthonormalize: bool = True) -> FrameState:
     """Integrate the spatial frame system E_x = A(x) E across the grid by RK4.
 
-    frame0 is the (3, 3) row-stack at grid.x0 and must be orthonormal within
-    1e-8.  k and tau may be scalars or per-point arrays; A is linear in x
-    between the points.  The orthonormality deviation is
-    recorded at every point before re-orthonormalization; exceeding GRAM_TOL
-    raises GramDriftError (integration blow-up).
+    frame0 is the (3, 3) row-stack at grid.x0 and must be finite and
+    orthonormal within 1e-8.  k and tau may be scalars or per-point arrays; A
+    is linear in x between the points.  The row is one numgrid.walk_linear
+    chain; with re-orthonormalization each step restarts from the
+    re-orthonormalized triad.  The orthonormality deviation is recorded at
+    every point before re-orthonormalization; exceeding GRAM_TOL raises
+    GramDriftError (integration blow-up), unless a NaN or Inf turns up at or
+    before that point: NonFiniteFieldError then names its x index.
     """
-    e0 = np.asarray(frame0, dtype=float)
+    e0 = np.array(frame0, dtype=float, order="C")
+    if not np.isfinite(e0).all():
+        raise NonFiniteFieldError("frame0 contains non-finite values")
     dev0 = gram_deviation(e0)
     if dev0 > 1e-8:
         raise GramDriftError(f"initial triad is not orthonormal (deviation {dev0:.3e})")
     k = _coefficient(k, grid, "k")
     tau = _coefficient(tau, grid, "tau")
-    # E_x = A E is (E^T)_x = E^T A^T, the right-multiplied form step_linear takes
+    # E_x = A E is (E^T)_x = E^T A^T, the right-multiplied form walk_linear takes
     a_t = np.swapaxes(matrix_a(k, tau), -1, -2)
-    n = grid.n
-    frames = np.empty((n, 3, 3))
-    drift = np.zeros(n)
-    frames[0] = e0
-    for i in range(n - 1):
-        nxt = step_linear(frames[i].T, a_t[i], a_t[i + 1], grid.dx).T
-        dev = gram_deviation(nxt)
-        drift[i + 1] = dev
-        if dev > GRAM_TOL:
-            raise GramDriftError(
-                f"frame transport lost orthonormality at x index {i + 1} "
-                f"(deviation {dev:.3e} > {GRAM_TOL:.1e})")
-        if reorthonormalize:
-            nxt = _reorthonormalize(nxt)
-        frames[i + 1] = nxt
+    h = np.full(grid.n - 1, grid.dx)
+    if reorthonormalize:
+        frames = np.empty((grid.n, 3, 3))
+        frames[0] = e0
+        drift = np.zeros(grid.n)
+
+        def restart(i, y):  # y is E^T at x index i + 1
+            drift[i + 1] = _checked_drift(y.T[None], i + 1)[0]
+            frames[i + 1] = _reorthonormalize(y.T)
+            return frames[i + 1].T
+
+        walk_linear(e0.T, a_t[:-1], a_t[1:], h, restart=restart)
+    else:
+        walked = np.swapaxes(walk_linear(e0.T, a_t[:-1], a_t[1:], h, check=False), -1, -2)
+        drift = np.concatenate(([0.0], _checked_drift(walked[1:], 1)))
+        frames = np.ascontiguousarray(walked)
     return FrameState(
         e1=frames[:, 0], e2=frames[:, 1], e3=frames[:, 2],
         k=k, tau=tau, grid=grid, gram_drift=drift)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GridError, NonFiniteFieldError, ShapeError
 from .frames import CTFields
-from .numgrid import Grid2D, GridFields, Layout, as_shape, diff_t, diff_x, step_linear
+from .numgrid import Grid2D, GridFields, Layout, as_shape, diff_t, diff_x, walk_linear
 
 _HALF_OVER_I = 1.0 / 2.0j   # exactly -0.5i
 
@@ -96,9 +96,15 @@ def zero_curvature_residual(L: LaxPairField) -> np.ndarray:
 
 
 def _initial_phi(phi0) -> np.ndarray:
-    """phi0 as a complex 2x2 matrix; ShapeError unless it is invertible."""
+    """phi0 as a complex 2x2 matrix; NonFiniteFieldError for a NaN or Inf
+    entry, ShapeError unless it is invertible."""
     phi = as_shape(phi0, (2, 2), "phi0", complex)
-    if abs(np.linalg.det(phi)) < 1e-300:
+    if not np.isfinite(phi).all():
+        raise NonFiniteFieldError("phi0 contains non-finite values")
+    # entries near 1e154 and up overflow the determinant, not the matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(phi)
+    if abs(det) < 1e-300:
         raise ShapeError("phi0 must be invertible")
     return phi
 
@@ -109,15 +115,17 @@ def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
 
     One RK4 step per edge with the generator interpolated linearly between
     the edge endpoints; x-moves use U, t-moves use V, increments multiply on
-    the right.  Returns the 2x2 value at the endpoint.
+    the right.  The whole path is checked against the grid first, then walked
+    once by numgrid.walk_linear, whose NonFiniteFieldError names the path
+    position of the first step to blow up.  Returns the 2x2 value at the
+    endpoint.
     """
     phi = _initial_phi(phi0)
     nx, nt = L.grid.shape
     ix, it = int(start[0]), int(start[1])
     if not (0 <= ix < nx and 0 <= it < nt):
         raise GridError(f"start {start!r} is outside the grid")
-    gens = (L.U, L.V)
-    hs = (L.grid.gx.dx, L.grid.gt.dx)
+    nodes, axes, signs = [(ix, it)], [], []
     for step, move in enumerate(path):
         if not isinstance(move, str) or move not in MOVES:
             raise GridError(f"unknown move {move!r} at path position {step}")
@@ -127,29 +135,34 @@ def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
             raise GridError(
                 f"move {move!r} at path position {step} leaves the grid "
                 f"(from node ({ix}, {it}))")
-        gen = gens[axis]
-        phi = step_linear(phi, gen[ix, it], gen[jx, jt], sign * hs[axis])
+        nodes.append((jx, jt))
+        axes.append(axis)
+        signs.append(sign)
         ix, it = jx, jt
-    return phi
+    if not axes:
+        return phi
+    node_x, node_t = np.array(nodes).T
+    U, V = L.U[node_x, node_t], L.V[node_x, node_t]
+    on_x = np.array(axes) == 0
+    h = np.where(on_x, L.grid.gx.dx, L.grid.gt.dx) * np.array(signs)
+    x_edge = on_x[:, None, None]
+    return walk_linear(phi, np.where(x_edge, U[:-1], V[:-1]),
+                       np.where(x_edge, U[1:], V[1:]), h)[-1]
 
 
 def eigenfunction_field(L: LaxPairField, phi0: np.ndarray) -> Eigenfunction:
-    """Fill the grid from phi0 at node (0, 0): march x along t = t0, then t up
-    every column at once.
+    """Fill the grid from phi0 at node (0, 0): walk x along t = t0, then walk
+    t up every column at once.
 
     Off-solution data makes the result path dependent; the construction
     order above is part of the contract.
     """
     nx, nt = L.grid.shape
-    phi = np.empty((nx, nt, 2, 2), dtype=complex)
-    phi[0, 0] = _initial_phi(phi0)
-    dx = L.grid.gx.dx
-    dt = L.grid.gt.dx
-    for ix in range(1, nx):
-        phi[ix, 0] = step_linear(phi[ix - 1, 0], L.U[ix - 1, 0], L.U[ix, 0], dx)
-    for it in range(1, nt):
-        phi[:, it] = step_linear(phi[:, it - 1], L.V[:, it - 1], L.V[:, it], dt)
-    return Eigenfunction(phi=phi, grid=L.grid)
+    row = walk_linear(_initial_phi(phi0), L.U[:-1, 0], L.U[1:, 0],
+                      np.full(nx - 1, L.grid.gx.dx))
+    V = np.swapaxes(L.V, 0, 1)   # t leads: the walk's step axis
+    cols = walk_linear(row, V[:-1], V[1:], np.full(nt - 1, L.grid.gt.dx))
+    return Eigenfunction(phi=np.ascontiguousarray(np.swapaxes(cols, 0, 1)), grid=L.grid)
 
 
 def holonomy_defect(L: LaxPairField, corner: Tuple[int, int] = (0, 0),

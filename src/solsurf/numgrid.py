@@ -1,4 +1,4 @@
-"""Grids, finite-difference stencils, quadrature, and the RK4 steppers.
+"""Grids, finite-difference stencils, quadrature, the RK4 step and the linear RK4 walk.
 
 Conventions used throughout the package:
 
@@ -228,17 +228,47 @@ def step_rk4(y: np.ndarray, rhs, dt: float, t: float = 0.0) -> np.ndarray:
     return out
 
 
-def step_linear(y: np.ndarray, m0: np.ndarray, m1: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of y' = y M(s) over s in [0, h], M linear from m0 to m1.
+def walk_linear(y: np.ndarray, m0: np.ndarray, m1: np.ndarray, h, *,
+                restart=None, check: bool = True) -> np.ndarray:
+    """RK4 chain of y' = y M(s): step e runs s over [0, h[e]] with M linear
+    from m0[e] to m1[e], starting from the state step e - 1 ended in.
 
-    y, m0 and m1 may carry matching leading batch axes: one step per matrix.
+    m0, m1 and h carry a leading step axis; further batch axes of m0 and m1
+    must match y's.  Returns every state, shape (len(h) + 1,) + y.shape, with
+    y first.  The three stage generators of every step are built at once.
+    restart(e, state), when given, returns the state step e + 1 starts from
+    in place of the state step e ended in, which the result keeps.
+
+    Overflow is silenced inside the chain.  Each update adds the state it
+    starts from, so a NaN or Inf stays in every later state, and one check
+    of the last state covers the walk: it raises NonFiniteFieldError naming
+    the first step that produced one (step 0 for a non-finite y).  With check
+    off, the states come back as they are, for a caller that tests something
+    else first.  Deterministic: identical inputs give bit-identical outputs.
     """
-    dm = m1 - m0
-
-    def rhs(s, y):
-        return y @ (m0 + (s / h) * dm)
-
-    return step_rk4(y, rhs, h)
+    h = np.asarray(h, dtype=float)
+    hb = h.reshape(h.shape + (1,) * (np.ndim(m0) - 1))
+    states = np.empty((len(h) + 1,) + np.shape(y), dtype=np.result_type(y, m0))
+    states[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        dm = m1 - m0
+        # the generator at the stage points s = 0, h/2, h, as m0 + (s/h) dm
+        g0 = m0 + (0.0 / hb) * dm
+        g1 = m0 + ((0.0 + hb / 2) / hb) * dm
+        g2 = m0 + ((0.0 + hb) / hb) * dm
+        for e, (a, b, c) in enumerate(zip((h / 2).tolist(), h.tolist(), (h / 6).tolist())):
+            k1 = y @ g0[e]
+            k2 = (y + k1 * a) @ g1[e]
+            k3 = (y + k2 * a) @ g1[e]
+            k4 = (y + k3 * b) @ g2[e]
+            y = states[e + 1] = y + c * (k1 + 2 * k2 + 2 * k3 + k4)
+            if restart is not None:
+                y = restart(e, y)
+    if check and not np.isfinite(states[-1]).all():
+        finite = np.isfinite(states).reshape(len(states), -1).all(axis=1)
+        step = max(int(np.argmin(finite)) - 1, 0)
+        raise NonFiniteFieldError(f"non-finite value in linear walk at step {step}")
+    return states
 
 
 def fit_order(hs, errors, floor: float = 0.0) -> float:

@@ -295,20 +295,22 @@ def evolve_series(f: SpinField, dt: float, steps: int,
 
     y = np.empty((4, n))
     y[:3], y[3] = f.S.T, f.v
-    for j in range(steps):
-        try:
-            y = step_rk4(y, rhs, dt, t=f.t + j * dt)
-            S, v = y[:3], y[3]
-            if renorm:
-                S /= _norm(S)
-            if grid.boundary == "periodic":
-                y[:, -1] = y[:, 0]
-            S_x, k = _curvature(S.T, grid)
-            carried = (S_x, k, *_march(k, v, grid))
-        except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
-            e.args = (f"step {j}: {e}",)
-            raise
-        S_out[:, j + 1], u_out[:, j + 1], v_out[:, j + 1] = S.T, carried[2], v
+    # every stage is finite-checked, so an overflow ends in a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            try:
+                y = step_rk4(y, rhs, dt, t=f.t + j * dt)
+                S, v = y[:3], y[3]
+                if renorm:
+                    S /= _norm(S)
+                if grid.boundary == "periodic":
+                    y[:, -1] = y[:, 0]
+                S_x, k = _curvature(S.T, grid)
+                carried = (S_x, k, *_march(k, v, grid))
+            except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
+                e.args = (f"step {j}: {e}",)
+                raise
+            S_out[:, j + 1], u_out[:, j + 1], v_out[:, j + 1] = S.T, carried[2], v
     return SpinSeries(grid=grid, times=f.t + dt * np.arange(nt), S=S_out, u=u_out, v=v_out)
 
 

@@ -741,3 +741,30 @@ def test_contract_fuzz(command, scenario, keys, as_flags, param, ic):
     assert rc in (0, 1, 2, 3)
     err = err.getvalue()
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+
+
+@pytest.mark.parametrize("command", ["simulate", "surface"])
+def test_huge_dt_prints_only_the_error(tmp_path, command):
+    """A dt that overflows the first RK4 stage exits 3 with one error line."""
+    proc = subprocess.run([sys.executable, "-m", "solsurf", command, "--scenario",
+                           "random_smooth", "--n", "9", "--steps", "2", "--dt", "1e308",
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: step 0: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dt", "-1e-3", "dt must be >= 0, got -0.001"),
+    ("--dx", "-1e308", "dx must be > 0, got -1e+308"),
+    ("--dt", "-inf", "dt must be a finite number"),
+])
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+def test_negative_exponent_flag_values_reach_the_config_check(tmp_path, capsys, flag,
+                                                              value, message, joined):
+    """argparse takes -1e-3 for an option; both flag forms end in the config error."""
+    argv = [f"{flag}={value}"] if joined else [flag, value]
+    assert main(["simulate", "--scenario", "random_smooth", *SPIN_SIZE, *argv,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and message in err
+    assert err.count("\n") == 1
