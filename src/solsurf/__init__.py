@@ -13,7 +13,7 @@ from .errors import (ConfigError, DegenerateFrameError, DegenerateMetricError,
                      NonFiniteFieldError, ShapeError, SolsurfError,
                      SqrtDomainError)
 from .numgrid import (BOUNDARIES, Grid1D, Grid2D, diff_t, diff_tt, diff_x,
-                      diff_xx, fit_order, integrate_x, step_rk4, walk_linear)
+                      diff_xx, fit_order, integrate_x, walk_linear)
 from .frames import (CTFields, FrameState, compatibility_residual,
                      gram_deviation, matrix_a, torsion_transport_residual,
                      transport_frame_x)
@@ -36,7 +36,7 @@ __all__ = [
     "NonFiniteFieldError", "SqrtDomainError", "DegenerateFrameError",
     "GramDriftError", "DegenerateMetricError", "MapInconsistentError",
     "BOUNDARIES", "Grid1D", "Grid2D", "diff_x", "diff_t", "diff_xx",
-    "diff_tt", "integrate_x", "step_rk4", "walk_linear", "fit_order",
+    "diff_tt", "integrate_x", "walk_linear", "fit_order",
     "FrameState", "CTFields", "matrix_a", "gram_deviation",
     "transport_frame_x", "compatibility_residual",
     "torsion_transport_residual",

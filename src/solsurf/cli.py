@@ -481,6 +481,8 @@ def _parse_params(pairs) -> dict:
             out[key] = json.loads(value)
         except json.JSONDecodeError:
             out[key] = value
+        except RecursionError as e:
+            raise ConfigError(f"--param {key}: {e}") from e
     return out
 
 
@@ -564,7 +566,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     file_cfg = json.load(fh)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, or too deep
                 raise ConfigError(f"config file {args.config}: {e}") from e
             if not isinstance(file_cfg, dict):
                 raise ConfigError(

@@ -212,12 +212,13 @@ def save_json(obj, path) -> None:
 def load_json(path):
     """Load a tagged JSON document and rebuild the object it describes.
 
-    A file that is not ASCII JSON raises ConfigError naming the path.
+    A file that is not ASCII JSON, or nests too deep to decode, raises
+    ConfigError naming the path.
     """
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"{path} is not an ASCII JSON document: {e}") from e
     return from_jsonable(doc)
 

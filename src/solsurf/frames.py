@@ -111,11 +111,11 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
     frame0 is the (3, 3) row-stack at grid.x0 and must be finite and
     orthonormal within 1e-8.  k and tau may be scalars or per-point arrays; A
     is linear in x between the points.  The row is one numgrid.walk_linear
-    chain; with re-orthonormalization each step restarts from the
-    re-orthonormalized triad.  The orthonormality deviation is recorded at
-    every point before re-orthonormalization; exceeding GRAM_TOL raises
-    GramDriftError (integration blow-up), unless a NaN or Inf turns up at or
-    before that point: NonFiniteFieldError then names its x index.
+    chain; with re-orthonormalization it is walked one step at a time, each
+    from the re-orthonormalized triad.  The orthonormality deviation is
+    recorded at every point before re-orthonormalization; exceeding GRAM_TOL
+    raises GramDriftError (integration blow-up), unless a NaN or Inf turns up
+    at or before that point: NonFiniteFieldError then names its x index.
     """
     e0 = np.array(frame0, dtype=float, order="C")
     if not np.isfinite(e0).all():
@@ -132,13 +132,11 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
         frames = np.empty((grid.n, 3, 3))
         frames[0] = e0
         drift = np.zeros(grid.n)
-
-        def restart(i, y):  # y is E^T at x index i + 1
-            drift[i + 1] = _checked_drift(y.T[None], i + 1)[0]
-            frames[i + 1] = _reorthonormalize(y.T)
-            return frames[i + 1].T
-
-        walk_linear(e0.T, a_t[:-1], a_t[1:], h, restart=restart)
+        for i in range(1, grid.n):
+            e = walk_linear(frames[i - 1].T, a_t[i - 1:i], a_t[i:i + 1], h[:1],
+                            check=False)[1].T
+            drift[i] = _checked_drift(e[None], i)[0]
+            frames[i] = _reorthonormalize(e)
     else:
         walked = np.swapaxes(walk_linear(e0.T, a_t[:-1], a_t[1:], h, check=False), -1, -2)
         drift = np.concatenate(([0.0], _checked_drift(walked[1:], 1)))

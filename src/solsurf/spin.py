@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateFrameError, GridError,
                      NonFiniteFieldError, ShapeError, SqrtDomainError)
 from .frames import CTFields, FrameState
-from .numgrid import Grid1D, Grid2D, Layout, as_shape, diff_x, step_rk4
+from .numgrid import Grid1D, Grid2D, Layout, as_shape, diff_x
 
 # |S_x| below K_MIN has no frame; k^2 - u^2 down to -CLAMP_SLACK clamps to 0.
 K_MIN = 1e-8
@@ -283,34 +283,42 @@ def evolve_series(f: SpinField, dt: float, steps: int,
     S_out, u_out, v_out = np.empty((n, nt, 3)), np.empty((n, nt)), np.empty((n, nt))
     S_out[:, 0], u_out[:, 0], v_out[:, 0] = f.S, f.u, f.v
 
-    carried = None  # S_x, k, u and radicand of the last recorded level
-
-    def rhs(t, y):
-        nonlocal carried
-        S, v = y[:3], y[3]
-        S_x, k, *march = carried or _curvature(S.T, grid)  # march: u and radicand
-        carried = None
-        frame = _frame(S, S_x, k)  # its checks come before the march's
-        return _rates(S, S_x, frame, *(march or _march(k, v, grid)))
-
     y = np.empty((4, n))
     y[:3], y[3] = f.S.T, f.v
     # every stage is finite-checked, so an overflow ends in a typed error
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             try:
-                y = step_rk4(y, rhs, dt, t=f.t + j * dt)
+                ks = []
+                for stage, h in enumerate((0.0, dt / 2, dt / 2, dt), 1):
+                    # stage 1 of step j > 0 takes S_x, k, u and rad of the level y holds
+                    fresh = j == 0 or stage > 1
+                    x = y + ks[-1] * h if ks else y
+                    S = x[:3]
+                    if fresh:
+                        S_x, k = _curvature(S.T, grid)
+                    frame = _frame(S, S_x, k)  # its checks come before the march's
+                    if fresh:
+                        u, rad = _march(k, x[3], grid)
+                    ks.append(_rates(S, S_x, frame, u, rad))
+                    if not np.isfinite(ks[-1]).all():
+                        raise NonFiniteFieldError(
+                            f"non-finite value in integration state (k{stage})")
+                k1, k2, k3, k4 = ks
+                y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                if not np.isfinite(y).all():
+                    raise NonFiniteFieldError("non-finite value in integration state (update)")
                 S, v = y[:3], y[3]
                 if renorm:
                     S /= _norm(S)
                 if grid.boundary == "periodic":
                     y[:, -1] = y[:, 0]
                 S_x, k = _curvature(S.T, grid)
-                carried = (S_x, k, *_march(k, v, grid))
+                u, rad = _march(k, v, grid)
             except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
                 e.args = (f"step {j}: {e}",)
                 raise
-            S_out[:, j + 1], u_out[:, j + 1], v_out[:, j + 1] = S.T, carried[2], v
+            S_out[:, j + 1], u_out[:, j + 1], v_out[:, j + 1] = S.T, u, v
     return SpinSeries(grid=grid, times=f.t + dt * np.arange(nt), S=S_out, u=u_out, v=v_out)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from solsurf import Grid1D, Grid2D
+from solsurf import Grid1D, Grid2D, NonFiniteFieldError
 
 
 def circle_grid(n=129, span=2.0 * np.pi):
@@ -29,3 +29,19 @@ def band_small():
     gx = Grid1D(0.0, np.pi / 16, 17, "one_sided")
     gt = Grid1D(0.3, (np.pi - 0.6) / 16, 17, "one_sided")
     return Grid2D(gx, gt)
+
+
+# One classical RK4 step of y' = rhs(t, y) through a closure, every stage
+# finite-checked under its name: the step the linear walk and the spin
+# evolution must reproduce bit for bit, error messages included.
+def ref_step_rk4(y, rhs, dt, t=0.0):
+    def check(a, stage):
+        if not np.isfinite(a).all():
+            raise NonFiniteFieldError(f"non-finite value in integration state ({stage})")
+        return a
+
+    k1 = check(rhs(t, y), "k1")
+    k2 = check(rhs(t + dt / 2, y + k1 * (dt / 2)), "k2")
+    k3 = check(rhs(t + dt / 2, y + k2 * (dt / 2)), "k3")
+    k4 = check(rhs(t + dt, y + k3 * dt), "k4")
+    return check(y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), "update")

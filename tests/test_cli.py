@@ -691,9 +691,11 @@ def test_huge_sizes_exit_two_before_running(tmp_path, capsys, monkeypatch, case)
 
 
 # Values no size key should reach a computation with, and some it may.
-HOSTILE = [0, -1, 1e308, -1e308, 10 ** 20, -(10 ** 20), 10 ** 400, math.nan,
+HOSTILE = [0, -1, 1e308, -1e308, 1e-160, 10 ** 20, -(10 ** 20), 10 ** 400, math.nan,
            math.inf, 2.5, True, "9"]
 VALUES = st.sampled_from(HOSTILE) | st.sampled_from([2, 3, 5, 0.05, 0.5])
+# JSON nested deeper than the decoder recurses.
+DEEP_JSON = "[" * 5000 + "]" * 5000
 
 
 def _wrong_typed_ic(tmp: Path, kind: str, value) -> str:
@@ -710,7 +712,7 @@ def _wrong_typed_ic(tmp: Path, kind: str, value) -> str:
        keys=st.dictionaries(st.sampled_from(["n", "steps", "levels", "dx", "dt"]),
                             VALUES, max_size=2),
        as_flags=st.booleans(),
-       param=st.none() | VALUES,
+       param=st.none() | VALUES.map(json.dumps) | st.just(DEEP_JSON),
        ic=st.none() | st.tuples(st.sampled_from(["S", "u", "v"]),
                                 st.sampled_from(["0.5", False, None, [0.5], {}])))
 def test_contract_fuzz(command, scenario, keys, as_flags, param, ic):
@@ -731,7 +733,7 @@ def test_contract_fuzz(command, scenario, keys, as_flags, param, ic):
                     argv.append(f"--{key}={value}")
                     del config[key]
         if param is not None and SCENARIOS[scenario].params:
-            argv += ["--param", f"{min(SCENARIOS[scenario].params)}={json.dumps(param)}"]
+            argv += ["--param", f"{min(SCENARIOS[scenario].params)}={param}"]
         if ic is not None:
             argv += ["--ic", _wrong_typed_ic(tmp, *ic)]
         (tmp / "config.json").write_text(json.dumps(config))
@@ -741,6 +743,50 @@ def test_contract_fuzz(command, scenario, keys, as_flags, param, ic):
     assert rc in (0, 1, 2, 3)
     err = err.getvalue()
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+
+
+@pytest.mark.parametrize("case", ["ic", "config", "param", "config_not_utf8"])
+def test_undecodable_json_input_exits_two(tmp_path, capsys, case):
+    """JSON too deep to decode, or a config that is not UTF-8: exit 2, one line."""
+    path = tmp_path / "in.json"
+    path.write_bytes(b"\xff{}" if case == "config_not_utf8" else DEEP_JSON.encode())
+    argv = {"ic": ["--ic", str(path)], "config": ["--config", str(path)],
+            "config_not_utf8": ["--config", str(path)], "param": ["--param", f"k={DEEP_JSON}"]}
+    rc = main(["simulate", *SPIN_SIZE, *argv[case], "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,scenario,flags", [
+    ("simulate", "random_smooth", ["--dx", "1e-160"]),
+    ("surface", "random_smooth", ["--dx", "1e-160"]),
+    ("check", "random_smooth", ["--dx", "1e-160"]),
+    *[("surface", scenario, ["--dx", "1e-200", "--steps", "8"])
+      for scenario in ("sphere", "plane", "cylinder", "traveling_circle")],
+])
+def test_tiny_grid_spacing_exits_two(tmp_path, capsys, command, scenario, flags):
+    """A dx whose square underflows is a grid error before any stencil runs."""
+    rc = main([command, "--scenario", scenario, *flags, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: grid spacing {flags[1]} is too small: its square underflows\n"
+
+
+def test_rough_ic_at_tiny_spacing_prints_only_the_error(tmp_path):
+    """An --ic whose |S_x| overflows at one_sided boundary rows exits 3 with the
+    march's error alone: level 0's curvature is taken with overflow silenced."""
+    n = 9
+    S = np.tile([1.0, 0.0, 0.0], (n, 1))
+    S[1::2, 0] = -1.0
+    S[:, 1] = np.linspace(0.0, 0.5, n)
+    ic = ss.SpinField(S=S, u=np.zeros(n), v=np.zeros(n), grid=ss.Grid1D(0.0, 2e-154, n))
+    fio.save_json(ic, tmp_path / "ic.json")
+    proc = subprocess.run([sys.executable, "-m", "solsurf", "simulate", "--ic",
+                           str(tmp_path / "ic.json"), "--steps", "2", "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: step 0: k contains non-finite values\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "surface"])

@@ -14,7 +14,7 @@ from solsurf.fixtures import (
     traveling_circle,
 )
 
-from conftest import polar_band
+from conftest import polar_band, ref_step_rk4
 
 
 class TestCoefficientMatrices:
@@ -85,7 +85,7 @@ class TestTransport:
 
 
 def reference_transport(frame0, k, tau, grid, reorthonormalize):
-    """Frame transport as first written: E' = A(x) E stepped by step_rk4, with
+    """Frame transport as first written: E' = A(x) E stepped by ref_step_rk4, with
     A built at each stage point from np.interp of the node coefficients."""
     xs = grid.points()
     k = np.broadcast_to(np.asarray(k, dtype=float), xs.shape)
@@ -96,7 +96,7 @@ def reference_transport(frame0, k, tau, grid, reorthonormalize):
 
     frames, drift = [np.asarray(frame0, dtype=float)], [0.0]
     for i in range(grid.n - 1):
-        nxt = ss.step_rk4(frames[-1], rhs, grid.dx, t=xs[i])
+        nxt = ref_step_rk4(frames[-1], rhs, grid.dx, t=xs[i])
         drift.append(ss.gram_deviation(nxt))
         assert drift[-1] <= GRAM_TOL
         if reorthonormalize:

@@ -1,4 +1,4 @@
-"""Grids, stencils, quadrature, RK4, and order fitting."""
+"""Grids, stencils, quadrature, and order fitting."""
 
 import numpy as np
 import pytest
@@ -37,6 +37,16 @@ class TestGrid1D:
     def test_largest_finite_last_point_accepted(self):
         g = Grid1D(-1e308, 1e308, 2)
         assert np.isfinite(g.points()).all()
+
+    @pytest.mark.parametrize("dx", [5e-324, 1e-200, 1e-160, 1e-154])
+    def test_rejects_dx_whose_square_underflows(self, dx):
+        # dx*dx is subnormal or zero: 1/dx**2 overflows or has lost its precision
+        with pytest.raises(ss.GridError, match="its square underflows"):
+            Grid1D(0.0, dx, 9)
+
+    def test_dx_with_a_normal_square_accepted(self):
+        g = Grid1D(0.0, 1.5e-154, 9)
+        assert np.isfinite(1.0 / (g.dx * g.dx))
 
 
 class TestGrid2D:
@@ -142,33 +152,6 @@ class TestIntegrateX:
         F = ss.integrate_x(f, g)
         assert F[-1, 0] == pytest.approx(1.0)
         assert F[-1, 1] == pytest.approx(2.0)
-
-
-class TestStepRK4:
-    def test_scalar_fourth_order(self):
-        # y' = y over [0, 1]; halving dt cuts error ~16x
-        errs = []
-        for steps in (10, 20):
-            y, t = np.array(1.0), 0.0
-            dt = 1.0 / steps
-            for _ in range(steps):
-                y = ss.step_rk4(y, lambda tt, yy: yy, dt, t)
-                t += dt
-            errs.append(abs(float(y) - np.e))
-        assert 12.0 < errs[0] / errs[1] < 20.0
-
-    def test_array_state(self):
-        # harmonic oscillator [x, p] keeps energy to O(dt^4)
-        state = np.array([1.0, 0.0])
-        dt = 0.05
-        for _ in range(200):
-            state = ss.step_rk4(state, lambda t, s: np.array([s[1], -s[0]]), dt)
-        energy = float(state[0]) ** 2 + float(state[1]) ** 2
-        assert abs(energy - 1.0) < 1e-5
-
-    def test_nonfinite_stage_raises(self):
-        with pytest.raises(ss.NonFiniteFieldError):
-            ss.step_rk4(np.array(1.0), lambda t, y: np.array(np.nan), 0.1)
 
 
 class TestFitOrder:

@@ -10,9 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 import solsurf as ss
 from solsurf import Grid1D, spin
 from solsurf.fixtures import random_smooth_spin, traveling_circle, traveling_circle_exact
-from solsurf.numgrid import step_rk4
 
-from conftest import circle_grid
+from conftest import circle_grid, ref_step_rk4
 
 
 class TestSpinField:
@@ -279,6 +278,24 @@ class TestEvolve:
             ss.evolve_series(ic, g.dx / 4, 142)
         assert exc.value.index == 123
 
+    @pytest.mark.parametrize("renorm", [True, False])
+    def test_fourth_order_in_time(self, renorm):
+        # on a fixed grid the time error of RK4 falls 16x per halving of dt
+        g = Grid1D(0.0, 2.0 * np.pi / 64, 65, "one_sided")
+        ic, T = random_smooth_spin(g, seed=1), 0.5
+        ref = evolved(ic, T / 256, 256, renorm=renorm).S
+        errs = [np.max(np.abs(evolved(ic, T / m, m, renorm=renorm).S - ref))
+                for m in (4, 8, 16)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 14.0 < coarse / fine < 18.0
+
+    def test_nonfinite_stage_is_named(self, monkeypatch):
+        monkeypatch.setattr(spin, "_rates", lambda S, *rest: np.full((4, S.shape[1]), np.nan))
+        g = circle_grid(33)
+        message = r"^step 0: non-finite value in integration state \(k1\)$"
+        with pytest.raises(ss.NonFiniteFieldError, match=message):
+            ss.evolve_series(random_smooth_spin(g, seed=1), g.dx / 4, 2)
+
     @pytest.mark.parametrize("boundary, renorm, digest", [
         ("one_sided", True, "384d1cbab4ac2443c82b93edf113de6bfc6354504e97fb44f4e399186f081750"),
         ("one_sided", False, "160b61b2e45abbf02b485699cc3c79a53bca2808b36f7e76f999cd6cdf0e8487"),
@@ -329,23 +346,31 @@ class TestEvolve:
 
     @pytest.mark.parametrize("steps", [2, 3])
     def test_degenerate_level_is_named_by_the_next_step(self, monkeypatch, steps):
-        # step 1 is made to record a constant S (|S_x| = 0) with v = 0; the
-        # level's |S_x| is checked by stage 1 of step 2, so the final level
-        # of a 2-step run is never checked
-        calls = []
+        # step 1 is made to record a constant S (|S_x| = 0); the level's
+        # |S_x| is checked by stage 1 of step 2, so the final level of a
+        # 2-step run is never checked
+        curvature, step = spin._curvature, ref_step_rk4
+        curvatures, steps_made = [], []
 
-        def flattening_step(y, rhs, dt, t=0.0):
-            out = ss.step_rk4(y, rhs, dt, t)
-            calls.append(t)
-            if len(calls) == 2:
-                rows = out if out.shape[0] == 4 else out.T  # the oracle is row-major
-                rows[:3], rows[3] = [[0.0], [0.0], [1.0]], 0.0
+        def flattening_curvature(S, grid):
+            # evolve_series takes level 0's curvature, then per step that of
+            # stages 2-4 and of the level it records: call 9 is level 2's
+            curvatures.append(1)
+            if len(curvatures) == 9:
+                S[:] = [0.0, 0.0, 1.0]  # a view of the (4, n) RK4 state
+            return curvature(S, grid)
+
+        def flattening_step(y, rhs, dt, t=0.0):  # the oracle's (n, 4) state
+            out = step(y, rhs, dt, t)
+            steps_made.append(t)
+            if len(steps_made) == 2:
+                out[:, :3] = [0.0, 0.0, 1.0]
             return out
 
         g = circle_grid(33)
         ic = random_smooth_spin(g, seed=1)
-        monkeypatch.setattr(spin, "step_rk4", flattening_step)
-        monkeypatch.setitem(globals(), "step_rk4", flattening_step)
+        monkeypatch.setattr(spin, "_curvature", flattening_curvature)
+        monkeypatch.setitem(globals(), "ref_step_rk4", flattening_step)
         if steps == 2:
             series = ss.evolve_series(ic, g.dx / 4, steps)
             assert np.array_equal(series.S[:, 2], np.tile([0.0, 0.0, 1.0], (g.n, 1)))
@@ -353,7 +378,6 @@ class TestEvolve:
         message = r"^step 2: \|S_x\| = 0.000e\+00 below k_min = 1.0e-08 at index 0$"
         with pytest.raises(ss.DegenerateFrameError, match=message):
             ss.evolve_series(ic, g.dx / 4, steps)
-        calls.clear()
         with pytest.raises(ss.DegenerateFrameError, match=message):
             oracle_evolve_series(ic, g.dx / 4, steps)
 
@@ -513,7 +537,7 @@ def oracle_evolve_series(f, dt, steps, renorm=True):
     levels = [(f.S, f.u, f.v)]
     for j in range(steps):
         try:
-            y = step_rk4(y, rhs, dt, t=f.t + j * dt)
+            y = ref_step_rk4(y, rhs, dt, t=f.t + j * dt)
             S, v = y[:, :3], y[:, 3]
             if renorm:
                 S /= np.linalg.norm(S, axis=1)[:, None]

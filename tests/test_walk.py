@@ -12,27 +12,7 @@ import solsurf as ss
 from solsurf import Grid1D, Grid2D
 from solsurf.fixtures import expm_skew3, random_ct
 
-from conftest import polar_band
-
-
-# The edge step as first written: one RK4 step per edge through a closure,
-# every stage checked.  The walk must reproduce it bit for bit.
-def ref_step_rk4(y, rhs, dt, t=0.0):
-    def check(a):
-        if not np.isfinite(a).all():
-            raise ss.NonFiniteFieldError("non-finite stage")
-
-    k1 = rhs(t, y)
-    check(k1)
-    k2 = rhs(t + dt / 2, y + k1 * (dt / 2))
-    check(k2)
-    k3 = rhs(t + dt / 2, y + k2 * (dt / 2))
-    check(k3)
-    k4 = rhs(t + dt, y + k3 * dt)
-    check(k4)
-    out = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    check(out)
-    return out
+from conftest import polar_band, ref_step_rk4
 
 
 def ref_step_linear(y, m0, m1, h):
