@@ -291,10 +291,12 @@ def _grid2(cfg: RunConfig, level: int = 0) -> Grid2D:
 
 
 def _initial_state(cfg: RunConfig) -> SpinField:
-    """The --ic document if given, else the scenario's initial condition."""
+    """The --ic document if given, else the scenario's initial condition at t0."""
     if cfg.ic is None:
         grid = Grid1D(cfg.x0, cfg.dx, cfg.n, cfg.boundary)
-        return SCENARIOS[cfg.scenario].spin(grid, **_scenario_params(cfg))
+        field = SCENARIOS[cfg.scenario].spin(grid, **_scenario_params(cfg))
+        field.t = cfg.t0
+        return field
     obj = load_json(cfg.ic)
     if not isinstance(obj, SpinField):
         raise ConfigError(f"{cfg.ic} does not hold a spin_field document")
@@ -317,7 +319,9 @@ def _eval_level(cfg: RunConfig, which: str, level: int):
     p = _scenario_params(cfg)
     base = g2 = _grid2(cfg, level)
     if scenario.spin is not None:
-        base = evolve_series(scenario.spin(g2.gx, **p), dt, steps, cfg.renorm)
+        field = scenario.spin(g2.gx, **p)
+        field.t = cfg.t0
+        base = evolve_series(field, dt, steps, cfg.renorm)
         g2 = base.grid2
     fields, analytic = residual(scenario.sources[source](base, p))
     numeric = _max_abs(*fields.values())

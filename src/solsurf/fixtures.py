@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .frames import CTFields
+from .frames import CTFields, matrix_a
 from .gauss_codazzi import FundamentalForms, GCAnalytic, GCData
 from .numgrid import Grid1D, Grid2D
 from .spin import K_MIN, SpinField, build_frame, solve_u_constraint
@@ -113,10 +113,13 @@ def sphere_gc(g2: Grid2D, radius: float = 1.0):
 
     psi1 = 1, psi2 = sin(theta), metric roots R and R sin(theta), p = 0,
     q = cos(theta).  All residuals vanish identically, so the numerical
-    residual isolates the differentiation error.
+    residual isolates the differentiation error.  ConfigError if 4 * radius
+    (a one-sided difference weight) overflows.
     """
-    _, T = g2.meshes()
-    theta = T
+    if not math.isfinite(4.0 * float(radius)):
+        raise ConfigError(f"radius={radius!r} is too large: 4 * radius overflows "
+                          "the one-sided differences of the metric roots")
+    _, theta = g2.meshes()
     s = np.sin(theta)
     c = np.cos(theta)
     ones = np.ones_like(theta)
@@ -146,15 +149,10 @@ def sphere_frame_series(g2: Grid2D):
     differencing error.
     """
     X, T = g2.meshes()
-    nx, nt = g2.shape
     ct = sphere_ct(g2)
-    WA = np.zeros((nx, nt, 3, 3))
     dxs = X - g2.gx.x0
-    WA[..., 0, 1] = ct.k * dxs
-    WA[..., 1, 0] = -ct.k * dxs
-    WA[..., 1, 2] = ct.tau * dxs
-    WA[..., 2, 1] = -ct.tau * dxs
-    WB = np.zeros((nt, 3, 3))
+    WA = matrix_a(ct.k * dxs, ct.tau * dxs)
+    WB = np.zeros((g2.gt.n, 3, 3))
     dts = T[0] - g2.gt.x0
     WB[..., 0, 2] = dts
     WB[..., 2, 0] = -dts

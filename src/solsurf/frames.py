@@ -150,10 +150,9 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
 class CTFields(GridFields):
     """Curvature/torsion data (k, tau, omega2, omega3) on a 2-D grid.
 
-    omega1 is identically zero for this data type.  k may change sign here:
-    curvature-type fields imported from surface data are signed, and the
-    compatibility equations are polynomial in k, so no positivity is
-    enforced.
+    k may change sign here: curvature-type fields imported from surface data
+    are signed, and the compatibility equations are polynomial in k, so no
+    positivity is enforced.
     """
 
     k: np.ndarray
@@ -163,10 +162,6 @@ class CTFields(GridFields):
     grid: Grid2D
 
     LAYOUT = Layout({"k": (), "tau": (), "omega2": (), "omega3": ()}, nonfinite=ShapeError)
-
-    @property
-    def omega1(self) -> np.ndarray:
-        return np.zeros(self.grid.shape)
 
 
 def compatibility_residual(ct: CTFields):

@@ -72,9 +72,20 @@ class GCAnalytic:
     tpsi2_t: np.ndarray
 
 
-def _closed_form(arrays, names, d: GCData) -> list:
-    """Closed-form derivative arrays, each checked against the grid of d."""
-    return [as_shape(a, d.grid.shape, n) for a, n in zip(arrays, names, strict=True)]
+# derivative name -> (GCData field, operator)
+_DERIVATIVES = {"psi1_x": ("psi1", diff_x), "psi2_t": ("psi2", diff_t),
+                "p_x": ("p", diff_x), "q_t": ("q", diff_t),
+                "tpsi1_x": ("tpsi1", diff_x), "tpsi2_t": ("tpsi2", diff_t)}
+
+
+def _derivatives(d: GCData, names, given=None) -> list:
+    """d's named derivatives: the closed-form arrays given (a GCAnalytic or a
+    sequence in the order of names), each checked against d's grid, else numerical."""
+    if given is None:
+        return [op(getattr(d, field), d.grid) for field, op in map(_DERIVATIVES.get, names)]
+    if isinstance(given, GCAnalytic):
+        given = [getattr(given, n) for n in names]
+    return [as_shape(a, d.grid.shape, n) for a, n in zip(given, names, strict=True)]
 
 
 def gc_residual(d: GCData, derivs: GCAnalytic | None = None):
@@ -84,15 +95,7 @@ def gc_residual(d: GCData, derivs: GCAnalytic | None = None):
     r2 = psi2_t - q*psi1
     r3 = q_t + p_x + psi1*psi2
     """
-    if derivs is None:
-        psi1_x = diff_x(d.psi1, d.grid)
-        psi2_t = diff_t(d.psi2, d.grid)
-        p_x = diff_x(d.p, d.grid)
-        q_t = diff_t(d.q, d.grid)
-    else:
-        psi1_x, psi2_t, p_x, q_t = _closed_form(
-            (derivs.psi1_x, derivs.psi2_t, derivs.p_x, derivs.q_t),
-            ("psi1_x", "psi2_t", "p_x", "q_t"), d)
+    psi1_x, psi2_t, p_x, q_t = _derivatives(d, ("psi1_x", "psi2_t", "p_x", "q_t"), derivs)
     r1 = psi1_x - d.p * d.psi2
     r2 = psi2_t - d.q * d.psi1
     r3 = q_t + p_x + d.psi1 * d.psi2
@@ -105,12 +108,7 @@ def metric_residual(d: GCData, derivs: GCAnalytic | None = None):
     r1 = tpsi1_x - p*tpsi2
     r2 = tpsi2_t - q*tpsi1
     """
-    if derivs is None:
-        tpsi1_x = diff_x(d.tpsi1, d.grid)
-        tpsi2_t = diff_t(d.tpsi2, d.grid)
-    else:
-        tpsi1_x, tpsi2_t = _closed_form((derivs.tpsi1_x, derivs.tpsi2_t),
-                                        ("tpsi1_x", "tpsi2_t"), d)
+    tpsi1_x, tpsi2_t = _derivatives(d, ("tpsi1_x", "tpsi2_t"), derivs)
     r1 = tpsi1_x - d.p * d.tpsi2
     r2 = tpsi2_t - d.q * d.tpsi1
     return r1, r2
@@ -151,7 +149,8 @@ def curvatures(f: FundamentalForms):
     K and H are NaN where L is NaN, as mesh_forms marks degenerate points;
     EG - F^2 <= 0 where L is finite raises DegenerateMetricError.
     """
-    den = f.E * f.G - f.F ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = f.E * f.G - f.F ** 2
     singular = (den <= 0) & np.isfinite(f.L)
     if np.any(singular):
         low = float(den[singular].min())
@@ -188,11 +187,7 @@ def map_frame_to_gc(ct: CTFields, tpsi1, tpsi2, tol: float = 1e-6,
     d = GCData(psi1=-ct.omega2, psi2=ct.tau.copy(),
                tpsi1=np.array(tpsi1, dtype=float), tpsi2=np.array(tpsi2, dtype=float),
                p=-ct.omega3, q=ct.k.copy(), grid=ct.grid)
-    if metric_derivs is None:
-        tpsi1_x = diff_x(d.tpsi1, d.grid)
-        tpsi2_t = diff_t(d.tpsi2, d.grid)
-    else:
-        tpsi1_x, tpsi2_t = _closed_form(metric_derivs, ("tpsi1_x", "tpsi2_t"), d)
+    tpsi1_x, tpsi2_t = _derivatives(d, ("tpsi1_x", "tpsi2_t"), metric_derivs)
 
     q_implied = tpsi2_t / d.tpsi1
     p_implied = tpsi1_x / d.tpsi2

@@ -1,9 +1,9 @@
 """2x2 linear representation of the frame compatibility system.
 
-U carries (tau, k) and V carries (omega1, omega2, omega3); both are traceless
-and i*U, i*V are Hermitian for real inputs.  The curvature orientation is
-frozen by symbolic expansion against the frame compatibility residuals
-(r1, r2, r3) of ``frames.compatibility_residual``:
+U carries (tau, k) and V carries (omega2, omega3), its diagonal zero as omega1
+is; both are traceless and i*U, i*V are Hermitian for real inputs.  The
+curvature orientation is frozen by symbolic expansion against the frame
+compatibility residuals (r1, r2, r3) of ``frames.compatibility_residual``:
 
     R = U_t - V_x - [U, V]
 
@@ -66,7 +66,7 @@ class Eigenfunction(GridFields):
 
 
 def build_lax(ct: CTFields) -> LaxPairField:
-    """Assemble U from (tau, k) and V from (omega1, omega2, omega3)."""
+    """Assemble U from (tau, k) and V from (omega2, omega3) (omega1 = 0)."""
     shape = ct.grid.shape
     a = _HALF_OVER_I
     U = np.zeros(shape + (2, 2), dtype=complex)
@@ -75,11 +75,8 @@ def build_lax(ct: CTFields) -> LaxPairField:
     U[..., 1, 0] = a * ct.k
     U[..., 1, 1] = -a * ct.tau
     V = np.zeros(shape + (2, 2), dtype=complex)
-    w1 = ct.omega1
-    V[..., 0, 0] = a * w1
     V[..., 0, 1] = a * (ct.omega3 + 1j * ct.omega2)
     V[..., 1, 0] = a * (ct.omega3 - 1j * ct.omega2)
-    V[..., 1, 1] = -a * w1
     return LaxPairField(U=U, V=V, grid=ct.grid)
 
 

@@ -170,9 +170,8 @@ def spin_rhs(f: SpinField) -> SpinRates:
     return SpinRates(rates[:3].T.copy(), u_constraint_residual(k, f.u, f.v, f.grid), rates[3])
 
 
-def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
-                       u_left: float = 0.0) -> np.ndarray:
-    """March u_x = v*sqrt(k^2 - u^2) from u(x0) = u_left (Heun, second order).
+def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """March u_x = v*sqrt(k^2 - u^2) from u(x0) = 0 (Heun, second order).
 
     The march runs on Python floats.  Its radicands are clamped as max(r, 0.0)
     clamps: negatives to 0.0, while NaN and -0.0 pass unchanged.  The returned
@@ -182,10 +181,10 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D,
     mismatch surfaces in the reported constraint residual).
     """
     n = grid.n
-    return _march(as_shape(k, (n,), "k"), as_shape(v, (n,), "v"), grid, u_left)[0]
+    return _march(as_shape(k, (n,), "k"), as_shape(v, (n,), "v"), grid)[0]
 
 
-def _march(k: np.ndarray, v: np.ndarray, grid: Grid1D, u_left: float = 0.0):
+def _march(k: np.ndarray, v: np.ndarray, grid: Grid1D):
     """solve_u_constraint's u and the clamped radicand it was verified with."""
     for name, a in (("k", k), ("v", v)):
         if not np.isfinite(a).all():
@@ -194,7 +193,7 @@ def _march(k: np.ndarray, v: np.ndarray, grid: Grid1D, u_left: float = 0.0):
 
     # Python floats: an overflowing trial radicand is -inf and clamps silently
     kk, vs = (k * k).tolist(), v.tolist()
-    ui = float(u_left)
+    ui = 0.0
     us = [ui]
     for kk_i, v_i, kk_j, v_j in zip(kk, vs, kk[1:], vs[1:]):
         r = kk_i - ui * ui

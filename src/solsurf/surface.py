@@ -66,15 +66,17 @@ def mesh_forms(m: SurfaceMesh) -> FundamentalForms:
     E, F, G are defined everywhere; L, M, N are NaN (mask ~isfinite(L)) where
     |r_x ^ r_t| <= DEGENERATE_TOL max|r_x| max|r_t|, a bound that scales with
     the surface: at r_t = 0, or at round-off on that scale (closure rows),
-    and where E G - F^2, which K and H divide by, cancels to <= 0.
+    and where E G - F^2, which K and H divide by, cancels to <= 0.  Where it
+    overflows (round-off at a tiny spacing), so does the bound: none passes it.
     """
     r_x = diff_x(m.r, m.grid)
     r_t = diff_t(m.r, m.grid)
-    E, F, G = _dot(r_x, r_x), _dot(r_x, r_t), _dot(r_t, r_t)
-    cross = np.cross(r_x, r_t)
-    mag = np.linalg.norm(cross, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, F, G = _dot(r_x, r_x), _dot(r_x, r_t), _dot(r_t, r_t)
+        cross = np.cross(r_x, r_t)
+        mag = np.linalg.norm(cross, axis=-1)
+        good = (mag > DEGENERATE_TOL * np.sqrt(np.max(E) * np.max(G))) & (E * G - F ** 2 > 0)
     n = np.full_like(cross, np.nan)
-    good = (mag > DEGENERATE_TOL * np.sqrt(np.max(E) * np.max(G))) & (E * G - F ** 2 > 0)
     n[good] = cross[good] / mag[good][..., None]
     r_xx = diff_xx(m.r, m.grid)
     r_tt = diff_tt(m.r, m.grid)

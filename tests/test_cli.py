@@ -107,6 +107,14 @@ class TestSimulate:
         series = fio.load_json(tmp_path / "series.json")
         assert np.array_equal(series.slice(0).S, ic.S)
 
+    def test_ic_keeps_its_own_time(self, tmp_path):
+        ic = traveling_circle(circle_grid(17))
+        ic.t = 2.0
+        fio.save_json(ic, tmp_path / "ic.json")
+        assert main(["simulate", "--ic", str(tmp_path / "ic.json"), "--steps", "4",
+                     "--t0", "5", "--format", "json", "--out", str(tmp_path)]) == 0
+        assert fio.load_json(tmp_path / "series.json").times[0] == 2.0
+
     def test_format_selection(self, tmp_path):
         rc = main(["simulate", "--n", "33", "--steps", "2", "--format", "json",
                    "--out", str(tmp_path)])
@@ -369,6 +377,30 @@ def test_module_entry_point():
 
 SPIN_SIZE = ["--n", "33", "--steps", "8"]
 
+
+def _first_t(path) -> float:
+    """The t column of a CSV artifact's first data row."""
+    return float(path.read_text().splitlines()[1].split(",")[1])
+
+
+@pytest.mark.parametrize("scenario", ["traveling_circle", "random_smooth"])
+def test_t0_starts_a_spin_scenario_run(tmp_path, scenario):
+    """--t0 is the first time of a spin scenario's series, mesh and residuals,
+    as it is the first t of a patch scenario's grid."""
+    argv = ["--scenario", scenario, "--n", "17", "--steps", "4", "--t0", "5"]
+    for command in ("simulate", "surface", "check"):
+        assert main([command, *argv, "--out", str(tmp_path / command)]) in (0, 1)
+    series = fio.load_json(tmp_path / "simulate" / "series.json")
+    summary = json.loads((tmp_path / "simulate" / "simulate_summary.json").read_text())
+    assert series.times[0] == 5.0 and summary["config"]["t0"] == 5.0
+    # 4 steps of the default dt = dx/4
+    assert summary["final_time"] == series.times[-1] == pytest.approx(5.0 + series.grid.dx)
+    assert _first_t(tmp_path / "simulate" / "series.csv") == 5.0
+    assert _first_t(tmp_path / "surface" / "mesh.csv") == 5.0
+    which = SCENARIOS[scenario].defaults.get("which", cli.KEYS["which"][0])
+    assert _first_t(tmp_path / "check" / f"residuals_{which}.csv") == 5.0
+
+
 # Exit code and finest residual of `check` for every scenario and residual
 # family.  Spin scenarios run at SPIN_SIZE, field scenarios at their
 # defaults; exit 2 writes no summary.
@@ -465,6 +497,9 @@ def test_overflowing_amplitude_prints_only_the_error(tmp_path, argv, code):
     ["surface", "--scenario", "sphere", "--param", "radius=1e200"],
     ["surface", "--scenario", "sphere", "--param", "radius=1e80"],
     ["surface", "--scenario", "cylinder", "--param", "radius=1e300"],
+    # 4 * radius overflows the one-sided differences of the metric roots
+    *[["check", "--scenario", "sphere", "--which", which, "--param", "radius=4.5e307"]
+      for which in ("metric", "gc")],
 ], ids=lambda argv: " ".join(argv[2:]))
 def test_overflowing_radius_prints_only_the_error(tmp_path, argv):
     """A radius whose forms overflow exits 2 naming radius, with no warning."""
@@ -559,6 +594,24 @@ def test_large_radius_still_runs(tmp_path):
     summary = json.loads((tmp_path / "surface_summary.json").read_text())
     assert summary["degenerate_count"] == 0
     assert summary["K_mean"] * 1e152 == pytest.approx(1.0, abs=2e-3)
+
+
+@pytest.mark.parametrize("which", ["metric", "gc"])
+def test_sphere_check_below_the_radius_bound_passes(tmp_path, which):
+    assert main(["check", "--scenario", "sphere", "--which", which, "--param",
+                 "radius=4.4e307", "--format", "json", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("spacing", ["1.5e-154", "1e-120"])
+def test_sphere_surface_at_tiny_spacing_prints_no_warning(tmp_path, spacing):
+    """Round-off differences overflow the forms: every point is degenerate,
+    and no numpy warning reaches stderr."""
+    proc = subprocess.run([sys.executable, "-m", "solsurf", "surface", "--scenario",
+                           "sphere", "--dx", spacing, "--dt", spacing, "--steps", "8",
+                           "--format", "json", "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "surface sphere: points=585 degenerate=585 K_mean=None\n"
 
 
 def test_random_ct_amplitude_bound():
@@ -709,18 +762,20 @@ def _wrong_typed_ic(tmp: Path, kind: str, value) -> str:
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(command=st.sampled_from(["simulate", "check", "convergence", "surface"]),
        scenario=st.sampled_from(sorted(SCENARIOS)),
+       which=st.sampled_from(sorted(cli.RESIDUALS)),
        keys=st.dictionaries(st.sampled_from(["n", "steps", "levels", "dx", "dt"]),
                             VALUES, max_size=2),
        as_flags=st.booleans(),
        param=st.none() | VALUES.map(json.dumps) | st.just(DEEP_JSON),
        ic=st.none() | st.tuples(st.sampled_from(["S", "u", "v"]),
                                 st.sampled_from(["0.5", False, None, [0.5], {}])))
-def test_contract_fuzz(command, scenario, keys, as_flags, param, ic):
-    """Hostile sizes, params and --ic entries end in an exit code of the
-    contract with at most one error line, never a traceback."""
+def test_contract_fuzz(command, scenario, which, keys, as_flags, param, ic):
+    """Hostile sizes, params and --ic entries, with any residual family, end in
+    an exit code of the contract with at most one error line, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        config = {"n": 9, "steps": 2, "levels": 2, "scenario": scenario, **keys}
+        config = {"n": 9, "steps": 2, "levels": 2, "scenario": scenario, "which": which,
+                  **keys}
         argv = [command, "--out", str(tmp / "out"), "--format", "json"]
         if as_flags:
             # argparse takes an int flag as an int and a float flag as a float;

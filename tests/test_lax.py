@@ -35,6 +35,12 @@ class TestBuildLax:
         assert np.max(np.abs(L.V[..., 0, 1] - half_over_i * (ct.omega3 + 1j * ct.omega2))) < 1e-15
         assert np.max(np.abs(L.V[..., 1, 0] - half_over_i * (ct.omega3 - 1j * ct.omega2))) < 1e-15
 
+    def test_v_diagonal_is_positive_zero(self, band_small):
+        # omega1 = 0: build_lax leaves V's diagonal as np.zeros filled it
+        V = ss.build_lax(random_ct(band_small, seed=3)).V
+        diagonal = np.stack([V[..., 0, 0], V[..., 1, 1]])
+        assert diagonal.tobytes() == np.zeros_like(diagonal).tobytes()
+
     def test_nonfinite_rejected(self, band_small):
         nx, nt = band_small.shape
         U = np.zeros((nx, nt, 2, 2), dtype=complex)

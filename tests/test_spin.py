@@ -102,8 +102,9 @@ class TestSpinRhs:
 class TestSolveUConstraint:
     def test_zero_v_keeps_u_at_anchor(self):
         g = Grid1D(0.0, 0.01, 101)
-        u = ss.solve_u_constraint(np.ones(101), np.zeros(101), g, u_left=0.25)
-        assert np.array_equal(u, np.full(101, 0.25))
+        k = 1.0 + 0.5 * np.sin(g.points())
+        u = ss.solve_u_constraint(k, np.zeros(101), g)
+        assert u.tobytes() == np.zeros(101).tobytes()
 
     def test_constant_coefficients_analytic(self):
         # u_x = V sqrt(K^2 - u^2) with u(0)=0 has solution K sin(V x)
@@ -117,9 +118,11 @@ class TestSolveUConstraint:
         assert ss.fit_order(hs, errs) >= 1.9
 
     def test_anchor_is_exact(self):
+        # u(x0) = 0 is the anchor, +0.0 to the bit
         g = Grid1D(0.0, 0.05, 41)
-        u = ss.solve_u_constraint(np.ones(41), np.full(41, 0.3), g, u_left=0.5)
-        assert u[0] == 0.5
+        u = ss.solve_u_constraint(np.ones(41), np.full(41, 0.3), g)
+        assert u[0] == 0.0 and not np.signbit(u[0])
+        assert u[1] > 0.0
 
     def test_periodic_endpoint_copied(self):
         g = circle_grid(33)
@@ -128,10 +131,12 @@ class TestSolveUConstraint:
         assert u[-1] == u[0]
 
     def test_impossible_march_raises(self):
-        # |u_left| > k makes the radicand negative at the first node
+        # the anchor's radicand is k^2 >= 0; a steep v overshoots u past k at
+        # the next node: u = 1.5 there, so k^2 - u^2 = -1.25
         g = Grid1D(0.0, 0.01, 11)
-        with pytest.raises(ss.SqrtDomainError):
-            ss.solve_u_constraint(np.ones(11), np.ones(11), g, u_left=2.0)
+        with pytest.raises(ss.SqrtDomainError) as exc:
+            ss.solve_u_constraint(np.ones(11), np.full(11, 300.0), g)
+        assert (exc.value.index, exc.value.value) == (1, -1.25)
 
     @pytest.mark.parametrize("k,v,name", [
         ([1.0, np.nan, 1.0, 1.0, 1.0], 0.3, "k"),        # used to return NaN u
@@ -147,33 +152,34 @@ class TestSolveUConstraint:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(4, 24),
            boundary=st.sampled_from(["one_sided", "periodic"]),
-           dx=st.floats(1e-3, 2.0), u_left=st.floats(-3.0, 3.0).filter(bool))
-    def test_matches_reference_march(self, data, n, boundary, dx, u_left):
-        # entries near |u|, entries whose slope overflows the trial value (an
-        # inf - inf radicand is NaN, which the clamp must pass through as
-        # max(r, 0.0) does), and NaN/inf entries, which the march rejects
+           dx=st.floats(1e-3, 2.0), scale=st.floats(1e-3, 3.0))
+    def test_matches_reference_march(self, data, n, boundary, dx, scale):
+        # entries at and near a drawn scale, which the marched |u| can reach,
+        # entries whose slope overflows the trial value (an inf - inf radicand
+        # is NaN, which the clamp must pass through as max(r, 0.0) does), and
+        # NaN/inf entries, which the march rejects
         entry = st.one_of(
-            st.floats(-3.0, 3.0), st.just(abs(u_left)),
-            st.floats(0.999, 1.001).map(lambda s: s * abs(u_left)),
+            st.floats(-3.0, 3.0), st.just(scale),
+            st.floats(0.999, 1.001).map(lambda s: s * scale),
             st.floats(1e150, 1e300), st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
         k = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
         v = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
         g = Grid1D(0.0, dx, n, boundary)
         if not (np.isfinite(k).all() and np.isfinite(v).all()):
             with pytest.raises(ss.NonFiniteFieldError, match="contains non-finite values"):
-                ss.solve_u_constraint(k, v, g, u_left=u_left)
+                ss.solve_u_constraint(k, v, g)
             return
-        ref = reference_march(k, v, g, u_left)
+        ref = reference_march(k, v, g)
         # inf - inf in the final radicand check is NaN, which numpy warns about
         with np.errstate(over="ignore", invalid="ignore"):
             rad = k * k - ref * ref
             bad = np.flatnonzero(rad < -spin.CLAMP_SLACK)
             if bad.size:
                 with pytest.raises(ss.SqrtDomainError) as exc:
-                    ss.solve_u_constraint(k, v, g, u_left=u_left)
+                    ss.solve_u_constraint(k, v, g)
                 assert (exc.value.index, exc.value.value) == (bad[0], rad[bad[0]])
             else:
-                u = ss.solve_u_constraint(k, v, g, u_left=u_left)
+                u = ss.solve_u_constraint(k, v, g)
                 assert nan_blind_bytes(u) == nan_blind_bytes(ref)
 
 
@@ -186,15 +192,15 @@ def nan_blind_bytes(a):
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
-def reference_march(k, v, grid, u_left):
-    """The Heun march as first written, a slope closure clamped with max;
-    unchecked, with the periodic closure sample copied."""
+def reference_march(k, v, grid):
+    """The Heun march as first written, from u(x0) = 0 with a slope closure
+    clamped with max; unchecked, with the periodic closure sample copied."""
     def slope(ki, vi, ui):
         return vi * math.sqrt(max(ki * ki - ui * ui, 0.0))
 
     ks, vs = k.tolist(), v.tolist()
     h = grid.dx
-    us = [float(u_left)]
+    us = [0.0]
     for i in range(grid.n - 1):
         f1 = slope(ks[i], vs[i], us[i])
         trial = us[i] + h * f1
