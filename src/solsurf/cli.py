@@ -39,7 +39,7 @@ from .frames import compatibility_residual, torsion_transport_residual
 from .gauss_codazzi import curvatures, gc_residual, metric_residual
 from .lax import build_lax, zero_curvature_residual
 from .numgrid import BOUNDARIES, Grid1D, Grid2D, diff_x, fit_order
-from .spin import (SpinField, ct_from_spin_series, evolve_series,
+from .spin import (SpinField, SpinSeries, ct_from_spin_series, evolve_series,
                    u_constraint_residual)
 from .surface import export_obj, mesh_forms, reconstruct
 
@@ -51,21 +51,18 @@ def _numbered(residuals) -> dict:
     return {f"r{i + 1}": r for i, r in enumerate(residuals)}
 
 
-# which -> (source it reads, residual).  A residual returns its named fields
-# and, for the surface source (data, closed-form derivatives), also the
-# residuals computed with the closed-form derivatives.
+# which -> (source it reads, default threshold, residual).  A residual returns its
+# named fields and, for the surface source, the residuals of its exact derivatives.
 RESIDUALS = {
-    "compat": ("ct", lambda ct: (_numbered(compatibility_residual(ct)), None)),
-    "gc": ("surface", lambda s: (_numbered(gc_residual(s[0])), gc_residual(*s))),
-    "metric": ("surface",
+    "compat": ("ct", 1e-2, lambda ct: (_numbered(compatibility_residual(ct)), None)),
+    "gc": ("surface", 1e-6, lambda s: (_numbered(gc_residual(s[0])), gc_residual(*s))),
+    "metric": ("surface", 1e-6,
                lambda s: (_numbered(metric_residual(s[0])), metric_residual(*s))),
-    "lax": ("ct", lambda ct: (
+    "lax": ("ct", 1e-2, lambda ct: (
         {"lax_frobenius": zero_curvature_residual(build_lax(ct))}, None)),
-    "torsion": ("frame", lambda fr: (
+    "torsion": ("frame", 1e-2, lambda fr: (
         {"torsion_residual": torsion_transport_residual(*fr)}, None)),
 }
-THRESHOLD_DEFAULTS = {"gc": 1e-6, "metric": 1e-6, "compat": 1e-2,
-                      "lax": 1e-2, "torsion": 1e-2}
 
 FORMATS = ("csv", "json", "obj")
 
@@ -290,17 +287,26 @@ def _grid2(cfg: RunConfig, level: int = 0) -> Grid2D:
                   Grid1D(cfg.t0, dt, steps + 1, "one_sided"))
 
 
-def _initial_state(cfg: RunConfig) -> SpinField:
-    """The --ic document if given, else the scenario's initial condition at t0."""
+def _trajectory(cfg: RunConfig, level: int = 0) -> SpinSeries:
+    """The --ic document, else the scenario's field at t0, evolved at the level's sizes."""
+    n, dx, dt, steps = _level_sizes(cfg, level)
     if cfg.ic is None:
-        grid = Grid1D(cfg.x0, cfg.dx, cfg.n, cfg.boundary)
-        field = SCENARIOS[cfg.scenario].spin(grid, **_scenario_params(cfg))
+        field = SCENARIOS[cfg.scenario].spin(Grid1D(cfg.x0, dx, n, cfg.boundary),
+                                             **_scenario_params(cfg))
         field.t = cfg.t0
-        return field
-    obj = load_json(cfg.ic)
-    if not isinstance(obj, SpinField):
-        raise ConfigError(f"{cfg.ic} does not hold a spin_field document")
-    return obj
+    else:
+        field = load_json(cfg.ic)
+        if not isinstance(field, SpinField):
+            raise ConfigError(f"{cfg.ic} does not hold a spin_field document")
+    return evolve_series(field, dt, steps, cfg.renorm)
+
+
+def _summary(command: str, cfg: RunConfig, out_dir: str, name: str, fields: dict) -> dict:
+    """Write the run's header and fields to out_dir/name; return the summary."""
+    summary = {"command": command, "version": __version__,
+               "config": cfg.as_dict(), "out": out_dir, **fields}
+    save_json(summary, os.path.join(out_dir, name))
+    return summary
 
 
 def _label(cfg: RunConfig) -> str:
@@ -314,16 +320,13 @@ def _max_abs(*fields) -> float:
 
 def _eval_level(cfg: RunConfig, which: str, level: int):
     scenario = SCENARIOS[cfg.scenario]
-    source, residual = RESIDUALS[which]
+    source, _, residual = RESIDUALS[which]
     n, dx, dt, steps = _level_sizes(cfg, level)
-    p = _scenario_params(cfg)
     base = g2 = _grid2(cfg, level)
     if scenario.spin is not None:
-        field = scenario.spin(g2.gx, **p)
-        field.t = cfg.t0
-        base = evolve_series(field, dt, steps, cfg.renorm)
+        base = _trajectory(cfg, level)
         g2 = base.grid2
-    fields, analytic = residual(scenario.sources[source](base, p))
+    fields, analytic = residual(scenario.sources[source](base, _scenario_params(cfg)))
     numeric = _max_abs(*fields.values())
     report = {"n": n, "dx": dx, "dt": dt, "steps": steps,
               "residual": numeric, "residual_numeric": numeric}
@@ -349,8 +352,7 @@ def _run_study(cfg: RunConfig, out_dir: str, command: str, n_levels: int) -> int
             f"which={which!r} is not defined for scenario {cfg.scenario!r}; "
             f"it is for {', '.join(defined)}")
     _check_size(cfg, n_levels - 1)
-    threshold = (cfg.threshold if cfg.threshold is not None
-                 else THRESHOLD_DEFAULTS[which])
+    threshold = RESIDUALS[which][1] if cfg.threshold is None else cfg.threshold
     reports = []
     for level in range(n_levels):
         report, fields, g2 = _eval_level(cfg, which, level)
@@ -363,11 +365,7 @@ def _run_study(cfg: RunConfig, out_dir: str, command: str, n_levels: int) -> int
     finest = reports[-1]["residual"]
     pass_residual = finest <= threshold
     ok = pass_order and pass_residual
-    summary = {
-        "command": command,
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "out": out_dir,
+    _summary(command, cfg, out_dir, f"{command}_{which}.json", {
         "which": which,
         "threshold": threshold,
         "order_required": ORDER_MIN,
@@ -378,8 +376,7 @@ def _run_study(cfg: RunConfig, out_dir: str, command: str, n_levels: int) -> int
         "pass_order": pass_order,
         "pass_residual": pass_residual,
         "pass": ok,
-    }
-    save_json(summary, os.path.join(out_dir, f"{command}_{which}.json"))
+    })
     if "csv" in cfg.formats:
         save_scalars_csv(fields, g2,
                          os.path.join(out_dir, f"residuals_{which}.csv"))
@@ -394,7 +391,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         spin = [name for name, s in SCENARIOS.items() if s.spin is not None]
         raise ConfigError(
             f"simulate needs a spin scenario ({', '.join(spin)}) or --ic FILE")
-    series = evolve_series(_initial_state(cfg), cfg.dt, cfg.steps, cfg.renorm)
+    series = _trajectory(cfg)
     artifacts = []
     if "json" in cfg.formats:
         save_json(series, os.path.join(out_dir, "series.json"))
@@ -408,18 +405,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     drift = _max_abs(np.linalg.norm(series.S, axis=-1) - 1.0)
     k = np.linalg.norm(diff_x(series.S, series.grid), axis=-1)
     u_res = _max_abs(u_constraint_residual(k, series.u, series.v, series.grid))
-    summary = {
-        "command": "simulate",
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "out": out_dir,
+    summary = _summary("simulate", cfg, out_dir, "simulate_summary.json", {
         "final_time": float(series.times[-1]),
         "steps": cfg.steps,
         "max_sphere_drift": _json_number(drift),
         "max_u_residual": _json_number(u_res),
         "artifacts": artifacts + ["simulate_summary.json"],
-    }
-    save_json(summary, os.path.join(out_dir, "simulate_summary.json"))
+    })
     print(f"simulate {_label(cfg)}: final_time={summary['final_time']:.6g} "
           f"sphere_drift={drift:.3e} u_residual={u_res:.3e}")
     return 0
@@ -430,8 +422,7 @@ def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
     if cfg.ic is not None or scenario.spin is not None:
         if cfg.steps < 1:
             raise ConfigError("surface needs steps >= 1 to sweep a mesh")
-        mesh = reconstruct(evolve_series(_initial_state(cfg), cfg.dt, cfg.steps,
-                                         cfg.renorm))
+        mesh = reconstruct(_trajectory(cfg))
     elif scenario.patch is not None:
         mesh = scenario.patch(_grid2(cfg), **_scenario_params(cfg))
     else:
@@ -454,11 +445,7 @@ def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
                          mesh.grid, os.path.join(out_dir, "curvature.csv"))
         artifacts.extend(["mesh.csv", "curvature.csv"])
     n_good = int(np.count_nonzero(good))
-    summary = {
-        "command": "surface",
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "out": out_dir,
+    summary = _summary("surface", cfg, out_dir, "surface_summary.json", {
         "n_points": int(K.size),
         "degenerate_count": int(np.count_nonzero(degenerate)),
         "K_mean": _json_number(float(np.mean(K[good]))) if n_good else None,
@@ -466,8 +453,7 @@ def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
         "K_max": _json_number(float(np.max(K[good]))) if n_good else None,
         "H_mean": _json_number(float(np.mean(H[good]))) if n_good else None,
         "artifacts": artifacts + ["surface_summary.json"],
-    }
-    save_json(summary, os.path.join(out_dir, "surface_summary.json"))
+    })
     print(f"surface {_label(cfg)}: points={summary['n_points']} "
           f"degenerate={summary['degenerate_count']} "
           f"K_mean={summary['K_mean']}")
@@ -592,15 +578,9 @@ def main(argv=None) -> int:
         if args.command == "convergence":
             return _run_study(cfg, out_dir, "convergence", cfg.levels)
         return cmd_surface(cfg, out_dir)
-    except (ConfigError, GridError, ShapeError) as e:
+    except (SolsurfError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SolsurfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, (ConfigError, GridError, ShapeError, OSError)) else 3
 
 
 if __name__ == "__main__":

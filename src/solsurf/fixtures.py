@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .frames import CTFields, matrix_a
-from .gauss_codazzi import FundamentalForms, GCAnalytic, GCData
+from .gauss_codazzi import GCAnalytic, GCData
 from .numgrid import Grid1D, Grid2D
 from .spin import K_MIN, SpinField, build_frame, solve_u_constraint
 from .surface import SurfaceMesh
@@ -232,11 +232,3 @@ def plane_patch(g2: Grid2D) -> SurfaceMesh:
     X, T = g2.meshes()
     return SurfaceMesh(r=np.stack([X, T, np.zeros_like(X)], axis=-1), grid=g2)
 
-
-def sphere_forms(g2: Grid2D, radius: float = 1.0) -> FundamentalForms:
-    """Analytic form pair of the round sphere (t axis polar), F = M = 0."""
-    _, T = g2.meshes()
-    s = np.sin(T)
-    return FundamentalForms(
-        E=np.full_like(T, radius ** 2), F=np.zeros_like(T), G=(radius * s) ** 2,
-        L=np.full_like(T, radius), M=np.zeros_like(T), N=radius * s * s, grid=g2)

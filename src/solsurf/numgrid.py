@@ -79,9 +79,14 @@ class Grid1D:
         if not np.isfinite(self.x0):
             raise GridError(f"x0 must be finite, got {self.x0!r}")
         # Python floats overflow to inf without a numpy warning
-        if not math.isfinite(float(self.x0) + float(self.dx) * (int(self.n) - 1)):
+        last = float(self.x0) + float(self.dx) * (int(self.n) - 1)
+        if not math.isfinite(last):
             raise GridError(f"last point x0 + dx*(n-1) overflows for x0={self.x0!r}, "
                             f"dx={self.dx!r}, n={self.n}")
+        # SpinSeries' spacing tolerance: a finer spacing is lost in the points' rounding
+        if self.dx <= 1e-12 * max(abs(float(self.x0)), abs(last)):
+            raise GridError(f"grid spacing {self.dx!r} is below the resolution of the "
+                            f"points from {self.x0!r} to {last!r}")
         if self.boundary not in BOUNDARIES:
             raise GridError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if self.boundary == "periodic" and self.n < 4:
@@ -225,17 +230,15 @@ def walk_linear(y: np.ndarray, m0: np.ndarray, m1: np.ndarray, h, *,
     else first.  Deterministic: identical inputs give bit-identical outputs.
     """
     h = np.asarray(h, dtype=float)
-    hb = h.reshape(h.shape + (1,) * (np.ndim(m0) - 1))
     states = np.empty((len(h) + 1,) + np.shape(y), dtype=np.result_type(y, m0))
     states[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
+        # the generator at the stage points s = 0, h/2, h
         dm = m1 - m0
-        # the generator at the stage points s = 0, h/2, h, as m0 + (s/h) dm
-        g0 = m0 + (0.0 / hb) * dm
-        g1 = m0 + ((0.0 + hb / 2) / hb) * dm
-        g2 = m0 + ((0.0 + hb) / hb) * dm
+        g1 = m0 + 0.5 * dm
+        g2 = m0 + dm
         for e, (a, b, c) in enumerate(zip((h / 2).tolist(), h.tolist(), (h / 6).tolist())):
-            k1 = y @ g0[e]
+            k1 = y @ m0[e]
             k2 = (y + k1 * a) @ g1[e]
             k3 = (y + k2 * a) @ g1[e]
             k4 = (y + k3 * b) @ g2[e]

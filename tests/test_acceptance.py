@@ -11,12 +11,12 @@ import numpy as np
 
 from solsurf import (CTFields, Grid1D, Grid2D, build_lax,
                      compatibility_residual, curvatures, diff_x, fit_order,
-                     gc_residual, holonomy_defect, map_frame_to_gc,
+                     fundamental_forms, gc_residual, holonomy_defect, map_frame_to_gc,
                      map_gc_to_frame, mesh_curvatures, metric_residual,
                      spin_rhs, torsion_transport_residual, transport_frame_x,
                      zero_curvature_residual)
 from solsurf.cli import main
-from solsurf.fixtures import (random_smooth_spin, sphere_ct, sphere_forms,
+from solsurf.fixtures import (random_smooth_spin, sphere_ct,
                               sphere_frame_series, sphere_gc, sphere_patch,
                               traveling_circle, traveling_circle_exact)
 from solsurf.spin import evolve_series
@@ -119,7 +119,7 @@ def test_c6_curvature_values_sphere():
     gt = Grid1D(0.3, (np.pi - 0.6) / 16, 17, "one_sided")
     g2 = Grid2D(Grid1D(0.0, np.pi / 16, 17, "one_sided"), gt)
     for radius in (0.5, 1.0, 2.0):
-        K, _ = curvatures(sphere_forms(g2, radius))
+        K, _ = curvatures(fundamental_forms(sphere_gc(g2, radius)[0]))
         assert _max_abs(K - 1.0 / radius ** 2) * radius ** 2 <= 1e-12
     # discretized patch: mean Gaussian-curvature error under 1 percent
     h = np.pi / 256

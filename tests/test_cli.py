@@ -217,6 +217,19 @@ class TestConvergence:
         report = json.loads((tmp_path / "convergence_torsion.json").read_text())
         assert len(report["levels"]) == 2
 
+    def test_level_zero_is_the_simulated_trajectory(self, tmp_path):
+        """Level 0 of a study evolves the trajectory simulate writes: its
+        torsion residual is the one read off simulate's series.json."""
+        size = ["--scenario", "random_smooth", "--n", "33", "--steps", "8", "--t0", "5",
+                "--format", "json"]
+        assert main(["simulate", *size, "--out", str(tmp_path / "sim")]) == 0
+        main(["convergence", *size, "--which", "torsion", "--levels", "2",
+              "--out", str(tmp_path / "conv")])
+        series = fio.load_json(tmp_path / "sim" / "series.json")
+        residual = ss.torsion_transport_residual(series.S, series.v, series.grid2)
+        report = json.loads((tmp_path / "conv" / "convergence_torsion.json").read_text())
+        assert report["levels"][0]["residual_numeric"] == float(np.max(np.abs(residual)))
+
 
 class TestSurface:
     def test_sphere_patch(self, tmp_path):
@@ -607,11 +620,26 @@ def test_sphere_surface_at_tiny_spacing_prints_no_warning(tmp_path, spacing):
     """Round-off differences overflow the forms: every point is degenerate,
     and no numpy warning reaches stderr."""
     proc = subprocess.run([sys.executable, "-m", "solsurf", "surface", "--scenario",
-                           "sphere", "--dx", spacing, "--dt", spacing, "--steps", "8",
-                           "--format", "json", "--out", str(tmp_path)],
+                           "sphere", "--dx", spacing, "--dt", spacing, "--t0", "0",
+                           "--steps", "8", "--format", "json", "--out", str(tmp_path)],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "surface sphere: points=585 degenerate=585 K_mean=None\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "sphere", "--dx", "1.5e-154", "--dt", "1.5e-154", "--steps", "8"],
+    ["--scenario", "sphere", "--dx", "1e-120", "--dt", "1e-120", "--steps", "8"],
+    ["--scenario", "sphere", "--dt", "1e-120"],
+    ["--scenario", "cylinder", "--n", "17", "--steps", "4", "--t0=1e300"],
+], ids=["sphere-1.5e-154", "sphere-1e-120", "sphere-dt", "cylinder-t0"])
+def test_collapsed_grid_axis_exits_two(tmp_path, capsys, argv):
+    """An axis whose points t0 + j*dt round together has no curvature to report:
+    one error line, no summary."""
+    assert main(["surface", *argv, "--format", "json", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: grid spacing") and err.count("\n") == 1
+    assert not (tmp_path / "surface_summary.json").exists()
 
 
 def test_random_ct_amplitude_bound():
@@ -751,6 +779,21 @@ VALUES = st.sampled_from(HOSTILE) | st.sampled_from([2, 3, 5, 0.05, 0.5])
 DEEP_JSON = "[" * 5000 + "]" * 5000
 
 
+def _strict_json(path: Path):
+    """path's JSON document; ValueError on NaN, Infinity or a number that
+    overflows to one."""
+    def reject(token):
+        raise ValueError(f"{path.name}: non-standard JSON constant {token}")
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{path.name}: number {text} is not finite")
+        return value
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject,
+                      parse_float=finite)
+
+
 def _wrong_typed_ic(tmp: Path, kind: str, value) -> str:
     doc = fio.to_jsonable(traveling_circle(circle_grid(9)))
     doc[kind][3] = value
@@ -771,10 +814,11 @@ def _wrong_typed_ic(tmp: Path, kind: str, value) -> str:
                                 st.sampled_from(["0.5", False, None, [0.5], {}])))
 def test_contract_fuzz(command, scenario, which, keys, as_flags, param, ic):
     """Hostile sizes, params and --ic entries, with any residual family, end in
-    an exit code of the contract with at most one error line, never a traceback."""
+    an exit code of the contract with at most one error line, never a traceback,
+    and every JSON file the run leaves is strict JSON of finite numbers or null."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        config = {"n": 9, "steps": 2, "levels": 2, "scenario": scenario, "which": which,
+        config = {"n": 9, "steps": 3, "levels": 2, "scenario": scenario, "which": which,
                   **keys}
         argv = [command, "--out", str(tmp / "out"), "--format", "json"]
         if as_flags:
@@ -795,6 +839,8 @@ def test_contract_fuzz(command, scenario, which, keys, as_flags, param, ic):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main([*argv, "--config", str(tmp / "config.json")])
+        for path in sorted(tmp.glob("out/*.json")):
+            _strict_json(path)
     assert rc in (0, 1, 2, 3)
     err = err.getvalue()
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err

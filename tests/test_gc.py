@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import solsurf as ss
-from solsurf.fixtures import (random_ct, sphere_ct, sphere_forms, sphere_gc,
+from solsurf.fixtures import (random_ct, sphere_ct, sphere_gc,
                               traveling_circle)
 
 from conftest import polar_band
@@ -152,12 +152,12 @@ class TestForms:
 class TestCurvatures:
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
     def test_sphere_gaussian_curvature_exact(self, band_small, radius):
-        K, H = ss.curvatures(sphere_forms(band_small, radius=radius))
+        K, H = ss.curvatures(ss.fundamental_forms(sphere_gc(band_small, radius)[0]))
         assert np.max(np.abs(K - 1.0 / radius ** 2)) / (1.0 / radius ** 2) <= 1e-12
         assert np.max(np.abs(H - 1.0 / radius)) < 1e-12
 
     def test_degenerate_metric_rejected(self, band_small):
-        ff = dataclasses.replace(sphere_forms(band_small),
+        ff = dataclasses.replace(ss.fundamental_forms(sphere_gc(band_small)[0]),
                                  E=np.zeros(band_small.shape))
         with pytest.raises(ss.DegenerateMetricError):
             ss.curvatures(ff)
@@ -181,7 +181,7 @@ class TestCurvatures:
     def test_cross_terms_accepted(self, band_small):
         # sphere forms in sheared coordinates (a, b) = (x - t, t): the first
         # and second forms pick up the same cross terms, K and H stay put
-        ff = sphere_forms(band_small, radius=2.0)
+        ff = ss.fundamental_forms(sphere_gc(band_small, 2.0)[0])
         sheared = ss.FundamentalForms(
             E=ff.E, F=ff.E, G=ff.E + ff.G, L=ff.L, M=ff.L, N=ff.L + ff.N,
             grid=band_small)

@@ -48,6 +48,19 @@ class TestGrid1D:
         g = Grid1D(0.0, 1.5e-154, 9)
         assert np.isfinite(1.0 / (g.dx * g.dx))
 
+    @pytest.mark.parametrize("x0, dx, n", [
+        (0.3, 1e-120, 65), (1e300, 0.1, 17), (-1e6, 1e-7, 5), (1.0, 1e-12, 3),
+        (-1.0, 5e-13, 3),
+    ])
+    def test_rejects_spacing_below_point_resolution(self, x0, dx, n):
+        # the points x0 + i*dx round together or far from uniformly
+        with pytest.raises(ss.GridError, match="below the resolution"):
+            Grid1D(x0, dx, n)
+
+    def test_spacing_just_above_point_resolution_accepted(self):
+        g = Grid1D(1.0, 2e-12, 3)
+        assert np.all(np.diff(g.points()) > 0)
+
 
 class TestGrid2D:
     def test_shape_and_meshes(self):
