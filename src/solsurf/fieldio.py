@@ -8,9 +8,11 @@ x-major row per grid point.
 The writers keep a byte contract.  JSON text is json.dumps(doc,
 sort_keys=True, indent=2) plus a newline, with allow_nan=False for a plain
 dict (run summaries stay strict); field documents stream their float lists
-through the C encoder in chunks.  CSV (and OBJ, see surface.export_obj)
-values are ``%.17g``, one ``%`` format per row through surface.write_rows,
-written in chunks.  A writer change must keep the sha256 digests in
+through the C encoder in chunks, with the list's comma, newline and indent
+as its item separator.  CSV (and OBJ, see surface.export_obj) values are
+``%.17g``, one ``%`` format per row through surface.write_rows, written in
+chunks; a mesh's vertices are formatted once (surface.vertex_text) for both
+mesh.csv and mesh.obj.  A writer change must keep the sha256 digests in
 tests/test_golden.py.
 """
 
@@ -26,7 +28,7 @@ from .gauss_codazzi import FundamentalForms, GCData
 from .lax import Eigenfunction, LaxPairField
 from .numgrid import Grid1D, Grid2D
 from .spin import SpinField, SpinSeries
-from .surface import LINES_PER_WRITE, SurfaceMesh, write_rows
+from .surface import LINES_PER_WRITE, SurfaceMesh, vertex_text, write_rows
 
 
 def _flat(a: np.ndarray) -> list:
@@ -189,8 +191,8 @@ def _pieces(obj):
     for (values, inner), after in zip(floats, parts[1:]):
         sep = "," + inner
         for i in range(0, len(values), LINES_PER_WRITE):
-            text = json.dumps(values[i:i + LINES_PER_WRITE])[1:-1]
-            yield (sep if i else ": [" + inner) + text.replace(", ", sep)
+            text = json.dumps(values[i:i + LINES_PER_WRITE], separators=(sep, ": "))
+            yield (sep if i else ": [" + inner) + text[1:-1]
         yield inner[:-2] + "]" + after
     yield "\n"
 
@@ -226,9 +228,11 @@ def load_json(path):
 def _write_csv(path, header, x, t, columns) -> None:
     """One x-major row per point of the x by t grid: x, t, then columns.
 
-    Each distinct x and t value is formatted once.
+    Each distinct x and t value is formatted once.  A column that is a tuple
+    of str (surface.vertex_text) is written as it stands, any other %.17g.
     """
-    cols = [np.asarray(c, dtype=float).ravel(order="C").tolist() for c in columns]
+    cols = [c if isinstance(c, tuple) and c and isinstance(c[0], str) else _flat(c)
+            for c in columns]
     nx, nt = len(x), len(t)
     if any(len(c) != nx * nt for c in cols):
         raise ShapeError("CSV columns must have equal length")
@@ -236,7 +240,8 @@ def _write_csv(path, header, x, t, columns) -> None:
     ts = ["%.17g" % v for v in t.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        write_rows(fh, "%s,%s" + ",%.17g" * len(cols) + "\n",
+        write_rows(fh, "%s,%s" + "".join(",%s" if isinstance(c[0], str) else ",%.17g"
+                                         for c in cols) + "\n",
                    [[v for v in xs for _ in range(nt)], ts * nx, *cols])
 
 
@@ -247,7 +252,7 @@ def save_series_csv(s: SpinSeries, path) -> None:
 
 def save_mesh_csv(m: SurfaceMesh, path) -> None:
     _write_csv(path, ["x", "t", "rx", "ry", "rz"], m.grid.gx.points(),
-               m.grid.gt.points(), [m.r[..., 0], m.r[..., 1], m.r[..., 2]])
+               m.grid.gt.points(), [vertex_text(m)])
 
 
 def save_scalars_csv(fields: dict, grid: Grid2D, path) -> None:

@@ -99,23 +99,46 @@ def write_rows(fh, fmt: str, columns) -> None:
         fh.write(text)
 
 
+# (key, text) of the last mesh vertex_text formatted
+_vertex_memo = [(None, ())]
+
+
+def vertex_text(m: SurfaceMesh) -> tuple:
+    """Each vertex as "%.17g,%.17g,%.17g" text, in grid order.  The last mesh's
+    text is kept, keyed by the exact bytes of r (a 0.0 made -0.0 is a new key),
+    so export_obj and fieldio.save_mesh_csv format a mesh once between them."""
+    key = (m.r.dtype.str, m.r.shape, m.r.tobytes())
+    last, text = _vertex_memo[0]
+    if last != key:
+        text = tuple(map("%.17g,%.17g,%.17g".__mod__,
+                         zip(*[m.r[..., i].ravel().tolist() for i in range(3)])))
+        _vertex_memo[0] = key, text
+    return text
+
+
 def export_obj(m: SurfaceMesh, path) -> None:
     """Wavefront OBJ: vertices in grid order (x-major), 1-based quad faces.
 
     Formatting is deterministic (17 significant digits), so identical
-    meshes export byte-identically.
+    meshes export byte-identically.  A vertex row is its vertex_text with
+    "," made " " (%.17g text holds neither); each index is formatted once.
     """
+    verts = vertex_text(m)
+    nx, nt = m.grid.shape
+    index = np.array([str(i) for i in range(1, nx * nt + 1)], dtype=object)
     with open(path, "w", encoding="ascii") as fh:
-        write_rows(fh, "v %.17g %.17g %.17g\n",
-                   [m.r[..., i].ravel().tolist() for i in range(3)])
-        write_rows(fh, "f %d %d %d %d\n", (m.faces() + 1).T.tolist())
+        for i in range(0, len(verts), LINES_PER_WRITE):
+            fh.write(("v " + "\nv ".join(verts[i:i + LINES_PER_WRITE]) + "\n")
+                     .replace(",", " "))
+        write_rows(fh, "f %s %s %s %s\n", index[m.faces().T].tolist())
 
 
 def import_obj(path, grid: Grid2D | None = None) -> SurfaceMesh:
     """Read a grid-shaped OBJ written by export_obj.
 
-    The grid layout is inferred from the first face (vertices are x-major),
-    and unit-spacing axes are synthesized when no grid is supplied.
+    The grid layout is inferred from the first face (vertices are x-major);
+    later faces are only counted.  Unit-spacing axes are synthesized when no
+    grid is supplied.
     """
     verts = []
     first_face = None
@@ -126,15 +149,20 @@ def import_obj(path, grid: Grid2D | None = None) -> SurfaceMesh:
             if not parts:
                 continue
             if parts[0] == "v":
-                if len(parts) != 4:
-                    raise ShapeError(f"malformed vertex line: {raw.rstrip()!r}")
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                try:
+                    _, x, y, z = parts
+                    verts.append([float(x), float(y), float(z)])
+                except ValueError:
+                    raise ShapeError(f"malformed vertex line: {raw.rstrip()!r}") from None
             elif parts[0] == "f":
                 if len(parts) != 5:
                     raise ShapeError(f"expected quad faces, got: {raw.rstrip()!r}")
                 n_faces += 1
                 if first_face is None:
-                    first_face = [int(p) for p in parts[1:]]
+                    try:
+                        first_face = [int(p) for p in parts[1:]]
+                    except ValueError:
+                        raise ShapeError(f"malformed face line: {raw.rstrip()!r}") from None
     if not verts or first_face is None:
         raise ShapeError(f"no grid mesh found in {path}")
     nt = first_face[1] - first_face[0]

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import solsurf as ss
 from solsurf import fieldio as fio
+from solsurf.cli import main
 from solsurf.fixtures import (random_smooth_spin, sphere_ct, sphere_gc,
                               traveling_circle)
 
@@ -520,6 +521,51 @@ class TestWritersAgainstOracle:
         g2 = small_band()
         with pytest.raises(ss.ShapeError, match="equal length"):
             fio.save_scalars_csv({"a": np.zeros(3)}, g2, tmp_path / "s.csv")
+
+
+def test_shared_vertex_text_follows_the_mesh(tmp_path):
+    """export_obj and save_mesh_csv share one formatted vertex text, yet a mesh
+    changed in place (a 0.0 turned -0.0 as well) and another mesh of the same
+    shape are each written with their own values, whichever writer runs first."""
+    writers = [("mesh.obj", ss.export_obj, oracle_obj),
+               ("mesh.csv", fio.save_mesh_csv, oracle_mesh_csv)]
+    g2 = small_band()
+    rng = np.random.default_rng(11)
+    a = ss.SurfaceMesh(r=rng.normal(size=g2.shape + (3,)), grid=g2)
+    a.r[2, 3, 1] = 0.0
+    b = ss.SurfaceMesh(r=rng.normal(size=g2.shape + (3,)), grid=g2)
+    for i, mesh in enumerate([a, a, a, b]):
+        if i == 1:
+            a.r[2, 3, 1] = -0.0  # only the sign bit changes
+        elif i == 2:
+            a.r[4] *= 3.0
+        for name, write, oracle in writers[::-1] if i % 2 else writers:
+            write(mesh, tmp_path / name)
+            oracle(mesh, tmp_path / f"oracle_{name}")
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / f"oracle_{name}").read_bytes(), (i, name)
+        assert (" -0 " in (tmp_path / "mesh.obj").read_text()) == (mesh is a and i > 0)
+
+
+class _CountingMemo(list):
+    """A surface vertex_text memo that counts the texts stored in it."""
+
+    stores = 0
+
+    def __setitem__(self, index, value):
+        self.stores += 1
+        super().__setitem__(index, value)
+
+
+def test_surface_run_formats_vertex_text_once(tmp_path, monkeypatch, capsys):
+    """A default-format surface run writes mesh.obj and mesh.csv from one text."""
+    memo = _CountingMemo([(None, ())])
+    monkeypatch.setattr(ss.surface, "_vertex_memo", memo)
+    assert main(["surface", "--scenario", "sphere", "--n", "9", "--steps", "4",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {"mesh.obj", "mesh.csv"} <= {p.name for p in tmp_path.iterdir()}
+    assert memo.stores == 1
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -1,4 +1,4 @@
-"""Golden digests: every artifact of four small CLI runs, byte for byte.
+"""Golden digests: every artifact of five small CLI runs, byte for byte.
 
 A change that is meant to leave the output alone must keep these sha256
 values. The runs write to a relative ``--out`` because the summaries embed
@@ -26,6 +26,14 @@ GOLDEN = {
             "mesh.json": "54c2e9f1b72561a9693405aa8909720b1311de7965212cea6b752d82d5b96330",
             "mesh.obj": "9f28783e4e9fa67b688274d401f83cc2d58ad888e464cc095ce9a18fefd66390",
             "surface_summary.json": "a47e7d0ac915adf2246888b34be1bc02df2674418117728404a6f63a140f8567",
+        }),
+    "surface_random_smooth": (
+        ["surface", "--scenario", "random_smooth", "--n", "33", "--steps", "8"], 0, {
+            "curvature.csv": "b704c647c3572064830bae12678e5e43b0102d4c28013fb92a271b553f27abab",
+            "mesh.csv": "b017e5e7ac6fdb11c3c61f9f53a0f4b1dd802283ee61240a957f5750bd77ad9a",
+            "mesh.json": "95b713041c4644b4715a94c9630fb58d420e38dc22d6264b532eabefc64826df",
+            "mesh.obj": "3619a6683c42533482341ba1f94d06a969c5355f38ad4a82ed7c6d542a741aa6",
+            "surface_summary.json": "a8c522fbad21c1db2665a9ac84036a42db843f1f62dd9109e75d9c6a077b72d0",
         }),
     "check_random_ct_lax": (
         ["check", "--scenario", "random_ct", "--which", "lax"], 1, {

@@ -182,6 +182,21 @@ class TestObjRoundTrip:
             back = ss.import_obj(path, grid=g2)
         assert back.r.tobytes() == mesh.r.tobytes()
 
+    # A 3x2 grid's OBJ text with one token made non-numeric, and the line named.
+    @pytest.mark.parametrize("good,bad", [("v 1 1 0.5", "v 0 0 x"), ("f 1 3 4 2", "f 1 a 3 4")],
+                             ids=["vertex", "face"])
+    def test_non_numeric_token_rejected(self, tmp_path, good, bad):
+        r = np.zeros((3, 2, 3))
+        r[1, 1] = (1.0, 1.0, 0.5)
+        path = tmp_path / "m.obj"
+        ss.export_obj(ss.SurfaceMesh(r=r, grid=unit_square(3, 2)), path)
+        text = path.read_text()
+        assert text.count(good + "\n") == 1
+        path.write_text(text.replace(good + "\n", bad + "\n"))
+        kind = "vertex" if bad[0] == "v" else "face"
+        with pytest.raises(ss.ShapeError, match=f"^malformed {kind} line: '{bad}'$"):
+            ss.import_obj(path)
+
     def test_import_grid_mismatch_rejected(self, tmp_path):
         mesh = ss.SurfaceMesh(r=np.zeros((3, 4, 3)), grid=unit_square(3, 4))
         path = tmp_path / "m.obj"
