@@ -89,10 +89,9 @@ def _clamped_radicand(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     # -inf, which the check below reports as a domain error.
     with np.errstate(over="ignore"):
         rad = k * k - u * u
-    flat = np.ravel(rad)
-    bad = flat < -CLAMP_SLACK
-    if bad.any():
-        i = int(np.argmax(bad))
+    if np.fmin.reduce(rad, axis=None) < -CLAMP_SLACK:  # fmin skips NaN, as < does
+        flat = np.ravel(rad)
+        i = int(np.argmax(flat < -CLAMP_SLACK))
         raise SqrtDomainError(
             f"radicand k^2 - u^2 = {flat[i]:.6e} below -{CLAMP_SLACK:.1e} at index {i}",
             index=i, value=float(flat[i]))
@@ -107,19 +106,23 @@ def u_constraint_residual(k, u, v, grid) -> np.ndarray:
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
-    """|a| of (3, ...) component rows, in np.linalg.norm's row order (p0 + p1) + p2."""
-    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
+    """|a| of (3, ...) component rows: p = a*a summed as np.linalg.norm does, (p0 + p1) + p2."""
+    p = a * a
+    return np.sqrt((p[0] + p[1]) + p[2])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b of (3, ...) component rows, in einsum's row order (p0 + p2) + p1."""
-    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+    """a . b of (3, ...) component rows: p = a*b in one call, summed as einsum does,
+    ((0.0 + p0) + p2) + p1; the +0.0 added last only turns a -0.0 sum into +0.0."""
+    p = a * b
+    return ((p[0] + p[2]) + p[1]) + 0.0
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of (3, ...) component rows, with np.cross's products and differences."""
-    return np.array((a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]))
+    """a x b of (3, ...) component rows, with np.cross's products and differences:
+    row i is A[i+1]*B[i+2] - A[i+2]*B[i+1] of the doubled rows A = (a, a), B = (b, b)."""
+    a, b = np.concatenate((a, a)), np.concatenate((b, b))
+    return a[1:4] * b[2:5] - a[2:5] * b[1:4]
 
 
 def _curvature(S: np.ndarray, grid):
@@ -131,9 +134,8 @@ def _curvature(S: np.ndarray, grid):
 
 def _check_curvature(k: np.ndarray) -> None:
     """k = |S_x| below K_MIN has no frame."""
-    bad = k < K_MIN
-    if bad.any():
-        i = int(np.argmax(bad))
+    if np.fmin.reduce(k, axis=None) < K_MIN:
+        i = int(np.argmax(k < K_MIN))
         raise DegenerateFrameError(
             f"|S_x| = {k.flat[i]:.3e} below k_min = {K_MIN:.1e} at index {i}")
 
@@ -142,14 +144,14 @@ def _frame(S: np.ndarray, S_x: np.ndarray, k: np.ndarray):
     """Orthonormal triad (e1, e2, e3) of S as (3, n) rows, with its S_x and k."""
     _check_curvature(k)
     e1 = S / _norm(S)
-    proj = S_x - _dot(e1, S_x) * e1
-    pn = _norm(proj)
-    bad = pn < K_MIN
-    if bad.any():
-        i = int(np.argmax(bad))
+    e2 = _dot(e1, S_x) * e1
+    np.subtract(S_x, e2, out=e2)  # the tangential part of S_x
+    pn = _norm(e2)
+    if np.fmin.reduce(pn) < K_MIN:
+        i = int(np.argmax(pn < K_MIN))
         raise DegenerateFrameError(
             f"tangential part of S_x is {pn[i]:.3e} below k_min at index {i}")
-    e2 = proj / pn
+    e2 /= pn
     return e1, e2, _cross(e1, e2)
 
 
@@ -157,9 +159,9 @@ def _rates(S, S_x, frame, u, rad) -> np.ndarray:
     """Rate rows dS0, dS1, dS2, dv at (3, n) S, given its frame and rad = max(k^2 - u^2, 0)."""
     _, e2, e3 = frame
     out = np.empty((4, u.shape[0]))
-    np.multiply(-np.sqrt(rad), e2, out=out[:3])
-    out[:3] += u * e3
-    out[3] = -_dot(S, _cross(out[:3], S_x))
+    dS = np.multiply(-np.sqrt(rad), e2, out=out[:3])
+    dS += u * e3
+    np.negative(_dot(S, _cross(dS, S_x)), out=out[3])
     return out
 
 
@@ -189,23 +191,25 @@ def _march(k: np.ndarray, v: np.ndarray, grid: Grid1D):
     for name, a in (("k", k), ("v", v)):
         if not np.isfinite(a).all():
             raise NonFiniteFieldError(f"{name} contains non-finite values")
-    h, half, sqrt = grid.dx, 0.5 * grid.dx, math.sqrt
+    u = np.fromiter(_heun(memoryview(k * k), memoryview(v), grid.dx), float, grid.n)
+    if grid.boundary == "periodic":
+        u[-1] = u[0]
+    return u, _clamped_radicand(k, u)
 
-    # Python floats: an overflowing trial radicand is -inf and clamps silently
-    kk, vs = (k * k).tolist(), v.tolist()
-    ui = 0.0
-    us = [ui]
-    for kk_i, v_i, kk_j, v_j in zip(kk, vs, kk[1:], vs[1:]):
+
+def _heun(kk, vs, h: float):
+    """The march's u_0 = 0, u_1, ... from k^2 and v as Python floats, radicands clamped."""
+    half, sqrt, ui = 0.5 * h, math.sqrt, 0.0
+    yield ui
+    kk_i, v_i = next(pairs := zip(kk, vs))
+    for kk_j, v_j in pairs:
         r = kk_i - ui * ui
         f1 = v_i * sqrt(0.0 if r < 0.0 else r)
         trial = ui + h * f1
         r = kk_j - trial * trial
         ui = ui + half * (f1 + v_j * sqrt(0.0 if r < 0.0 else r))
-        us.append(ui)
-    u = np.array(us)
-    if grid.boundary == "periodic":
-        u[-1] = u[0]
-    return u, _clamped_radicand(k, u)
+        yield ui
+        kk_i, v_i = kk_j, v_j
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .numgrid import (Grid1D, Grid2D, GridFields, Layout, diff_t, diff_tt, diff_
 from .spin import SpinSeries
 
 DEGENERATE_TOL = 1e-10
+ROUNDOFF_TOL = 1e-3  # of the normal curvature, for a second difference's round-off
 # Lines of text per write call in every writer: a few hundred kB, so a
 # large file is never held as one string.
 LINES_PER_WRITE = 4096
@@ -68,9 +69,13 @@ def mesh_forms(m: SurfaceMesh) -> FundamentalForms:
     the surface: at r_t = 0, or at round-off on that scale (closure rows),
     and where E G - F^2, which K and H divide by, cancels to <= 0.  Where it
     overflows (round-off at a tiny spacing), so does the bound: none passes it.
+    Every point is degenerate where the round-off eps*max|r|/(h**2 max(E or G))
+    of the curvature along x or t (h = dx, dt) is not below ROUNDOFF_TOL times
+    the largest normal curvature max|L|/max E, max|N|/max G (noise alone is at
+    most about twice its floor), or 1/max|r| for a patch too flat to show one:
+    the samples of a small cap of a sphere about the origin are a plane's.
     """
-    r_x = diff_x(m.r, m.grid)
-    r_t = diff_t(m.r, m.grid)
+    r_x, r_t = diff_x(m.r, m.grid), diff_t(m.r, m.grid)
     with np.errstate(over="ignore", invalid="ignore"):
         E, F, G = _dot(r_x, r_x), _dot(r_x, r_t), _dot(r_t, r_t)
         cross = np.cross(r_x, r_t)
@@ -78,12 +83,15 @@ def mesh_forms(m: SurfaceMesh) -> FundamentalForms:
         good = (mag > DEGENERATE_TOL * np.sqrt(np.max(E) * np.max(G))) & (E * G - F ** 2 > 0)
     n = np.full_like(cross, np.nan)
     n[good] = cross[good] / mag[good][..., None]
-    r_xx = diff_xx(m.r, m.grid)
-    r_tt = diff_tt(m.r, m.grid)
-    r_xt = diff_t(r_x, m.grid)
-    return FundamentalForms(
-        E=E, F=F, G=G,
-        L=_dot(r_xx, n), M=_dot(r_xt, n), N=_dot(r_tt, n), grid=m.grid)
+    L, N = _dot(diff_xx(m.r, m.grid), n), _dot(diff_tt(m.r, m.grid), n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r_max, E_max, G_max = np.max(np.abs(m.r)), np.max(E), np.max(G)
+        kappa = np.fmax.reduce([np.fmax.reduce(np.abs(L), axis=None) / E_max,
+                                np.fmax.reduce(np.abs(N), axis=None) / G_max, 1.0 / r_max])
+        h2_metric = np.minimum(m.grid.gx.dx ** 2 * E_max, m.grid.gt.dx ** 2 * G_max)
+        if not np.finfo(float).eps * r_max / h2_metric <= ROUNDOFF_TOL * kappa:
+            n[...] = L[...] = N[...] = np.nan
+    return FundamentalForms(E=E, F=F, G=G, L=L, M=_dot(diff_t(r_x, m.grid), n), N=N, grid=m.grid)
 
 
 def mesh_curvatures(m: SurfaceMesh):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from solsurf import Grid1D, Grid2D, NonFiniteFieldError
 
@@ -45,3 +46,11 @@ def ref_step_rk4(y, rhs, dt, t=0.0):
     k3 = check(rhs(t + dt / 2, y + k2 * (dt / 2)), "k3")
     k4 = check(rhs(t + dt, y + k3 * dt), "k4")
     return check(y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), "update")
+
+
+# Finite entries that stress bit-identity: signed zeros (an exact-zero sum
+# keeps the sign its operation order gives), subnormals, and ~1e150, whose
+# squares are still finite.
+HOSTILE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e150, -1e150]),
+    st.floats(-1e3, 1e3))

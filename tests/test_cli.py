@@ -642,6 +642,20 @@ def test_collapsed_grid_axis_exits_two(tmp_path, capsys, argv):
     assert not (tmp_path / "surface_summary.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dt", "1e-120", "--t0", "0"],
+    ["--dt", "1e-9", "--t0", "0"],
+    ["--dx", "1e-120"],
+], ids=["dt-1e-120", "dt-1e-9", "dx-1e-120"])
+def test_unresolved_second_differences_are_degenerate(tmp_path, capsys, argv):
+    """From the pole at a tiny dt, r_t resolves (sin t does) but r_tt does not:
+    cos t rounds to 1, so the second difference reads 0 where the sphere has
+    -1.  Every point is degenerate; no K_mean of 0.0 or 29.9 is reported."""
+    assert main(["surface", "--scenario", "sphere", *argv, "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "surface sphere: points=4225 degenerate=4225 K_mean=None\n"
+
+
 def test_random_ct_amplitude_bound():
     """(4 M)^4 of the largest field value M must be finite: 1e76 builds."""
     g2 = ss.Grid2D(ss.Grid1D(0.0, 0.5, 9), ss.Grid1D(0.0, 0.5, 9))

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import solsurf as ss
 from solsurf import Grid1D, Grid2D
+
+from conftest import HOSTILE
 
 EPS = np.finfo(float).eps
 COEF = st.floats(-10.0, 10.0)
@@ -143,6 +146,52 @@ class TestDerivatives:
               + (2.0 - 2.0 * np.cos(m * h)) / h ** 2 * np.cos(m * x))
         assert np.max(np.abs(d1)) <= tol / h
         assert np.max(np.abs(d2)) <= tol / h ** 2
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), boundary=st.sampled_from(ss.BOUNDARIES),
+           trail=st.sampled_from([(), (3,), (2, 3)]), rows_first=st.booleans(),
+           dx=st.sampled_from([1.0, 0.1, 2.0 * np.pi / 11]),
+           dtype=st.sampled_from([np.float64, np.float32, np.complex64]))
+    def test_d1_matches_row_by_row_oracle(self, data, boundary, trail, rows_first, dx, dtype):
+        """diff_x and diff_t give the row-by-row stencil's bytes on arbitrary
+        finite rows, in the field's own precision, the transposed layout of
+        component rows included."""
+        n = data.draw(st.integers(3 if boundary == "one_sided" else 4, 12))
+        elements = {np.float64: HOSTILE, np.float32: HOSTILE32,
+                    np.complex64: st.builds(complex, HOSTILE32, HOSTILE32)}[dtype]
+        f = data.draw(arrays(dtype, (n,) + trail, elements=elements))
+        if rows_first:  # x-major view of component-major memory, as spin passes S
+            f = np.ascontiguousarray(np.moveaxis(f, 0, -1))
+            f = np.moveaxis(f, -1, 0)
+        g = Grid1D(0.0, dx, n, boundary)
+        assert ss.diff_x(f, g).tobytes() == oracle_d1(f, g).tobytes()
+        g2 = Grid2D(Grid1D(0.0, 1.0, 2), g)
+        ft = np.stack((f, -f))
+        assert ss.diff_t(ft, g2).tobytes() == np.stack(
+            (oracle_d1(f, g), oracle_d1(-f, g))).tobytes()
+
+
+# HOSTILE's kinds of entry, each exact in float32
+HOSTILE32 = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1.2e-38, -1e-40, 1e18, -1e18]).map(
+        lambda x: float(np.float32(x))),
+    st.floats(-1e3, 1e3, width=32))
+
+
+def oracle_d1(f, g):
+    """The first-derivative stencil row by row, as written before its boundary
+    rows were batched."""
+    h = g.dx
+    out = np.empty_like(f)
+    if g.boundary == "periodic":
+        u = f[:-1]
+        out[:-1] = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * h)
+        out[-1] = out[0]
+        return out
+    out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+    out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
+    out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
+    return out
 
 
 class TestIntegrateX:

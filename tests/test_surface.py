@@ -78,6 +78,18 @@ class TestMeshGeometry:
         assert np.nanmax(np.abs(K)) < 1e-10
         assert np.nanmax(np.abs(H - 1.0 / 4.0)) < 1e-3
 
+    def test_translated_cylinder_keeps_its_curvatures(self):
+        # far from the origin the straight x direction's r_xx is round-off
+        # (eps*1e5/dx**2 = 2.4e-8), yet the patch is only about 1 across, so
+        # r_xx is judged against that size and H stays resolved through r_tt
+        g2 = Grid2D(Grid1D(0.0, 0.03, 17), Grid1D(0.0, 2 * np.pi / 32, 33))
+        m = cylinder_patch(g2)
+        forms = ss.mesh_forms(ss.SurfaceMesh(r=m.r + 1e5, grid=g2))
+        assert np.isfinite(forms.L).all() and np.isfinite(forms.N).all()
+        K, H = ss.curvatures(forms)
+        assert np.max(np.abs(K)) < 1e-6
+        assert np.max(np.abs(H - 0.5)) < 5e-3
+
     def test_plane_is_flat_and_regular(self):
         g2 = unit_square(9, 9)
         forms = ss.mesh_forms(plane_patch(g2))
@@ -114,6 +126,22 @@ class TestMeshGeometry:
         K, H = ss.mesh_curvatures(sphere_patch(polar_band(33), radius))
         assert np.all(np.isfinite(K)) and np.all(np.isfinite(H))
         assert np.max(np.abs(K * radius ** 2 - 1.0)) < 2e-2
+
+    @pytest.mark.parametrize("dt, unresolved", [(1e-120, True), (1e-9, True), (1e-7, True),
+                                                 (1e-5, False), (1e-2, False)])
+    def test_second_differences_below_roundoff_flag_every_point(self, dt, unresolved):
+        # t runs from the pole: r_t resolves at any dt, r_tt only while its
+        # round-off floor eps*max|r|/dt**2 stays small against the unit sphere
+        g2 = Grid2D(Grid1D(0.0, np.pi / 32, 33), Grid1D(0.0, dt, 33))
+        forms = ss.mesh_forms(sphere_patch(g2))
+        resolved = np.isfinite(forms.L)
+        if unresolved:
+            assert not resolved.any()
+            return
+        assert np.array_equal(resolved, np.isfinite(forms.N))
+        assert resolved[:, 1:].all()  # the pole row is degenerate on its own
+        K, _ = ss.curvatures(forms)
+        assert np.max(np.abs(K[resolved] - 1.0)) < 5e-3
 
     def test_sweep_anchor_and_closure_rows_degenerate(self):
         # r_t is exactly 0 on the anchor row and round-off on the closure
