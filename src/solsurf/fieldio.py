@@ -1,7 +1,8 @@
-"""JSON and CSV serialization for grids, fields, meshes, and matrix fields.
+"""JSON and CSV serialization of what the commands read and write.
 
-JSON documents are tagged with a "kind" key and hold arrays as flat C-order
-(x-major) lists, complex data as paired _re/_im lists.  CSV exports cover
+JSON documents are tagged with a "kind" key: a Grid1D or Grid2D, a spin
+field (--ic), a spin series (series.json) or a surface mesh (mesh.json).
+Arrays are flat C-order (x-major) lists of floats.  CSV exports cover
 trajectories, meshes and scalar fields on a Grid2D: one header row, then one
 x-major row per grid point.
 
@@ -23,9 +24,6 @@ import json
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .frames import CTFields
-from .gauss_codazzi import FundamentalForms, GCData
-from .lax import Eigenfunction, LaxPairField
 from .numgrid import Grid1D, Grid2D
 from .spin import SpinField, SpinSeries
 from .surface import LINES_PER_WRITE, SurfaceMesh, vertex_text, write_rows
@@ -50,36 +48,15 @@ def _unflat(data, shape, name: str) -> np.ndarray:
 
 
 def _encode_arrays(obj) -> dict:
-    """The grid and the arrays of obj's LAYOUT, complex ones as _re/_im pairs."""
-    layout = type(obj).LAYOUT
-    doc = {"grid": to_jsonable(obj.grid)}
-    for name in layout.shapes:
-        a = getattr(obj, name)
-        if layout.dtype is complex:
-            doc[f"{name}_re"], doc[f"{name}_im"] = _flat(a.real), _flat(a.imag)
-        else:
-            doc[name] = _flat(a)
-    return doc
+    """The grid and the arrays of obj's LAYOUT."""
+    return {"grid": to_jsonable(obj.grid),
+            **{name: _flat(getattr(obj, name)) for name in type(obj).LAYOUT.shapes}}
 
 
 def _decode_arrays(cls, doc: dict, lead: tuple) -> dict:
     """The arrays cls.LAYOUT declares, each of shape lead + its own."""
-    layout = cls.LAYOUT
-    if layout.dtype is complex:
-        return {name: _unflat(doc[f"{name}_re"], lead + trail, f"{name}_re")
-                + 1j * _unflat(doc[f"{name}_im"], lead + trail, f"{name}_im")
-                for name, trail in layout.shapes.items()}
     return {name: _unflat(doc[name], lead + trail, name)
-            for name, trail in layout.shapes.items()}
-
-
-def _on_grid2(cls):
-    """Codec of a type holding its LAYOUT's arrays over a Grid2D."""
-    def decode(doc):
-        g2 = from_jsonable(doc["grid"])
-        return cls(grid=g2, **_decode_arrays(cls, doc, g2.shape))
-
-    return cls, _encode_arrays, decode
+            for name, trail in cls.LAYOUT.shapes.items()}
 
 
 def _spin_arrays(cls, doc: dict, lead: tuple) -> dict:
@@ -112,6 +89,11 @@ def _decode_spin_series(doc):
                       **_spin_arrays(SpinSeries, doc, (grid.n, times.size)))
 
 
+def _decode_surface_mesh(doc):
+    g2 = from_jsonable(doc["grid"])
+    return SurfaceMesh(grid=g2, **_decode_arrays(SurfaceMesh, doc, g2.shape))
+
+
 # kind tag -> (type, encode, decode).  encode returns the document without
 # its "kind" key; decode receives the whole document.
 _CODECS = {
@@ -128,12 +110,7 @@ _CODECS = {
     "spin_series": (SpinSeries,
                     lambda s: {"times": _flat(s.times), **_encode_arrays(s)},
                     _decode_spin_series),
-    "ct_fields": _on_grid2(CTFields),
-    "gc_data": _on_grid2(GCData),
-    "fundamental_forms": _on_grid2(FundamentalForms),
-    "surface_mesh": _on_grid2(SurfaceMesh),
-    "lax_pair": _on_grid2(LaxPairField),
-    "eigenfunction": _on_grid2(Eigenfunction),
+    "surface_mesh": (SurfaceMesh, _encode_arrays, _decode_surface_mesh),
 }
 
 
@@ -195,11 +172,6 @@ def _pieces(obj):
             yield (sep if i else ": [" + inner) + text[1:-1]
         yield inner[:-2] + "]" + after
     yield "\n"
-
-
-def dump_json_str(obj) -> str:
-    """Deterministic JSON text for a supported object, strict for a plain dict."""
-    return "".join(_pieces(obj))
 
 
 def save_json(obj, path) -> None:

@@ -153,19 +153,19 @@ def _d1_axis0(f: np.ndarray, g: Grid1D) -> np.ndarray:
 
 def _d2_axis0(f: np.ndarray, g: Grid1D) -> np.ndarray:
     # Dedicated second-derivative stencils: composing _d1 twice drops to
-    # first order next to one_sided boundaries.
-    h2 = g.dx * g.dx
-    out = np.empty_like(f)
-    if g.boundary == "periodic":
-        u = f[:-1]
-        out[:-1] = (np.roll(u, -1, axis=0) - 2 * u + np.roll(u, 1, axis=0)) / h2
+    # first order next to one_sided boundaries.  Every entry is divided by dx*dx last.
+    n, out = g.n, np.empty_like(f)
+    if g.boundary == "periodic":  # rows 0 and n-2 wrap round; the closure row copies row 0
+        out[1:-2] = f[2:-1] - 2 * f[1:-2] + f[:-3]
+        out[:-1:n - 2] = f[1::-1] - 2 * f[:-1:n - 2] + f[-2:-4:-1]
         out[-1] = out[0]
-        return out
-    if g.n < 4:
+    elif n < 4:
         raise GridError("one_sided second derivative needs n >= 4")
-    out[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / h2
-    out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
-    out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
+    else:
+        out[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
+        out[0] = 2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]
+        out[-1] = 2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]
+    out /= g.dx * g.dx
     return out
 
 

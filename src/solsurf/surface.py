@@ -13,6 +13,7 @@ so curvature reporting stays honest on meshes that are fine elsewhere.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 
@@ -144,13 +145,11 @@ def export_obj(m: SurfaceMesh, path) -> None:
 def import_obj(path, grid: Grid2D | None = None) -> SurfaceMesh:
     """Read a grid-shaped OBJ written by export_obj.
 
-    The grid layout is inferred from the first face (vertices are x-major);
-    later faces are only counted.  Unit-spacing axes are synthesized when no
-    grid is supplied.
+    The grid layout is inferred from the first face (vertices are x-major),
+    and every face must be the grid's, in export_obj's order.  Unit-spacing
+    axes are synthesized when no grid is supplied.
     """
-    verts = []
-    first_face = None
-    n_faces = 0
+    verts, indices = [], array("q")  # every face's indices, 8 bytes each
     with open(path, "r", encoding="ascii") as fh:
         for raw in fh:
             parts = raw.split()
@@ -165,24 +164,28 @@ def import_obj(path, grid: Grid2D | None = None) -> SurfaceMesh:
             elif parts[0] == "f":
                 if len(parts) != 5:
                     raise ShapeError(f"expected quad faces, got: {raw.rstrip()!r}")
-                n_faces += 1
-                if first_face is None:
-                    try:
-                        first_face = [int(p) for p in parts[1:]]
-                    except ValueError:
-                        raise ShapeError(f"malformed face line: {raw.rstrip()!r}") from None
-    if not verts or first_face is None:
+                try:
+                    indices.extend(map(int, parts[1:]))
+                except (ValueError, OverflowError):
+                    raise ShapeError(f"malformed face line: {raw.rstrip()!r}") from None
+    if not verts or not indices:
         raise ShapeError(f"no grid mesh found in {path}")
-    nt = first_face[1] - first_face[0]
+    nt = indices[1] - indices[0]
     if nt < 2 or len(verts) % nt != 0:
         raise ShapeError(f"vertex count {len(verts)} does not fit row length {nt}")
     nx = len(verts) // nt
-    if n_faces != (nx - 1) * (nt - 1):
+    faces = np.frombuffer(indices, dtype=np.int64).reshape(-1, 4)
+    if len(faces) != (nx - 1) * (nt - 1):
         raise ShapeError(
-            f"face count {n_faces} does not match a {nx}x{nt} grid")
+            f"face count {len(faces)} does not match a {nx}x{nt} grid")
     if grid is None:
         grid = Grid2D(Grid1D(0.0, 1.0, nx), Grid1D(0.0, 1.0, nt))
     elif grid.shape != (nx, nt):
         raise ShapeError(f"supplied grid shape {grid.shape} does not match ({nx}, {nt})")
-    r = np.asarray(verts, dtype=float).reshape(nx, nt, 3)
-    return SurfaceMesh(r=r, grid=grid)
+    mesh = SurfaceMesh(r=np.asarray(verts, dtype=float).reshape(nx, nt, 3), grid=grid)
+    wrong = np.flatnonzero((faces != mesh.faces() + 1).any(axis=1))
+    if wrong.size:
+        k = wrong[0]
+        raise ShapeError(f"face line 'f {' '.join(map(str, faces[k]))}' is not face {k + 1} "
+                         f"of a {nx}x{nt} grid")
+    return mesh

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from solsurf import Grid1D, Grid2D, NonFiniteFieldError
+from solsurf import Grid1D, Grid2D, NonFiniteFieldError, fieldio
 
 
 def circle_grid(n=129, span=2.0 * np.pi):
@@ -18,6 +18,11 @@ def polar_band(n=65, scale=1):
     gx = Grid1D(0.0, np.pi / 64 / scale, m, "one_sided")
     gt = Grid1D(0.3, (np.pi - 0.6) / 64 / scale, m, "one_sided")
     return Grid2D(gx, gt)
+
+
+def json_text(obj) -> str:
+    """The text fieldio.save_json writes for obj."""
+    return "".join(fieldio._pieces(obj))
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from solsurf import fieldio as fio
 from solsurf.cli import SCENARIOS, build_parser, main, resolve_config
 from solsurf.fixtures import random_ct, random_smooth_spin, traveling_circle
 
-from conftest import circle_grid
+from conftest import circle_grid, json_text
 
 
 def read_tree(root):
@@ -544,7 +544,11 @@ def test_overflowing_ic_gives_strict_json_summary(tmp_path):
 
 
 def _malformed_ic(case: str) -> bytes:
-    text = fio.dump_json_str(traveling_circle(circle_grid(9)))
+    text = json_text(traveling_circle(circle_grid(9)))
+    if case == "ct_fields":  # a document kind fieldio no longer reads
+        g2 = ss.Grid2D(circle_grid(9), ss.Grid1D(0.0, 0.1, 3))
+        doc = dict.fromkeys(("k", "tau", "omega2", "omega3"), [1.0] * 27)
+        return json.dumps({"kind": "ct_fields", "grid": fio.to_jsonable(g2), **doc}).encode()
     if case == "truncated":
         return text[:len(text) // 2].encode()
     if case == "non_ascii":
@@ -566,6 +570,7 @@ WRONG_TYPED = {"grid_n_string": "x", "grid_n_float": 9.9, "grid_n_bool": True,
 
 # Each malformed --ic case and words of the one error line it must give.
 MALFORMED_IC = {
+    "ct_fields": "unknown document kind 'ct_fields'",
     "truncated": "is not an ASCII JSON document: Expecting",
     "non_ascii": "is not an ASCII JSON document: 'ascii' codec",
     "string_in_S": "'spin_field' holds a bad value: could not convert string",

@@ -170,6 +170,25 @@ class TestDerivatives:
         assert ss.diff_t(ft, g2).tobytes() == np.stack(
             (oracle_d1(f, g), oracle_d1(-f, g))).tobytes()
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), boundary=st.sampled_from(ss.BOUNDARIES),
+           trail=st.sampled_from([(), (3,), (2, 3)]),
+           dx=st.sampled_from([1.0, 0.1, 2.0 * np.pi / 11]),
+           dtype=st.sampled_from([np.float64, np.float32, np.complex64]))
+    def test_d2_matches_roll_oracle(self, data, boundary, trail, dx, dtype):
+        """diff_xx and diff_tt give the np.roll stencil's bytes on arbitrary
+        finite rows, in the field's own precision; the closure row need not
+        equal row 0."""
+        n = data.draw(st.integers(4, 12))
+        elements = {np.float64: HOSTILE, np.float32: HOSTILE32,
+                    np.complex64: st.builds(complex, HOSTILE32, HOSTILE32)}[dtype]
+        f = data.draw(arrays(dtype, (n,) + trail, elements=elements))
+        g = Grid1D(0.0, dx, n, boundary)
+        assert ss.diff_xx(f, g).tobytes() == oracle_d2(f, g).tobytes()
+        g2 = Grid2D(Grid1D(0.0, 1.0, 2), g)
+        assert ss.diff_tt(np.stack((f, -f)), g2).tobytes() == np.stack(
+            (oracle_d2(f, g), oracle_d2(-f, g))).tobytes()
+
 
 # HOSTILE's kinds of entry, each exact in float32
 HOSTILE32 = st.one_of(
@@ -191,6 +210,22 @@ def oracle_d1(f, g):
     out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
     out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
     out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
+    return out
+
+
+def oracle_d2(f, g):
+    """The second-derivative stencil as written before its periodic rows were
+    sliced: np.roll copies of the unique rows."""
+    h2 = g.dx * g.dx
+    out = np.empty_like(f)
+    if g.boundary == "periodic":
+        u = f[:-1]
+        out[:-1] = (np.roll(u, -1, axis=0) - 2 * u + np.roll(u, 1, axis=0)) / h2
+        out[-1] = out[0]
+        return out
+    out[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / h2
+    out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
+    out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
     return out
 
 

@@ -211,8 +211,9 @@ class TestObjRoundTrip:
         assert back.r.tobytes() == mesh.r.tobytes()
 
     # A 3x2 grid's OBJ text with one token made non-numeric, and the line named.
-    @pytest.mark.parametrize("good,bad", [("v 1 1 0.5", "v 0 0 x"), ("f 1 3 4 2", "f 1 a 3 4")],
-                             ids=["vertex", "face"])
+    @pytest.mark.parametrize("good,bad", [("v 1 1 0.5", "v 0 0 x"), ("f 1 3 4 2", "f 1 a 3 4"),
+                                          ("f 3 5 6 4", "f 3 5 6 d")],
+                             ids=["vertex", "face", "later_face"])
     def test_non_numeric_token_rejected(self, tmp_path, good, bad):
         r = np.zeros((3, 2, 3))
         r[1, 1] = (1.0, 1.0, 0.5)
@@ -223,6 +224,17 @@ class TestObjRoundTrip:
         path.write_text(text.replace(good + "\n", bad + "\n"))
         kind = "vertex" if bad[0] == "v" else "face"
         with pytest.raises(ss.ShapeError, match=f"^malformed {kind} line: '{bad}'$"):
+            ss.import_obj(path)
+
+    @pytest.mark.parametrize("bad", ["f 9 9 9 9", "f 3 5 4 6"])
+    def test_wrong_later_face_rejected(self, tmp_path, bad):
+        """Every face is checked, not only the first one the layout is read from."""
+        path = tmp_path / "m.obj"
+        ss.export_obj(ss.SurfaceMesh(r=np.zeros((3, 2, 3)), grid=unit_square(3, 2)), path)
+        text = path.read_text()
+        assert text.endswith("f 1 3 4 2\nf 3 5 6 4\n")
+        path.write_text(text.replace("f 3 5 6 4\n", bad + "\n"))
+        with pytest.raises(ss.ShapeError, match=f"^face line '{bad}' is not face 2 of a 3x2 grid$"):
             ss.import_obj(path)
 
     def test_import_grid_mismatch_rejected(self, tmp_path):
