@@ -32,11 +32,10 @@ from . import __version__
 from .errors import ConfigError, GridError, ShapeError, SolsurfError
 from .fieldio import (load_json, save_json, save_mesh_csv, save_scalars_csv,
                       save_series_csv)
-from .fixtures import (cylinder_patch, plane_patch, random_ct,
-                       random_smooth_spin, sphere_ct, sphere_frame_series,
-                       sphere_gc, sphere_patch, traveling_circle)
+from .fixtures import (cylinder_patch, plane_patch, random_ct, random_smooth_spin,
+                       sphere_frame_series, sphere_gc, sphere_patch, traveling_circle)
 from .frames import compatibility_residual, torsion_transport_residual
-from .gauss_codazzi import curvatures, gc_residual, metric_residual
+from .gauss_codazzi import curvatures, gc_residual, map_gc_to_frame, metric_residual
 from .lax import build_lax, zero_curvature_residual
 from .numgrid import BOUNDARIES, Grid1D, Grid2D, diff_x, fit_order
 from .spin import (SpinField, SpinSeries, ct_from_spin_series, evolve_series,
@@ -78,7 +77,7 @@ KEYS = {
     "dx": (None, float, (">", 0)),
     "boundary": ("periodic", str, None),
     "t0": (0.0, float, None),
-    "dt": (None, float, (">=", 0)),
+    "dt": (None, float, (">", 0)),
     "steps": (64, int, (">=", 0)),
     "renorm": (True, bool, None),
     "formats": (["csv", "json", "obj"], list, None),
@@ -148,7 +147,8 @@ SCENARIOS = {
          "t0": 0.3, "dt": (math.pi - 0.6) / 64, "steps": 64,
          "params": {"radius": 1.0}},
         {"radius": (float, (">", 0))}, patch=sphere_patch,
-        sources={"ct": lambda g2, p: sphere_ct(g2), "frame": _sphere_frame,
+        sources={"ct": lambda g2, p: map_gc_to_frame(sphere_gc(g2)[0]),
+                 "frame": _sphere_frame,
                  "surface": lambda g2, p: sphere_gc(g2, **p)}),
     "random_ct": Scenario(
         {"n": 65, "boundary": "one_sided", "x0": 0.0, "dx": 2 * math.pi / 64,
@@ -249,16 +249,10 @@ def resolve_config(file_cfg: dict, flag_cfg: dict) -> RunConfig:
         violations.append(f"unknown parameters for scenario {scenario!r}: "
                           f"{', '.join(bad_params)}")
     for name in sorted(set(params) & set(schema)):
-        _coerce(params[name], *schema[name], f"param {name}", violations)
+        params[name] = _coerce(params[name], *schema[name], f"param {name}", violations)
     if violations:
         raise ConfigError("invalid config: " + "; ".join(violations))
     return RunConfig(**merged)
-
-
-def _scenario_params(cfg: RunConfig) -> dict:
-    """The scenario params as their kinds."""
-    schema = SCENARIOS[cfg.scenario].params
-    return {name: schema[name][0](value) for name, value in cfg.params.items()}
 
 
 def _level_sizes(cfg: RunConfig, level: int):
@@ -281,8 +275,6 @@ def _grid2(cfg: RunConfig, level: int = 0) -> Grid2D:
     n, dx, dt, steps = _level_sizes(cfg, level)
     if steps < 1:
         raise ConfigError("steps must be >= 1 to build a 2-D grid")
-    if dt <= 0:
-        raise ConfigError("dt must be > 0 to build a 2-D grid")
     return Grid2D(Grid1D(cfg.x0, dx, n, cfg.boundary),
                   Grid1D(cfg.t0, dt, steps + 1, "one_sided"))
 
@@ -291,8 +283,7 @@ def _trajectory(cfg: RunConfig, level: int = 0) -> SpinSeries:
     """The --ic document, else the scenario's field at t0, evolved at the level's sizes."""
     n, dx, dt, steps = _level_sizes(cfg, level)
     if cfg.ic is None:
-        field = SCENARIOS[cfg.scenario].spin(Grid1D(cfg.x0, dx, n, cfg.boundary),
-                                             **_scenario_params(cfg))
+        field = SCENARIOS[cfg.scenario].spin(Grid1D(cfg.x0, dx, n, cfg.boundary), **cfg.params)
         field.t = cfg.t0
     else:
         field = load_json(cfg.ic)
@@ -326,7 +317,7 @@ def _eval_level(cfg: RunConfig, which: str, level: int):
     if scenario.spin is not None:
         base = _trajectory(cfg, level)
         g2 = base.grid2
-    fields, analytic = residual(scenario.sources[source](base, _scenario_params(cfg)))
+    fields, analytic = residual(scenario.sources[source](base, cfg.params))
     numeric = _max_abs(*fields.values())
     report = {"n": n, "dx": dx, "dt": dt, "steps": steps,
               "residual": numeric, "residual_numeric": numeric}
@@ -424,7 +415,7 @@ def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
             raise ConfigError("surface needs steps >= 1 to sweep a mesh")
         mesh = reconstruct(_trajectory(cfg))
     elif scenario.patch is not None:
-        mesh = scenario.patch(_grid2(cfg), **_scenario_params(cfg))
+        mesh = scenario.patch(_grid2(cfg), **cfg.params)
     else:
         raise ConfigError(f"scenario {cfg.scenario!r} has no surface")
     forms = mesh_forms(mesh)

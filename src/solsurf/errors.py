@@ -29,12 +29,7 @@ class NonFiniteFieldError(SolsurfError):
 
 
 class SqrtDomainError(SolsurfError):
-    """A radicand fell below the clamp slack. Carries the offending grid index."""
-
-    def __init__(self, message: str, index: int | None = None, value: float | None = None):
-        super().__init__(message)
-        self.index = index
-        self.value = value
+    """A radicand fell below the clamp slack; the message names its grid index and value."""
 
 
 class DegenerateFrameError(SolsurfError):

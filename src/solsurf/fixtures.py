@@ -1,10 +1,11 @@
 """Reference fields with known closed forms, used by tests and CLI presets.
 
 Sphere conventions used throughout: the polar angle lives on the t axis and
-the azimuth on the x axis (fields constant in x), for sphere_gc, sphere_ct,
-sphere_frame_series, and sphere_patch alike.  Polar ranges must stay inside
-(0, pi), where the metric roots are positive; a full-turn azimuth may use a
-periodic x axis.
+the azimuth on the x axis (fields constant in x), for sphere_gc,
+sphere_frame_series, and sphere_patch alike.  The sphere's frame fields are
+map_gc_to_frame(sphere_gc(g2)[0]).  Polar ranges must stay inside (0, pi),
+where the metric roots are positive; a full-turn azimuth may use a periodic
+x axis.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .frames import CTFields, matrix_a
-from .gauss_codazzi import GCAnalytic, GCData
+from .gauss_codazzi import GCAnalytic, GCData, map_gc_to_frame
 from .numgrid import Grid1D, Grid2D
 from .spin import K_MIN, SpinField, build_frame, solve_u_constraint
 from .surface import SurfaceMesh
@@ -131,14 +132,6 @@ def sphere_gc(g2: Grid2D, radius: float = 1.0):
     return data, exact
 
 
-def sphere_ct(g2: Grid2D) -> CTFields:
-    """Frame fields of the unit sphere: k = cos(theta), tau = sin(theta),
-    omega2 = -1, omega3 = 0 (polar angle on the t axis)."""
-    _, T = g2.meshes()
-    return CTFields(k=np.cos(T), tau=np.sin(T),
-                    omega2=-np.ones_like(T), omega3=np.zeros_like(T), grid=g2)
-
-
 def sphere_frame_series(g2: Grid2D):
     """Exact orthonormal frames over the sphere grid, plus the CTFields.
 
@@ -149,7 +142,7 @@ def sphere_frame_series(g2: Grid2D):
     differencing error.
     """
     X, T = g2.meshes()
-    ct = sphere_ct(g2)
+    ct = map_gc_to_frame(sphere_gc(g2)[0])
     dxs = X - g2.gx.x0
     WA = matrix_a(ct.k * dxs, ct.tau * dxs)
     WB = np.zeros((g2.gt.n, 3, 3))

@@ -112,10 +112,10 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
     orthonormal within 1e-8.  k and tau may be scalars or per-point arrays; A
     is linear in x between the points.  The row is one numgrid.walk_linear
     chain; with re-orthonormalization it is walked one step at a time, each
-    from the re-orthonormalized triad.  The orthonormality deviation is
-    recorded at every point before re-orthonormalization; exceeding GRAM_TOL
-    raises GramDriftError (integration blow-up), unless a NaN or Inf turns up
-    at or before that point: NonFiniteFieldError then names its x index.
+    from the re-orthonormalized triad.  One check after the walk reads the
+    orthonormality deviation at every point before re-orthonormalization:
+    over GRAM_TOL raises GramDriftError (integration blow-up), unless a NaN
+    or Inf comes at or before that point; NonFiniteFieldError names its index.
     """
     e0 = np.array(frame0, dtype=float, order="C")
     if not np.isfinite(e0).all():
@@ -129,18 +129,18 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
     a_t = np.swapaxes(matrix_a(k, tau), -1, -2)
     h = np.full(grid.n - 1, grid.dx)
     if reorthonormalize:
-        frames = np.empty((grid.n, 3, 3))
-        frames[0] = e0
-        drift = np.zeros(grid.n)
-        for i in range(1, grid.n):
-            e = walk_linear(frames[i - 1].T, a_t[i - 1:i], a_t[i:i + 1], h[:1],
-                            check=False)[1].T
-            drift[i] = _checked_drift(e[None], i)[0]
-            frames[i] = _reorthonormalize(e)
+        walked, frames = np.empty((grid.n, 3, 3)), np.empty((grid.n, 3, 3))
+        walked[0] = frames[0] = e0
+        # a step gone bad walks on without a warning; the one check below names it
+        with np.errstate(all="ignore"):
+            for i in range(1, grid.n):
+                walked[i] = walk_linear(frames[i - 1].T, a_t[i - 1:i], a_t[i:i + 1], h[:1],
+                                        check=False)[1].T
+                frames[i] = _reorthonormalize(walked[i])
     else:
         walked = np.swapaxes(walk_linear(e0.T, a_t[:-1], a_t[1:], h, check=False), -1, -2)
-        drift = np.concatenate(([0.0], _checked_drift(walked[1:], 1)))
         frames = np.ascontiguousarray(walked)
+    drift = np.concatenate(([0.0], _checked_drift(walked[1:], 1)))
     return FrameState(
         e1=frames[:, 0], e2=frames[:, 1], e3=frames[:, 2],
         k=k, tau=tau, grid=grid, gram_drift=drift)

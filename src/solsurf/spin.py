@@ -93,8 +93,7 @@ def _clamped_radicand(k: np.ndarray, u: np.ndarray) -> np.ndarray:
         flat = np.ravel(rad)
         i = int(np.argmax(flat < -CLAMP_SLACK))
         raise SqrtDomainError(
-            f"radicand k^2 - u^2 = {flat[i]:.6e} below -{CLAMP_SLACK:.1e} at index {i}",
-            index=i, value=float(flat[i]))
+            f"radicand k^2 - u^2 = {flat[i]:.6e} below -{CLAMP_SLACK:.1e} at index {i}")
     return np.maximum(rad, 0.0)
 
 

@@ -677,7 +677,9 @@ def test_edge_param_values_still_run(tmp_path):
     assert ((tmp_path / "2" / "mesh.json").read_bytes()
             == (tmp_path / "2.0" / "mesh.json").read_bytes())
     summary = json.loads((tmp_path / "2" / "surface_summary.json").read_text())
-    assert summary["config"]["params"] == {"radius": 2}
+    # the summary shows the value that ran, the float 2.0
+    assert summary["config"]["params"] == {"radius": 2.0}
+    assert type(summary["config"]["params"]["radius"]) is float
     for value in ("2", "2.0"):
         assert main(["simulate", "--scenario", "random_smooth", "--param",
                      f"winding={value}", "--param", "theta_amp=-0.05",
@@ -703,7 +705,8 @@ def test_any_param_value_resolves_or_is_config_error(scenario_name, value):
     except ss.ConfigError as e:
         assert name in str(e)
     else:
-        assert cfg.params[name] is value
+        kind = SCENARIOS[scenario].params[name][0]
+        assert type(cfg.params[name]) is kind and cfg.params[name] == kind(value)
 
 
 JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
@@ -920,7 +923,7 @@ def test_huge_dt_prints_only_the_error(tmp_path, command):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--dt", "-1e-3", "dt must be >= 0, got -0.001"),
+    ("--dt", "-1e-3", "dt must be > 0, got -0.001"),
     ("--dx", "-1e308", "dx must be > 0, got -1e+308"),
     ("--dt", "-inf", "dt must be a finite number"),
 ])
@@ -934,3 +937,40 @@ def test_negative_exponent_flag_values_reach_the_config_check(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config: ") and message in err
     assert err.count("\n") == 1
+
+
+# Inputs that end in a usage or config error before any artifact, and the one
+# error line each prints.  {file} is a JSON file the test writes: a grid1d
+# document, or a list for config_list.
+CONFIG_ERRORS = {
+    "dt_zero": (["simulate", "--dt", "0", "--steps", "4"],
+                "error: invalid config: dt must be > 0, got 0.0"),
+    "check_no_steps": (["check", "--steps", "0"],
+                       "error: steps must be >= 1 to build a 2-D grid"),
+    "surface_no_steps": (["surface", "--scenario", "random_smooth", "--steps", "0"],
+                         "error: surface needs steps >= 1 to sweep a mesh"),
+    "ic_grid1d": (["simulate", "--ic", "{file}"],
+                  "error: {file} does not hold a spin_field document"),
+    "config_list": (["simulate", "--config", "{file}"],
+                    "error: config file {file} must hold a JSON object"),
+    "param_no_value": (["simulate", "--param", "seed"],
+                       "error: --param expects KEY=VALUE, got 'seed'"),
+    "x0_not_a_number": (["simulate", "--x0", "-abc"],
+                        "solsurf simulate: error: argument --x0: expected one argument"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_errors_exit_two_with_one_error_line(tmp_path, capsys, case):
+    """Each ends in exit 2 and a single error: line (argparse's after its usage),
+    and writes no summary."""
+    path = tmp_path / "in.json"
+    doc = [] if case == "config_list" else fio.to_jsonable(ss.Grid1D(0.0, 0.5, 9))
+    path.write_text(json.dumps(doc))
+    argv, line = CONFIG_ERRORS[case]
+    out = tmp_path / "out"
+    assert main([a.format(file=path) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(line.format(file=path) + "\n")
+    assert [e for e in err.splitlines() if "error:" in e] == [line.format(file=path)]
+    assert not list(out.glob("*summary.json"))

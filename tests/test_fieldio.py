@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import solsurf as ss
 from solsurf import fieldio as fio
 from solsurf.cli import main
-from solsurf.fixtures import (random_smooth_spin, sphere_ct, sphere_gc,
+from solsurf.fixtures import (random_smooth_spin, sphere_gc,
                               traveling_circle)
 
 from conftest import circle_grid, json_text
@@ -191,12 +191,13 @@ FIELD_ARRAYS = [(kind, name) for kind, cls in FIELD_TYPES.items()
 
 def _valid_field(kind):
     band = small_band()
-    ct = sphere_ct(band)
+    gc = sphere_gc(band)[0]
+    ct = ss.map_gc_to_frame(gc)
     lax_pair = ss.build_lax(ct)
     f = traveling_circle(circle_grid(9))
     return {
         "spin_field": f, "spin_series": ss.evolve_series(f, 0.01, 2), "ct_fields": ct,
-        "gc_data": sphere_gc(band)[0], "fundamental_forms": ss.fundamental_forms(sphere_gc(band)[0]),
+        "gc_data": gc, "fundamental_forms": ss.fundamental_forms(gc),
         "surface_mesh": ss.fixtures.sphere_patch(band), "lax_pair": lax_pair,
         "eigenfunction": ss.eigenfunction_field(lax_pair, np.eye(2, dtype=complex)),
     }[kind]
@@ -225,6 +226,27 @@ def test_constructor_checks_declared_arrays(kind, name):
     else:
         with pytest.raises(NONFINITE[kind], match=f"^{name} contains non-finite values$"):
             dataclasses.replace(obj, **{name: bad})
+
+
+def _short_S():
+    doc = fio.to_jsonable(traveling_circle(circle_grid(9)))
+    doc["S"] = doc["S"][:-1]
+    return doc
+
+
+# A value or document the codecs cannot take, and the typed error it must raise.
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: fio.to_jsonable(object()), ss.ConfigError,
+     "cannot serialize object of type object"),
+    (lambda: fio.from_jsonable([]), ss.ConfigError, "document has no 'kind' tag"),
+    (lambda: fio.from_jsonable({"kind": "spin_field"}), ss.ConfigError,
+     "document of kind 'spin_field' is missing key 'grid'"),
+    (lambda: fio.from_jsonable(_short_S()), ss.ShapeError, "S holds 26 values, expected 27"),
+], ids=["unknown_type", "no_kind", "missing_key", "short_array"])
+def test_bad_inputs_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestJsonDeterminism:

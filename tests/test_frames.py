@@ -1,5 +1,7 @@
 """Moving-frame coefficient matrices, transport, and compatibility residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,8 @@ from solsurf import Grid1D, Grid2D
 from solsurf.frames import GRAM_TOL
 from solsurf.fixtures import (
     expm_skew3,
-    sphere_ct,
     sphere_frame_series,
+    sphere_gc,
     traveling_circle,
 )
 
@@ -147,7 +149,7 @@ class TestCompatibilityResidual:
         hs, errs = [], []
         for scale in (1, 2, 4):
             g2 = polar_band(17, scale)
-            r = ss.compatibility_residual(sphere_ct(g2))
+            r = ss.compatibility_residual(ss.map_gc_to_frame(sphere_gc(g2)[0]))
             errs.append(max(np.max(np.abs(a)) for a in r))
             hs.append(g2.gx.dx)
         assert ss.fit_order(hs, errs, floor=1e-11) >= 1.7
@@ -190,3 +192,38 @@ class TestSphereFrameSeries:
         assert np.max(np.abs(ct.tau - np.sin(T))) < 1e-14
         assert np.max(np.abs(ct.omega2 + 1.0)) < 1e-14
         assert np.max(np.abs(ct.omega3)) < 1e-14
+
+
+def _transported():
+    return ss.transport_frame_x(np.eye(3), 1.0, 0.5, Grid1D(0.0, 0.1, 5))
+
+
+@pytest.mark.parametrize("name", ["e1", "e2", "e3", "k", "tau", "gram_drift"])
+def test_frame_state_checks_declared_arrays(name):
+    """A wrong trailing shape raises ShapeError naming the array; a NaN entry is kept."""
+    state = _transported()
+    a = getattr(state, name)
+    with pytest.raises(ss.ShapeError, match=f"^{name} must have shape"):
+        dataclasses.replace(state, **{name: np.stack([a, a], axis=-1)})
+    bad = a.copy()
+    bad[1] = np.nan
+    assert np.isnan(getattr(dataclasses.replace(state, **{name: bad}), name)[1]).all()
+
+
+def test_triad_stacks_the_rows_at_a_point():
+    state = _transported()
+    for i in range(5):
+        assert np.array_equal(state.triad(i), np.stack([state.e1[i], state.e2[i], state.e3[i]]))
+
+
+# A bad transport start or skew stack, and the typed error it must raise.
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ss.transport_frame_x(np.diag([1.0, 1.0, 1.1]), 1.0, 0.0, Grid1D(0.0, 0.1, 5)),
+     ss.GramDriftError, "initial triad is not orthonormal (deviation 2.100e-01)"),
+    (lambda: expm_skew3(np.zeros((2, 2))), ss.ShapeError,
+     "W must be stacked 3x3 matrices, got shape (2, 2)"),
+], ids=["frame0_not_orthonormal", "skew_not_3x3"])
+def test_bad_inputs_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import solsurf as ss
-from solsurf.fixtures import (random_ct, sphere_ct, sphere_gc,
-                              traveling_circle)
+from solsurf.fixtures import random_ct, sphere_gc, traveling_circle
 
 from conftest import polar_band
 
@@ -117,13 +116,6 @@ class TestFrameMap:
         with pytest.raises(ss.MapInconsistentError):
             ss.map_frame_to_gc(ct, np.ones(g2.shape), np.ones(g2.shape), tol=1e-6)
 
-    def test_sphere_ct_equals_mapped_gc(self, band_small):
-        d, _ = sphere_gc(band_small)
-        ct_direct = sphere_ct(band_small)
-        ct_mapped = ss.map_gc_to_frame(d)
-        assert np.array_equal(ct_direct.k, ct_mapped.k)
-        assert np.array_equal(ct_direct.tau, ct_mapped.tau)
-
 
 class TestForms:
     def test_diagonal_forms_needs_all_fields(self, band_small):
@@ -188,3 +180,11 @@ class TestCurvatures:
         K, H = ss.curvatures(sheared)
         assert np.max(np.abs(K - 0.25)) < 1e-13
         assert np.max(np.abs(H - 0.5)) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["tpsi1", "tpsi2"])
+def test_nonpositive_metric_root_rejected(band_small, name):
+    d = sphere_gc(band_small)[0]
+    with pytest.raises(ss.DegenerateMetricError) as exc:
+        dataclasses.replace(d, **{name: -getattr(d, name)})
+    assert str(exc.value) == f"{name} must be strictly positive (min -1.000000e+00)"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
-from solsurf.fixtures import random_ct, sphere_ct, traveling_circle
+from solsurf.fixtures import random_ct, sphere_gc, traveling_circle
 
 from conftest import polar_band
 
@@ -20,14 +20,14 @@ def expm_traceless2(M):
 
 class TestBuildLax:
     def test_shapes_and_tracelessness(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         nx, nt = band_small.shape
         assert L.U.shape == L.V.shape == (nx, nt, 2, 2)
         assert np.max(np.abs(np.trace(L.U, axis1=2, axis2=3))) < 1e-14
         assert np.max(np.abs(np.trace(L.V, axis1=2, axis2=3))) < 1e-14
 
     def test_entries(self, band_small):
-        ct = sphere_ct(band_small)
+        ct = ss.map_gc_to_frame(sphere_gc(band_small)[0])
         L = ss.build_lax(ct)
         half_over_i = 1.0 / 2.0j
         assert np.max(np.abs(L.U[..., 0, 1] - half_over_i * ct.k)) < 1e-15
@@ -52,14 +52,14 @@ class TestBuildLax:
 class TestZeroCurvature:
     def test_matches_compatibility_residual(self, band_small):
         # the matrix residual packs (r1, r2, r3); Frobenius norms must agree
-        ct = sphere_ct(band_small)
+        ct = ss.map_gc_to_frame(sphere_gc(band_small)[0])
         r1, r2, r3 = ss.compatibility_residual(ct)
         expected = np.sqrt((r1 ** 2 + r2 ** 2 + r3 ** 2) / 2.0)
         got = ss.zero_curvature_residual(ss.build_lax(ct))
         assert np.max(np.abs(got - expected)) < 1e-14
 
     def test_entrywise_identities(self, band_small):
-        ct = sphere_ct(band_small)
+        ct = ss.map_gc_to_frame(sphere_gc(band_small)[0])
         r1, r2, r3 = ss.compatibility_residual(ct)
         R = ss.zero_curvature_matrix(ss.build_lax(ct))
         assert np.max(np.abs(2j * R[..., 0, 0] - r2)) < 1e-14
@@ -87,7 +87,8 @@ class TestZeroCurvature:
         hs, errs = [], []
         for scale in (1, 2, 4):
             g2 = polar_band(17, scale)
-            errs.append(np.max(ss.zero_curvature_residual(ss.build_lax(sphere_ct(g2)))))
+            ct = ss.map_gc_to_frame(sphere_gc(g2)[0])
+            errs.append(np.max(ss.zero_curvature_residual(ss.build_lax(ct))))
             hs.append(g2.gx.dx)
         assert ss.fit_order(hs, errs, floor=1e-11) >= 1.7
 
@@ -118,29 +119,29 @@ class TestPropagatePhi:
         assert np.max(np.abs(out - exact)) < 1e-6
 
     def test_determinant_modulus_preserved(self):
-        L = ss.build_lax(sphere_ct(polar_band(17)))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(polar_band(17))[0]))
         phi0 = np.array([[1.0, 0.3j], [0.2, 1.0 - 0.1j]], dtype=complex)
         path = ["+x"] * 5 + ["+t"] * 5 + ["-x"] * 3 + ["-t"] * 2
         out = ss.propagate_phi(L, phi0, path)
         assert abs(abs(np.linalg.det(out)) - abs(np.linalg.det(phi0))) < 1e-8
 
     def test_unknown_move_rejected(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         with pytest.raises(ss.GridError, match="sideways"):
             ss.propagate_phi(L, np.eye(2, dtype=complex), ["sideways"])
 
     def test_leaving_grid_rejected(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         with pytest.raises(ss.GridError):
             ss.propagate_phi(L, np.eye(2, dtype=complex), ["-x"])
 
     def test_singular_phi0_rejected(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         with pytest.raises(ss.ShapeError, match="invertible"):
             ss.propagate_phi(L, np.zeros((2, 2), dtype=complex), ["+x"])
 
     def test_start_offset(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         out1 = ss.propagate_phi(L, np.eye(2, dtype=complex), ["+x"], start=(3, 2))
         out2 = ss.propagate_phi(L, np.eye(2, dtype=complex), ["+x"] * 4 + ["+t"] * 2)
         assert out1.shape == out2.shape == (2, 2)
@@ -149,7 +150,7 @@ class TestPropagatePhi:
 
 class TestEigenfunctionField:
     def test_start_value_and_shape(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         phi0 = np.eye(2, dtype=complex)
         ef = ss.eigenfunction_field(L, phi0)
         assert isinstance(ef, ss.Eigenfunction)
@@ -164,7 +165,7 @@ class TestEigenfunctionField:
     ])
     def test_phi0_checked_as_in_path_transport(self, band_small, phi0, match):
         # a scalar or row phi0 used to broadcast to a singular start value
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         for fill in (lambda: ss.eigenfunction_field(L, phi0),
                      lambda: ss.propagate_phi(L, phi0, ["+x"])):
             with pytest.raises(ss.ShapeError, match=match):
@@ -176,7 +177,8 @@ class TestEigenfunctionField:
         g2 = ss.Grid2D(ss.Grid1D(0.0, np.pi / 16, 11, "one_sided"),
                        ss.Grid1D(0.3, (np.pi - 0.6) / 16, 7, "one_sided"))
         phi0 = np.array([[1.0, 0.5j], [-0.25, 2.0 - 1.0j]])
-        for ct in (sphere_ct(g2), random_ct(g2, seed=1), random_ct(g2, seed=2)):
+        for ct in (ss.map_gc_to_frame(sphere_gc(g2)[0]), random_ct(g2, seed=1),
+                   random_ct(g2, seed=2)):
             L = ss.build_lax(ct)
             ef = ss.eigenfunction_field(L, phi0)
             for ix in range(11):
@@ -187,7 +189,7 @@ class TestEigenfunctionField:
 
 class TestHolonomy:
     def test_defect_small_on_solution_fields(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         d = ss.holonomy_defect(L, corner=(2, 2))
         assert 0.0 <= d < 1e-3
 
@@ -208,7 +210,32 @@ class TestHolonomy:
         assert 0.8 <= slope <= 1.2
 
     def test_multi_cell_loop(self, band_small):
-        L = ss.build_lax(sphere_ct(band_small))
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
         d1 = ss.holonomy_defect(L, corner=(1, 1), sizes=(1, 1))
         d4 = ss.holonomy_defect(L, corner=(1, 1), sizes=(4, 4))
         assert d4 > d1
+
+
+def _sphere_lax():
+    return ss.build_lax(ss.map_gc_to_frame(sphere_gc(polar_band(5))[0]))
+
+
+def _not_traceless():
+    L = _sphere_lax()
+    U = L.U.copy()
+    U[1, 1, 0, 0] += 1e-9
+    return ss.LaxPairField(U=U, V=L.V, grid=L.grid)
+
+
+# A bad Lax pair, start or loop, and the typed error it must raise.
+@pytest.mark.parametrize("call,error,message", [
+    (_not_traceless, ss.ShapeError, "U is not traceless: max |trace| = 1.000e-09"),
+    (lambda: ss.propagate_phi(_sphere_lax(), np.eye(2, dtype=complex), ["+x"], start=(5, 0)),
+     ss.GridError, "start (5, 0) is outside the grid"),
+    (lambda: ss.holonomy_defect(_sphere_lax(), sizes=(0, 1)), ss.GridError,
+     "loop sizes must be >= 1, got (0, 1)"),
+], ids=["not_traceless", "start_outside", "empty_loop"])
+def test_bad_inputs_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -287,3 +287,34 @@ class TestFitOrder:
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ss.ShapeError):
             ss.fit_order([0.1, 0.05], [1.0])
+
+
+G5 = Grid1D(0.0, 0.1, 5)
+
+
+# A bad grid, stencil or order-fit input, and the typed error it must raise.
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Grid1D(np.nan, 0.1, 5), ss.GridError, "x0 must be finite, got nan"),
+    (lambda: Grid1D(0.0, 0.1, 3, "periodic"), ss.GridError,
+     "periodic grids need n >= 4 (3 unique samples plus closure)"),
+    (lambda: ss.diff_x(np.zeros(2), Grid1D(0.0, 0.1, 2)), ss.GridError,
+     "one_sided first derivative needs n >= 3"),
+    (lambda: ss.diff_xx(np.zeros(3), Grid1D(0.0, 0.1, 3)), ss.GridError,
+     "one_sided second derivative needs n >= 4"),
+    (lambda: ss.diff_x(np.zeros(5), 0.1), TypeError, "expected Grid1D or Grid2D, got float"),
+    (lambda: ss.diff_t(np.zeros(5), G5), TypeError, "t-derivatives need a Grid2D"),
+    (lambda: ss.diff_t(np.zeros(5), Grid2D(G5, G5)), ss.ShapeError,
+     "t-derivatives need a field with a t axis"),
+    (lambda: ss.fit_order([0.1, 0.0], [1.0, 2.0]), ValueError, "step sizes must be positive"),
+    (lambda: ss.fit_order([0.1, 0.05], [1.0, -2.0]), ValueError,
+     "errors must be non-negative"),
+], ids=["x0_nan", "periodic_n3", "d1_n2", "d2_n3", "not_a_grid", "t_on_grid1d",
+        "t_without_t_axis", "zero_step", "negative_error"])
+def test_bad_inputs_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_integer_field_differentiates_as_float():
+    assert ss.diff_x(np.arange(5), G5).tobytes() == ss.diff_x(np.arange(5.0), G5).tobytes()

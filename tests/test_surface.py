@@ -237,6 +237,31 @@ class TestObjRoundTrip:
         with pytest.raises(ss.ShapeError, match=f"^face line '{bad}' is not face 2 of a 3x2 grid$"):
             ss.import_obj(path)
 
+    # A 3x2 grid's OBJ text rewritten, and the error it must give ({path}: the file).
+    @pytest.mark.parametrize("case,message", [
+        ("triangle", "expected quad faces, got: 'f 1 3 4'"),
+        ("empty", "no grid mesh found in {path}"),
+        ("row_of_one", "vertex count 6 does not fit row length 1"),
+        ("face_missing", "face count 1 does not match a 3x2 grid"),
+    ])
+    def test_malformed_obj_rejected(self, tmp_path, case, message):
+        path = tmp_path / "m.obj"
+        ss.export_obj(ss.SurfaceMesh(r=np.zeros((3, 2, 3)), grid=unit_square(3, 2)), path)
+        text = path.read_text()
+        path.write_text({"triangle": text.replace("f 1 3 4 2", "f 1 3 4"), "empty": "",
+                         "row_of_one": text.replace("f 1 3 4 2", "f 1 2 4 3"),
+                         "face_missing": text.replace("f 3 5 6 4\n", "")}[case])
+        with pytest.raises(ss.ShapeError) as exc:
+            ss.import_obj(path)
+        assert str(exc.value) == message.format(path=path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        mesh = ss.SurfaceMesh(r=np.arange(18.0).reshape(3, 2, 3), grid=unit_square(3, 2))
+        path = tmp_path / "m.obj"
+        ss.export_obj(mesh, path)
+        path.write_text("\n" + path.read_text().replace("\nf", "\n  \nf"))
+        assert ss.import_obj(path).r.tobytes() == mesh.r.tobytes()
+
     def test_import_grid_mismatch_rejected(self, tmp_path):
         mesh = ss.SurfaceMesh(r=np.zeros((3, 4, 3)), grid=unit_square(3, 4))
         path = tmp_path / "m.obj"
