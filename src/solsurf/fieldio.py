@@ -8,18 +8,20 @@ x-major row per grid point.
 
 The writers keep a byte contract.  JSON text is json.dumps(doc,
 sort_keys=True, indent=2) plus a newline, with allow_nan=False for a plain
-dict (run summaries stay strict); field documents stream their float lists
+dict (run summaries stay strict); field documents stream their float arrays
 through the C encoder in chunks, with the list's comma, newline and indent
 as its item separator.  CSV (and OBJ, see surface.export_obj) values are
 ``%.17g``, one ``%`` format per row through surface.write_rows, written in
 chunks; a mesh's vertices are formatted once (surface.vertex_text) for both
-mesh.csv and mesh.obj.  A writer change must keep the sha256 digests in
-tests/test_golden.py.
+mesh.csv and mesh.obj.  Both writers make an array's values Python floats
+one LINES_PER_WRITE chunk at a time, never the whole array at once.  A
+writer change must keep the sha256 digests in tests/test_golden.py.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -29,8 +31,16 @@ from .spin import SpinField, SpinSeries
 from .surface import LINES_PER_WRITE, SurfaceMesh, vertex_text, write_rows
 
 
-def _flat(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=float).ravel(order="C").tolist()
+def _flat(a) -> np.ndarray:
+    """a's values in C order as a 1-d float array, a view where the strides
+    allow one (a component of a contiguous (..., 3) array is one)."""
+    return np.asarray(a, dtype=float).reshape(-1)
+
+
+def _chunks(values: np.ndarray):
+    """1-d values as lists of Python floats, LINES_PER_WRITE values a list."""
+    return (values[i:i + LINES_PER_WRITE].tolist()
+            for i in range(0, values.size, LINES_PER_WRITE))
 
 
 def _unflat(data, shape, name: str) -> np.ndarray:
@@ -49,7 +59,7 @@ def _unflat(data, shape, name: str) -> np.ndarray:
 
 def _encode_arrays(obj) -> dict:
     """The grid and the arrays of obj's LAYOUT."""
-    return {"grid": to_jsonable(obj.grid),
+    return {"grid": _document(obj.grid),
             **{name: _flat(getattr(obj, name)) for name in type(obj).LAYOUT.shapes}}
 
 
@@ -95,14 +105,15 @@ def _decode_surface_mesh(doc):
 
 
 # kind tag -> (type, encode, decode).  encode returns the document without
-# its "kind" key; decode receives the whole document.
+# its "kind" key, its arrays as _flat views; decode receives the whole
+# document, its arrays as lists.
 _CODECS = {
     "grid1d": (Grid1D,
                lambda g: {"x0": g.x0, "dx": g.dx, "n": g.n, "boundary": g.boundary},
                lambda doc: Grid1D(x0=_number(doc, "x0"), dx=_number(doc, "dx"),
                                   n=doc["n"], boundary=doc["boundary"])),
     "grid2d": (Grid2D,
-               lambda g: {"gx": to_jsonable(g.gx), "gt": to_jsonable(g.gt)},
+               lambda g: {"gx": _document(g.gx), "gt": _document(g.gt)},
                lambda doc: Grid2D(gx=from_jsonable(doc["gx"]),
                                   gt=from_jsonable(doc["gt"]))),
     "spin_field": (SpinField, lambda f: {"t": f.t, **_encode_arrays(f)},
@@ -114,12 +125,24 @@ _CODECS = {
 }
 
 
-def to_jsonable(obj) -> dict:
-    """Tagged plain-dict form of a supported object."""
+def _document(obj) -> dict:
+    """Tagged document of a supported object, its arrays 1-d float ndarrays."""
     for kind, (cls, encode, _) in _CODECS.items():
         if isinstance(obj, cls):
             return {"kind": kind, **encode(obj)}
     raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _listed(o):
+    """o with each ndarray made a list of Python floats."""
+    if isinstance(o, dict):
+        return {key: _listed(value) for key, value in o.items()}
+    return o.tolist() if isinstance(o, np.ndarray) else o
+
+
+def to_jsonable(obj) -> dict:
+    """Tagged plain-dict form of a supported object."""
+    return _listed(_document(obj))
 
 
 def from_jsonable(doc: dict):
@@ -137,17 +160,20 @@ def from_jsonable(doc: dict):
         raise ConfigError(f"document of kind {kind!r} holds a bad value: {e}") from e
 
 
-# Stands in for an all-float list in a dumped document, whose only strings
-# are kind tags and boundary names.
+# Stands in for a float array in a dumped document, whose only strings are
+# kind tags and boundary names.
 _SLOT = ": " + json.dumps("\0")
 
 
 def _hollow(o, floats: list, inner: str = "\n  "):
-    """o with each all-float list, in sorted-key order, replaced by the string
-    in _SLOT and moved to floats along with inner, its values' line start."""
+    """o with each nonempty array, in sorted-key order, replaced by the string
+    in _SLOT and moved to floats along with inner, its values' line start; an
+    empty array becomes []."""
     if isinstance(o, dict):
         return {key: _hollow(o[key], floats, inner + "  ") for key in sorted(o)}
-    if isinstance(o, list) and set(map(type, o)) == {float}:
+    if isinstance(o, np.ndarray):
+        if not o.size:
+            return []
         floats.append((o, inner))
         return "\0"
     return o
@@ -155,20 +181,20 @@ def _hollow(o, floats: list, inner: str = "\n  "):
 
 def _pieces(obj):
     """obj's JSON text in pieces.  A plain dict (a run summary) is dumped whole
-    and strict.  Any other obj's document is dumped with its float lists
-    hollowed out, then each slot gets the C encoder's text of its list, one
-    value a line, LINES_PER_WRITE values a piece."""
+    and strict.  Any other obj's document is dumped with its arrays hollowed
+    out, then each slot gets the C encoder's text of its values, one a line,
+    LINES_PER_WRITE values listed and dumped a piece."""
     if isinstance(obj, dict):
         yield json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
         return
     floats = []
-    parts = json.dumps(_hollow(to_jsonable(obj), floats), sort_keys=True,
+    parts = json.dumps(_hollow(_document(obj), floats), sort_keys=True,
                        indent=2).split(_SLOT)
     yield parts[0]
     for (values, inner), after in zip(floats, parts[1:]):
         sep = "," + inner
-        for i in range(0, len(values), LINES_PER_WRITE):
-            text = json.dumps(values[i:i + LINES_PER_WRITE], separators=(sep, ": "))
+        for i, chunk in enumerate(_chunks(values)):
+            text = json.dumps(chunk, separators=(sep, ": "))
             yield (sep if i else ": [" + inner) + text[1:-1]
         yield inner[:-2] + "]" + after
     yield "\n"
@@ -201,7 +227,8 @@ def _write_csv(path, header, x, t, columns) -> None:
     """One x-major row per point of the x by t grid: x, t, then columns.
 
     Each distinct x and t value is formatted once.  A column that is a tuple
-    of str (surface.vertex_text) is written as it stands, any other %.17g.
+    of str (surface.vertex_text) is written as it stands, any other %.17g,
+    its values made Python floats LINES_PER_WRITE at a time.
     """
     cols = [c if isinstance(c, tuple) and c and isinstance(c[0], str) else _flat(c)
             for c in columns]
@@ -212,9 +239,12 @@ def _write_csv(path, header, x, t, columns) -> None:
     ts = ["%.17g" % v for v in t.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        write_rows(fh, "%s,%s" + "".join(",%s" if isinstance(c[0], str) else ",%.17g"
+        write_rows(fh, "%s,%s" + "".join(",%s" if isinstance(c, tuple) else ",%.17g"
                                          for c in cols) + "\n",
-                   [[v for v in xs for _ in range(nt)], ts * nx, *cols])
+                   [chain.from_iterable(map(repeat, xs, repeat(nt))),
+                    chain.from_iterable(repeat(ts, nx)),
+                    *(c if isinstance(c, tuple) else chain.from_iterable(_chunks(c))
+                      for c in cols)])
 
 
 def save_series_csv(s: SpinSeries, path) -> None:

@@ -20,6 +20,10 @@ from .numgrid import (Grid1D, Grid2D, GridFields, Layout, as_shape, diff_t, diff
 # Transport whose triad drifts further than this from orthonormal has blown up.
 GRAM_TOL = 1e-4
 
+# torsion_transport_residual builds its triple product in blocks of x rows that
+# hold at most this many vector entries (e1 values), not over the whole series.
+BLOCK_VALUES = 1 << 14
+
 
 @dataclass
 class FrameState:
@@ -187,10 +191,18 @@ def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray,
     e1 has shape (nx, nt, 3), tau has shape (nx, nt).  On trajectories of the
     spin system (tau identified with v, omega1 = 0) the triple-product term
     equals tau_t, so the residual converges to zero under grid refinement.
+    e1_x, e1_t and tau_t are taken whole, and the triple product is
+    subtracted from tau_t in place over blocks of x rows (BLOCK_VALUES), so
+    its temporaries stay one block in size.  Each entry has the bits of the
+    whole-series expression.
     """
     e1 = as_shape(e1, g2.shape + (3,), "e1")
     tau = as_shape(tau, g2.shape, "tau")
     e1x = diff_x(e1, g2)
     e1t = diff_t(e1, g2)
-    triple = np.einsum("xtc,xtc->xt", e1, np.cross(e1x, e1t))
-    return diff_t(tau, g2) - triple
+    out = diff_t(tau, g2)
+    rows = max(1, BLOCK_VALUES // e1[0].size)
+    for i in range(0, g2.gx.n, rows):
+        s = slice(i, i + rows)
+        out[s] -= np.einsum("xtc,xtc->xt", e1[s], np.cross(e1x[s], e1t[s]))
+    return out

@@ -84,11 +84,11 @@ class SpinRates:
     dv: np.ndarray
 
 
-def _clamped_radicand(k: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Where |u| passes ~1e154, u*u overflows to inf; the radicand is then
-    # -inf, which the check below reports as a domain error.
-    with np.errstate(over="ignore"):
-        rad = k * k - u * u
+def _clamped_radicand(kk: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """max(kk - u*u, 0) for kk = k*k, checked against -CLAMP_SLACK.  Callers
+    silence overflow: where |u| passes ~1e154, u*u overflows to inf, and the
+    radicand is then -inf, which the check reports as a domain error."""
+    rad = kk - u * u
     if np.fmin.reduce(rad, axis=None) < -CLAMP_SLACK:  # fmin skips NaN, as < does
         flat = np.ravel(rad)
         i = int(np.argmax(flat < -CLAMP_SLACK))
@@ -167,7 +167,10 @@ def _rates(S, S_x, frame, u, rad) -> np.ndarray:
 def spin_rhs(f: SpinField) -> SpinRates:
     """Rates of the spin system at the given state, with u taken as stored."""
     S_x, k = _curvature(f.S, f.grid)
-    rates = _rates(f.S.T, S_x, _frame(f.S.T, S_x, k), f.u, _clamped_radicand(k, f.u))
+    frame = _frame(f.S.T, S_x, k)
+    with np.errstate(over="ignore"):
+        rad = _clamped_radicand(k * k, f.u)
+    rates = _rates(f.S.T, S_x, frame, f.u, rad)
     return SpinRates(rates[:3].T.copy(), u_constraint_residual(k, f.u, f.v, f.grid), rates[3])
 
 
@@ -182,18 +185,21 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D) -> np.ndarray
     mismatch surfaces in the reported constraint residual).
     """
     n = grid.n
-    return _march(as_shape(k, (n,), "k"), as_shape(v, (n,), "v"), grid)[0]
+    with np.errstate(over="ignore"):
+        return _march(as_shape(k, (n,), "k"), as_shape(v, (n,), "v"), grid)[0]
 
 
 def _march(k: np.ndarray, v: np.ndarray, grid: Grid1D):
-    """solve_u_constraint's u and the clamped radicand it was verified with."""
+    """solve_u_constraint's u and the clamped radicand it was verified with;
+    the caller silences overflow."""
     for name, a in (("k", k), ("v", v)):
         if not np.isfinite(a).all():
             raise NonFiniteFieldError(f"{name} contains non-finite values")
-    u = np.fromiter(_heun(memoryview(k * k), memoryview(v), grid.dx), float, grid.n)
+    kk = k * k
+    u = np.fromiter(_heun(memoryview(kk), memoryview(v), grid.dx), float, grid.n)
     if grid.boundary == "periodic":
         u[-1] = u[0]
-    return u, _clamped_radicand(k, u)
+    return u, _clamped_radicand(kk, u)
 
 
 def _heun(kk, vs, h: float):
@@ -344,5 +350,7 @@ def ct_from_spin_series(series: SpinSeries) -> CTFields:
     g2 = series.grid2
     _, k = _curvature(series.S, g2)
     _check_curvature(k)
-    return CTFields(k=k, tau=series.v.copy(), omega2=-series.u,
-                    omega3=-np.sqrt(_clamped_radicand(k, series.u)), grid=g2)
+    with np.errstate(over="ignore"):
+        rad = _clamped_radicand(k * k, series.u)
+    return CTFields(k=k, tau=series.v.copy(), omega2=-series.u, omega3=-np.sqrt(rad),
+                    grid=g2)

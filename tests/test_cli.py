@@ -957,13 +957,16 @@ CONFIG_ERRORS = {
                        "error: --param expects KEY=VALUE, got 'seed'"),
     "x0_not_a_number": (["simulate", "--x0", "-abc"],
                         "solsurf simulate: error: argument --x0: expected one argument"),
+    "two_point_one_sided": (["simulate", "--n", "2", "--boundary", "one_sided",
+                             "--steps", "0"],
+                            "error: one_sided first derivative needs n >= 3"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_config_errors_exit_two_with_one_error_line(tmp_path, capsys, case):
     """Each ends in exit 2 and a single error: line (argparse's after its usage),
-    and writes no summary."""
+    and writes no file."""
     path = tmp_path / "in.json"
     doc = [] if case == "config_list" else fio.to_jsonable(ss.Grid1D(0.0, 0.5, 9))
     path.write_text(json.dumps(doc))
@@ -973,4 +976,4 @@ def test_config_errors_exit_two_with_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.endswith(line.format(file=path) + "\n")
     assert [e for e in err.splitlines() if "error:" in e] == [line.format(file=path)]
-    assert not list(out.glob("*summary.json"))
+    assert not list(out.glob("*"))

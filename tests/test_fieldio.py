@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -321,9 +323,17 @@ FIELD_DOCS = st.recursive(st.dictionaries(JSON_TEXT, FIELD_LEAVES, max_size=4),
                           max_leaves=12)
 
 
+def _arrays(o):
+    """o with each list made a float array, as a field's document holds them."""
+    if isinstance(o, dict):
+        return {key: _arrays(value) for key, value in o.items()}
+    return np.array(o, dtype=float) if isinstance(o, list) else o
+
+
 def _field_text(doc, lines_per_write: int) -> str:
-    """The text save_json writes for a field object whose document is doc."""
-    with mock.patch.object(fio, "to_jsonable", lambda box: box[0]), \
+    """The text save_json writes for a field object whose document is doc
+    with its lists as arrays."""
+    with mock.patch.object(fio, "_document", lambda box: _arrays(box[0])), \
             mock.patch.object(fio, "LINES_PER_WRITE", lines_per_write):
         return "".join(fio._pieces((doc,)))
 
@@ -475,6 +485,35 @@ class TestWritersAgainstOracle:
         g2 = small_band()
         with pytest.raises(ss.ShapeError, match="equal length"):
             fio.save_scalars_csv({"a": np.zeros(3)}, g2, tmp_path / "s.csv")
+
+
+def _traced_peak(write, *args) -> int:
+    write(*args)  # leaves out what a first call sets up once
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("writer", [fio.save_json, fio.save_series_csv],
+                         ids=["json", "csv"])
+def test_writers_list_one_chunk_at_a_time(tmp_path, monkeypatch, writer):
+    """At two sizes the writers' peak stays under a quarter of what listing the
+    smaller series' five float arrays costs (a pointer and a float object per
+    value), so a peak that grows with the series fails at the larger one."""
+    for module in (ss.surface, fio):
+        monkeypatch.setattr(module, "LINES_PER_WRITE", 64)
+    sizes = [(65, 33), (129, 65)]
+    bound = 5 * math.prod(sizes[0]) * (8 + sys.getsizeof(1.0)) / 4
+    rng = np.random.default_rng(2)
+    for n, nt in sizes:
+        series = ss.SpinSeries(grid=ss.Grid1D(0.0, 0.1, n, "one_sided"),
+                               times=0.1 * np.arange(nt), S=rng.normal(size=(n, nt, 3)),
+                               u=rng.normal(size=(n, nt)), v=rng.normal(size=(n, nt)))
+        peak = _traced_peak(writer, series, tmp_path / "series")
+        assert peak < bound, (n, nt, peak)
 
 
 def test_shared_vertex_text_follows_the_mesh(tmp_path):

@@ -1,6 +1,7 @@
 """Moving-frame coefficient matrices, transport, and compatibility residuals."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
 from solsurf import Grid1D, Grid2D
+from solsurf import frames
 from solsurf.frames import GRAM_TOL
 from solsurf.fixtures import (
     expm_skew3,
@@ -16,7 +18,7 @@ from solsurf.fixtures import (
     traveling_circle,
 )
 
-from conftest import polar_band, ref_step_rk4
+from conftest import circle_grid, polar_band, ref_step_rk4
 
 
 class TestCoefficientMatrices:
@@ -177,6 +179,61 @@ class TestTorsionTransport:
             errs.append(np.max(np.abs(r)))
             hs.append(g2.gx.dx)
         assert ss.fit_order(hs, errs, floor=1e-11) >= 1.7
+
+
+def unblocked_torsion_residual(e1, tau, g2):
+    """torsion_transport_residual's expression over the whole series at once."""
+    e1x, e1t = ss.diff_x(e1, g2), ss.diff_t(e1, g2)
+    return ss.diff_t(tau, g2) - np.einsum("xtc,xtc->xt", e1, np.cross(e1x, e1t))
+
+
+class TestBlockedTorsionResidual:
+    NT = 7
+
+    @pytest.mark.parametrize("boundary", ["one_sided", "periodic"])
+    @pytest.mark.parametrize("n", [4, 5, 11, 15])
+    @pytest.mark.parametrize("nan", [None, "e1", "tau"])
+    def test_matches_the_unblocked_expression(self, monkeypatch, boundary, n, nan):
+        """Blocks of 5 x rows: n below, equal to, not a multiple of and a
+        multiple of the block give the unblocked bits, a NaN in e1 or tau
+        reaches the same cells, and the result stays C-ordered."""
+        monkeypatch.setattr(frames, "BLOCK_VALUES", 5 * 3 * self.NT + 4)
+        g2 = Grid2D(Grid1D(0.0, 0.3, n, boundary), Grid1D(0.1, 0.05, self.NT, boundary))
+        rng = np.random.default_rng(n)
+        e1 = rng.normal(size=(n, self.NT, 3))
+        tau = rng.normal(size=(n, self.NT))
+        if nan == "e1":
+            e1[n // 2, 3, 1] = np.nan
+        elif nan == "tau":
+            tau[n - 1, 2] = np.nan
+        r = ss.torsion_transport_residual(e1, tau, g2)
+        expected = unblocked_torsion_residual(e1, tau, g2)
+        assert np.isnan(r).any() == (nan is not None)
+        assert r.tobytes() == expected.tobytes()
+        assert r.flags.c_contiguous
+
+    def test_default_blocks_match_on_a_trajectory(self):
+        series = ss.evolve_series(traveling_circle(circle_grid(65)), 0.01, 8)
+        r = ss.torsion_transport_residual(series.S, series.v, series.grid2)
+        expected = unblocked_torsion_residual(series.S, series.v, series.grid2)
+        assert r.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_one_block_over_the_derivatives(self):
+        """e1_x, e1_t and tau_t (the result) are whole; the cross and dot
+        products hold one block (their output and temporaries: 4 arrays of
+        BLOCK_VALUES floats) at a time."""
+        n, nt = 257, 129
+        g2 = Grid2D(Grid1D(0.0, 0.01, n, "one_sided"), Grid1D(0.0, 0.01, nt, "one_sided"))
+        rng = np.random.default_rng(5)
+        S, tau = rng.normal(size=(n, nt, 3)), rng.normal(size=(n, nt))
+        assert S.size > 4 * frames.BLOCK_VALUES
+        tracemalloc.start()
+        try:
+            ss.torsion_transport_residual(S, tau, g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * S.nbytes + 3 * tau.nbytes + 4 * 8 * frames.BLOCK_VALUES
 
 
 class TestSphereFrameSeries:

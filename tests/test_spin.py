@@ -89,6 +89,19 @@ class TestSpinRhs:
                                                      r"below -1\.0e-12 at index 5$"):
             ss.spin_rhs(bad)
 
+    @pytest.mark.parametrize("reading", ["spin_rhs", "ct_from_spin_series"])
+    def test_overflowing_u_is_a_domain_error(self, grid_small, reading):
+        # u*u overflows to inf past |u| ~ 1e154: the radicand is -inf, with no
+        # overflow warning (warnings are errors here)
+        series = ss.evolve_series(traveling_circle(grid_small), 0.01, 2)
+        series.u[5, 1] = 1e200
+        call = {"spin_rhs": lambda: ss.spin_rhs(series.slice(1)),
+                "ct_from_spin_series": lambda: ss.ct_from_spin_series(series)}[reading]
+        index = 5 if reading == "spin_rhs" else 5 * series.nt + 1
+        with pytest.raises(ss.SqrtDomainError, match=r"^radicand k\^2 - u\^2 = -inf "
+                                                     rf"below -1\.0e-12 at index {index}$"):
+            call()
+
     def test_roundoff_radicand_is_clamped(self, grid_small):
         f = traveling_circle(grid_small)
         k = np.linalg.norm(ss.diff_x(f.S, grid_small), axis=1)
@@ -538,7 +551,7 @@ def oracle_tangent_frame(S, grid):
 
 def oracle_rates(S, u, frame):
     S_x, k, _, e2, e3 = frame
-    root = np.sqrt(spin._clamped_radicand(k, u))
+    root = np.sqrt(spin._clamped_radicand(k * k, u))
     dS = -root[:, None] * e2 + u[:, None] * e3
     return dS, -np.einsum("ij,ij->i", S, oracle_cross(dS, S_x))
 
@@ -661,7 +674,7 @@ def test_kernel_matches_row_major_oracle_on_hostile_rows(data, boundary, dx):
     def rates():
         out = spin._rates(rows, np.ascontiguousarray(S_x.T),
                           (None, np.ascontiguousarray(e2.T), np.ascontiguousarray(e3.T)),
-                          u, spin._clamped_radicand(k, u))
+                          u, spin._clamped_radicand(k * k, u))
         return out[:3].T, out[3]
 
     with np.errstate(all="ignore"):  # 0/0 on a zero row is NaN in both
