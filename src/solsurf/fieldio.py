@@ -241,10 +241,10 @@ def _write_csv(path, header, x, t, columns) -> None:
         fh.write(",".join(header) + "\n")
         write_rows(fh, "%s,%s" + "".join(",%s" if isinstance(c, tuple) else ",%.17g"
                                          for c in cols) + "\n",
-                   [chain.from_iterable(map(repeat, xs, repeat(nt))),
-                    chain.from_iterable(repeat(ts, nx)),
-                    *(c if isinstance(c, tuple) else chain.from_iterable(_chunks(c))
-                      for c in cols)])
+                   zip(chain.from_iterable(map(repeat, xs, repeat(nt))),
+                       chain.from_iterable(repeat(ts, nx)),
+                       *(c if isinstance(c, tuple) else chain.from_iterable(_chunks(c))
+                         for c in cols)))
 
 
 def save_series_csv(s: SpinSeries, path) -> None:

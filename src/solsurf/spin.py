@@ -180,13 +180,20 @@ def solve_u_constraint(k: np.ndarray, v: np.ndarray, grid: Grid1D) -> np.ndarray
     The march runs on Python floats.  Its radicands are clamped as max(r, 0.0)
     clamps: negatives to 0.0, while NaN and -0.0 pass unchanged.  The returned
     field is then verified against the k^2 - u^2 >= -CLAMP_SLACK contract.
-    A NaN or Inf entry of k or v raises NonFiniteFieldError.  On periodic
-    grids the closure sample is identified with the first one (any seam
-    mismatch surfaces in the reported constraint residual).
+    A NaN or Inf entry of k or v raises NonFiniteFieldError, and so does a
+    non-finite u that passes that check (where k*k overflows, the march forms
+    inf - inf).  On periodic grids the closure sample is identified with the
+    first one (any seam mismatch surfaces in the reported constraint residual).
     """
     n = grid.n
     with np.errstate(over="ignore"):
-        return _march(as_shape(k, (n,), "k"), as_shape(v, (n,), "v"), grid)[0]
+        u = _march(as_shape(k, (n,), "k"), as_shape(v, (n,), "v"), grid)[0]
+    # evolve_series needs no such check: its finite-checked rates end this case
+    finite = np.isfinite(u)
+    if not finite.all():
+        raise NonFiniteFieldError(
+            f"march overflowed: u is non-finite at index {int(np.argmin(finite))}")
+    return u
 
 
 def _march(k: np.ndarray, v: np.ndarray, grid: Grid1D):

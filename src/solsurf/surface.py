@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -100,11 +100,11 @@ def mesh_curvatures(m: SurfaceMesh):
     return curvatures(mesh_forms(m))
 
 
-def write_rows(fh, fmt: str, columns) -> None:
-    """Write fmt % row for each row of the columns (lists or iterables),
-    LINES_PER_WRITE rows to a write."""
-    rows = map(fmt.__mod__, zip(*columns))
-    while text := "".join(islice(rows, LINES_PER_WRITE)):
+def write_rows(fh, fmt: str, rows) -> None:
+    """Write fmt % row for each row (a tuple) of an iterable, LINES_PER_WRITE
+    rows to a write."""
+    lines = map(fmt.__mod__, rows)
+    while text := "".join(islice(lines, LINES_PER_WRITE)):
         fh.write(text)
 
 
@@ -119,8 +119,10 @@ def vertex_text(m: SurfaceMesh) -> tuple:
     key = (m.r.dtype.str, m.r.shape, m.r.tobytes())
     last, text = _vertex_memo[0]
     if last != key:
-        text = tuple(map("%.17g,%.17g,%.17g".__mod__,
-                         zip(*[m.r[..., i].ravel().tolist() for i in range(3)])))
+        r = m.r.reshape(-1, 3)  # made Python floats LINES_PER_WRITE vertices at a time
+        text = tuple(chain.from_iterable(
+            map("%.17g,%.17g,%.17g".__mod__, zip(*r[i:i + LINES_PER_WRITE].T.tolist()))
+            for i in range(0, len(r), LINES_PER_WRITE)))
         _vertex_memo[0] = key, text
     return text
 
@@ -130,16 +132,25 @@ def export_obj(m: SurfaceMesh, path) -> None:
 
     Formatting is deterministic (17 significant digits), so identical
     meshes export byte-identically.  A vertex row is its vertex_text with
-    "," made " " (%.17g text holds neither); each index is formatted once.
+    "," made " " (%.17g text holds neither); face rows are streamed in
+    m.faces() order, each index formatted once.
     """
     verts = vertex_text(m)
-    nx, nt = m.grid.shape
-    index = np.array([str(i) for i in range(1, nx * nt + 1)], dtype=object)
     with open(path, "w", encoding="ascii") as fh:
         for i in range(0, len(verts), LINES_PER_WRITE):
             fh.write(("v " + "\nv ".join(verts[i:i + LINES_PER_WRITE]) + "\n")
                      .replace(",", " "))
-        write_rows(fh, "f %s %s %s %s\n", index[m.faces().T].tolist())
+        write_rows(fh, "f %s %s %s %s\n", _face_text(*m.grid.shape))
+
+
+def _face_text(nx: int, nt: int):
+    """The 1-based index text of each face, in SurfaceMesh.faces() order; the
+    cells between vertex rows i and i + 1 need only those two rows' text."""
+    lo = list(map(str, range(1, nt + 1)))
+    for i in range(1, nx):
+        hi = list(map(str, range(i * nt + 1, (i + 1) * nt + 1)))
+        yield from zip(lo[:-1], hi[:-1], hi[1:], lo[1:])
+        lo = hi
 
 
 def import_obj(path, grid: Grid2D | None = None) -> SurfaceMesh:

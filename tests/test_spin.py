@@ -151,6 +151,13 @@ class TestSolveUConstraint:
             ss.solve_u_constraint(np.ones(11), np.full(11, 300.0), g)
         assert str(exc.value) == "radicand k^2 - u^2 = -1.250000e+00 below -1.0e-12 at index 1"
 
+    def test_overflowing_k_squared_raises(self):
+        # k*k is inf, so the Heun step forms inf - inf: u used to be [0, nan, ...]
+        g = Grid1D(0.0, 0.1, 9, "one_sided")
+        with pytest.raises(ss.NonFiniteFieldError) as exc:
+            ss.solve_u_constraint(np.full(9, 1e200), np.ones(9), g)
+        assert str(exc.value) == "march overflowed: u is non-finite at index 1"
+
     @pytest.mark.parametrize("k,v,name", [
         ([1.0, np.nan, 1.0, 1.0, 1.0], 0.3, "k"),        # used to return NaN u
         ([np.inf] * 5, 0.3, "k"),                        # used to return NaN u
@@ -192,6 +199,11 @@ class TestSolveUConstraint:
                     ss.solve_u_constraint(k, v, g)
                 assert str(exc.value) == (f"radicand k^2 - u^2 = {rad[bad[0]]:.6e} below "
                                           f"-{spin.CLAMP_SLACK:.1e} at index {bad[0]}")
+            elif not np.isfinite(ref).all():
+                with pytest.raises(ss.NonFiniteFieldError) as exc:
+                    ss.solve_u_constraint(k, v, g)
+                first = np.flatnonzero(~np.isfinite(ref))[0]
+                assert str(exc.value) == f"march overflowed: u is non-finite at index {first}"
             else:
                 u = ss.solve_u_constraint(k, v, g)
                 assert nan_blind_bytes(u) == nan_blind_bytes(ref)
