@@ -24,7 +24,7 @@ from .gauss_codazzi import (FundamentalForms, GCAnalytic, GCData, curvatures,
                             fundamental_forms, gc_residual, map_frame_to_gc,
                             map_gc_to_frame, metric_residual)
 from .lax import (Eigenfunction, LaxPairField, build_lax, eigenfunction_field,
-                  holonomy_defect, propagate_phi, zero_curvature_matrix,
+                  holonomy_defect, zero_curvature_matrix,
                   zero_curvature_residual)
 from .surface import (SurfaceMesh, export_obj, import_obj, mesh_curvatures,
                       mesh_forms, reconstruct)
@@ -46,8 +46,7 @@ __all__ = [
     "metric_residual", "fundamental_forms", "curvatures", "map_gc_to_frame",
     "map_frame_to_gc",
     "LaxPairField", "Eigenfunction", "build_lax", "zero_curvature_matrix",
-    "zero_curvature_residual", "propagate_phi", "eigenfunction_field",
-    "holonomy_defect",
+    "zero_curvature_residual", "eigenfunction_field", "holonomy_defect",
     "SurfaceMesh", "reconstruct", "mesh_forms", "mesh_curvatures",
     "export_obj", "import_obj",
     "fieldio", "fixtures",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramDriftError, NonFiniteFieldError, ShapeError
+from .errors import ConfigError, GramDriftError, NonFiniteFieldError, ShapeError
 from .numgrid import (Grid1D, Grid2D, GridFields, Layout, as_shape, diff_t, diff_x,
                       walk_linear)
 
@@ -29,8 +29,8 @@ BLOCK_VALUES = 1 << 14
 class FrameState:
     """Orthonormal triad per grid point plus the scalar frame data.
 
-    gram_drift, per grid point, is the orthonormality deviation seen during
-    transport before re-orthonormalization; None for frames built from data.
+    gram_drift, per grid point, is the orthonormality deviation of the
+    transported triad; None for frames built from data.
 
     k is nonnegative for frames built from spin fields (positive square
     root convention); raw user data with signed k is accepted.
@@ -72,14 +72,6 @@ def gram_deviation(triad: np.ndarray) -> float:
     return float(np.max(np.abs(e @ e.T - np.eye(3))))
 
 
-def _reorthonormalize(triad: np.ndarray) -> np.ndarray:
-    e1 = triad[0] / np.linalg.norm(triad[0])
-    e2 = triad[1] - (triad[1] @ e1) * e1
-    e2 = e2 / np.linalg.norm(e2)
-    e3 = np.cross(e1, e2)
-    return np.stack([e1, e2, e3])
-
-
 def _coefficient(c, grid: Grid1D, name: str) -> np.ndarray:
     """A scalar or per-point coefficient as its (n,) values at the nodes."""
     arr = np.array(c, dtype=float)
@@ -109,18 +101,20 @@ def _checked_drift(frames: np.ndarray, first: int) -> np.ndarray:
 
 
 def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
-                      reorthonormalize: bool = True) -> FrameState:
+                      reorthonormalize: bool = False) -> FrameState:
     """Integrate the spatial frame system E_x = A(x) E across the grid by RK4.
 
     frame0 is the (3, 3) row-stack at grid.x0 and must be finite and
     orthonormal within 1e-8.  k and tau may be scalars or per-point arrays; A
     is linear in x between the points.  The row is one numgrid.walk_linear
-    chain; with re-orthonormalization it is walked one step at a time, each
-    from the re-orthonormalized triad.  One check after the walk reads the
-    orthonormality deviation at every point before re-orthonormalization:
-    over GRAM_TOL raises GramDriftError (integration blow-up), unless a NaN
-    or Inf comes at or before that point; NonFiniteFieldError names its index.
+    chain.  One check after the walk reads the orthonormality deviation at
+    every point: over GRAM_TOL raises GramDriftError (integration blow-up),
+    unless a NaN or Inf comes at or before that point; NonFiniteFieldError
+    names its index.
     """
+    # kept as a keyword only because perfbench/readings.py passes it, as False
+    if reorthonormalize:
+        raise ConfigError("transport_frame_x has no re-orthonormalizing mode")
     e0 = np.array(frame0, dtype=float, order="C")
     if not np.isfinite(e0).all():
         raise NonFiniteFieldError("frame0 contains non-finite values")
@@ -131,20 +125,10 @@ def transport_frame_x(frame0: np.ndarray, k, tau, grid: Grid1D,
     tau = _coefficient(tau, grid, "tau")
     # E_x = A E is (E^T)_x = E^T A^T, the right-multiplied form walk_linear takes
     a_t = np.swapaxes(matrix_a(k, tau), -1, -2)
-    h = np.full(grid.n - 1, grid.dx)
-    if reorthonormalize:
-        walked, frames = np.empty((grid.n, 3, 3)), np.empty((grid.n, 3, 3))
-        walked[0] = frames[0] = e0
-        # a step gone bad walks on without a warning; the one check below names it
-        with np.errstate(all="ignore"):
-            for i in range(1, grid.n):
-                walked[i] = walk_linear(frames[i - 1].T, a_t[i - 1:i], a_t[i:i + 1], h[:1],
-                                        check=False)[1].T
-                frames[i] = _reorthonormalize(walked[i])
-    else:
-        walked = np.swapaxes(walk_linear(e0.T, a_t[:-1], a_t[1:], h, check=False), -1, -2)
-        frames = np.ascontiguousarray(walked)
+    walked = np.swapaxes(walk_linear(e0.T, a_t[:-1], a_t[1:], np.full(grid.n - 1, grid.dx),
+                                     check=False), -1, -2)
     drift = np.concatenate(([0.0], _checked_drift(walked[1:], 1)))
+    frames = np.ascontiguousarray(walked)
     return FrameState(
         e1=frames[:, 0], e2=frames[:, 1], e3=frames[:, 2],
         k=k, tau=tau, grid=grid, gram_drift=drift)

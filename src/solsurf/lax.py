@@ -22,7 +22,7 @@ R = 0; transport therefore multiplies increments on the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from .frames import CTFields
 from .numgrid import Grid2D, GridFields, Layout, as_shape, diff_t, diff_x, walk_linear
 
 _HALF_OVER_I = 1.0 / 2.0j   # exactly -0.5i
-
-# move -> (axis, sign): axis 0 steps in x with U, axis 1 in t with V
-MOVES = {"+x": (0, 1), "-x": (0, -1), "+t": (1, 1), "-t": (1, -1)}
 
 
 @dataclass
@@ -106,47 +103,6 @@ def _initial_phi(phi0) -> np.ndarray:
     return phi
 
 
-def propagate_phi(L: LaxPairField, phi0: np.ndarray, path: Sequence[str],
-                  start: Tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Transport phi0 along a list of grid moves ("+x", "-x", "+t", "-t").
-
-    One RK4 step per edge with the generator interpolated linearly between
-    the edge endpoints; x-moves use U, t-moves use V, increments multiply on
-    the right.  The whole path is checked against the grid first, then walked
-    once by numgrid.walk_linear, whose NonFiniteFieldError names the path
-    position of the first step to blow up.  Returns the 2x2 value at the
-    endpoint.
-    """
-    phi = _initial_phi(phi0)
-    nx, nt = L.grid.shape
-    ix, it = int(start[0]), int(start[1])
-    if not (0 <= ix < nx and 0 <= it < nt):
-        raise GridError(f"start {start!r} is outside the grid")
-    nodes, axes, signs = [(ix, it)], [], []
-    for step, move in enumerate(path):
-        if not isinstance(move, str) or move not in MOVES:
-            raise GridError(f"unknown move {move!r} at path position {step}")
-        axis, sign = MOVES[move]
-        jx, jt = (ix + sign, it) if axis == 0 else (ix, it + sign)
-        if not (0 <= jx < nx and 0 <= jt < nt):
-            raise GridError(
-                f"move {move!r} at path position {step} leaves the grid "
-                f"(from node ({ix}, {it}))")
-        nodes.append((jx, jt))
-        axes.append(axis)
-        signs.append(sign)
-        ix, it = jx, jt
-    if not axes:
-        return phi
-    node_x, node_t = np.array(nodes).T
-    U, V = L.U[node_x, node_t], L.V[node_x, node_t]
-    on_x = np.array(axes) == 0
-    h = np.where(on_x, L.grid.gx.dx, L.grid.gt.dx) * np.array(signs)
-    x_edge = on_x[:, None, None]
-    return walk_linear(phi, np.where(x_edge, U[:-1], V[:-1]),
-                       np.where(x_edge, U[1:], V[1:]), h)[-1]
-
-
 def eigenfunction_field(L: LaxPairField, phi0: np.ndarray) -> Eigenfunction:
     """Fill the grid from phi0 at node (0, 0): walk x along t = t0, then walk
     t up every column at once.
@@ -167,13 +123,30 @@ def holonomy_defect(L: LaxPairField, corner: Tuple[int, int] = (0, 0),
     """Frobenius defect of transport around a rectangle of grid cells.
 
     The loop runs sizes[0] cells in +x, sizes[1] in +t, then back, starting
-    from the identity; the defect is ||phi_loop - I||_F, which scales like
-    loop area times the local curvature residual for small cells.
+    from the identity at corner; the defect is ||phi_loop - I||_F, which
+    scales like loop area times the local curvature residual for small cells.
+    Each edge is one RK4 step with the generator (U on x edges, V on t edges)
+    linear between its end nodes; the whole loop is one numgrid.walk_linear
+    call, whose NonFiniteFieldError names the first step to blow up.
     """
     mx, mt = int(sizes[0]), int(sizes[1])
     if mx < 1 or mt < 1:
         raise GridError(f"loop sizes must be >= 1, got {sizes!r}")
+    nx, nt = L.grid.shape
+    ix, it = int(corner[0]), int(corner[1])
+    far = (ix + mx, it + mt)
+    # checked here: a negative index would wrap round in the fancy indexing below
+    if min(ix, it) < 0 or far[0] >= nx or far[1] >= nt:
+        raise GridError(f"loop from corner {corner!r} to {far!r} leaves the {nx}x{nt} grid")
+    sides = (mx, mt, mx, mt)
+    step_x, step_t = np.repeat([1, 0, -1, 0], sides), np.repeat([0, 1, 0, -1], sides)
+    node_x = np.concatenate(([ix], ix + np.cumsum(step_x)))
+    node_t = np.concatenate(([it], it + np.cumsum(step_t)))
+    U, V = L.U[node_x, node_t], L.V[node_x, node_t]
+    on_x = step_x != 0
+    h = np.where(on_x, L.grid.gx.dx * step_x, L.grid.gt.dx * step_t)
+    x_edge = on_x[:, None, None]
     eye = np.eye(2, dtype=complex)
-    path = ["+x"] * mx + ["+t"] * mt + ["-x"] * mx + ["-t"] * mt
-    phi = propagate_phi(L, eye, path, start=corner)
+    phi = walk_linear(eye, np.where(x_edge, U[:-1], V[:-1]), np.where(x_edge, U[1:], V[1:]),
+                      h)[-1]
     return float(np.sqrt(np.sum(np.abs(phi - eye) ** 2)))

@@ -53,6 +53,35 @@ def ref_step_rk4(y, rhs, dt, t=0.0):
     return check(y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), "update")
 
 
+def ref_step_linear(y, m0, m1, h):
+    """One ref_step_rk4 step of y' = y M(s), M linear from m0 to m1 over [0, h]."""
+    dm = m1 - m0
+
+    def rhs(s, y):
+        return y @ (m0 + (s / h) * dm)
+
+    return ref_step_rk4(y, rhs, h)
+
+
+# move -> (axis, sign): axis 0 steps in x with U, axis 1 in t with V
+REF_MOVES = {"+x": (0, 1), "-x": (0, -1), "+t": (1, 1), "-t": (1, -1)}
+
+
+def ref_propagate(L, phi0, path, start):
+    """Transport phi0 along a list of REF_MOVES from node start of the Lax
+    pair L, one ref_step_linear per edge: the walk every Lax transport must
+    reproduce bit for bit."""
+    phi = np.asarray(phi0, dtype=complex)
+    ix, it = start
+    gens, hs = (L.U, L.V), (L.grid.gx.dx, L.grid.gt.dx)
+    for move in path:
+        axis, sign = REF_MOVES[move]
+        jx, jt = (ix + sign, it) if axis == 0 else (ix, it + sign)
+        phi = ref_step_linear(phi, gens[axis][ix, it], gens[axis][jx, jt], sign * hs[axis])
+        ix, it = jx, jt
+    return phi
+
+
 # Finite entries that stress bit-identity: signed zeros (an exact-zero sum
 # keeps the sign its operation order gives), subnormals, and ~1e150, whose
 # squares are still finite.

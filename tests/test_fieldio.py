@@ -211,7 +211,7 @@ def test_every_field_kind_has_a_nonfinite_rule():
         <= set(FIELD_TYPES.values())
 
 
-@pytest.mark.parametrize("kind,name", FIELD_ARRAYS, ids="-".join)
+@pytest.mark.parametrize("kind,name", FIELD_ARRAYS, ids=[f"{k}-{n}" for k, n in FIELD_ARRAYS])
 def test_constructor_checks_declared_arrays(kind, name):
     """Each declared array: a wrong trailing shape raises ShapeError naming
     it, and a NaN entry raises the type's class or is kept."""

@@ -47,7 +47,7 @@ class TestTransport:
         # E' = A E with frozen A integrates to expm(A x) E0
         k, tau = 1.0, 0.5
         g = Grid1D(0.0, 1e-3, 1001, "one_sided")
-        fr = ss.transport_frame_x(np.eye(3), k, tau, g, reorthonormalize=False)
+        fr = ss.transport_frame_x(np.eye(3), k, tau, g)
         A = ss.matrix_a(k, tau)
         exact = expm_skew3(A * 1.0)
         final = np.stack([fr.e1[-1], fr.e2[-1], fr.e3[-1]])
@@ -55,7 +55,7 @@ class TestTransport:
 
     def test_gram_drift_small_without_renorm(self):
         g = Grid1D(0.0, 1e-2, 1001, "one_sided")
-        fr = ss.transport_frame_x(np.eye(3), 1.0, 0.5, g, reorthonormalize=False)
+        fr = ss.transport_frame_x(np.eye(3), 1.0, 0.5, g)
         assert fr.gram_drift.max() < 1e-6
 
     def test_per_step_drift_order(self):
@@ -63,22 +63,16 @@ class TestTransport:
         hs, drifts = [], []
         for h in (1e-1, 5e-2, 2.5e-2):
             g = Grid1D(0.0, h, 3, "one_sided")
-            fr = ss.transport_frame_x(np.eye(3), 1.0, 0.5, g, reorthonormalize=False)
+            fr = ss.transport_frame_x(np.eye(3), 1.0, 0.5, g)
             hs.append(h)
             drifts.append(fr.gram_drift[1])
         assert ss.fit_order(hs, drifts) >= 3.7
-
-    def test_renormalization_keeps_frames_orthonormal(self):
-        g = Grid1D(0.0, 0.1, 201, "one_sided")
-        fr = ss.transport_frame_x(np.eye(3), 2.0, 1.0, g, reorthonormalize=True)
-        triad = np.stack([fr.e1[-1], fr.e2[-1], fr.e3[-1]])
-        assert ss.gram_deviation(triad) < 1e-12
 
     def test_unstable_step_raises(self):
         # one step of size 0.8 at k = 8 drifts by about 1e4, far above GRAM_TOL
         g = Grid1D(0.0, 0.8, 30, "one_sided")
         with pytest.raises(ss.GramDriftError, match="orthonormality"):
-            ss.transport_frame_x(np.eye(3), 8.0, 4.0, g, reorthonormalize=False)
+            ss.transport_frame_x(np.eye(3), 8.0, 4.0, g)
 
     def test_varying_coefficients_accepted(self):
         g = Grid1D(0.0, 0.01, 101, "one_sided")
@@ -88,7 +82,7 @@ class TestTransport:
         assert fr.gram_drift.max() < 1e-10
 
 
-def reference_transport(frame0, k, tau, grid, reorthonormalize):
+def reference_transport(frame0, k, tau, grid):
     """Frame transport as first written: E' = A(x) E stepped by ref_step_rk4, with
     A built at each stage point from np.interp of the node coefficients."""
     xs = grid.points()
@@ -103,11 +97,6 @@ def reference_transport(frame0, k, tau, grid, reorthonormalize):
         nxt = ref_step_rk4(frames[-1], rhs, grid.dx, t=xs[i])
         drift.append(ss.gram_deviation(nxt))
         assert drift[-1] <= GRAM_TOL
-        if reorthonormalize:
-            e1 = nxt[0] / np.linalg.norm(nxt[0])
-            e2 = nxt[1] - (nxt[1] @ e1) * e1
-            e2 = e2 / np.linalg.norm(e2)
-            nxt = np.stack([e1, e2, np.cross(e1, e2)])
         frames.append(nxt)
     return np.stack(frames), np.array(drift)
 
@@ -116,9 +105,8 @@ class TestAgainstReferenceTransport:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), dx=st.floats(1e-3, 0.05),
            coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
-           turn=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-           reorthonormalize=st.booleans())
-    def test_matches_interpolated_scheme(self, n, dx, coeffs, turn, reorthonormalize):
+           turn=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    def test_matches_interpolated_scheme(self, n, dx, coeffs, turn):
         g = Grid1D(0.0, dx, n, "one_sided")
         x = g.points()
         k0, k1, kw, t0, t1, tw = coeffs
@@ -126,8 +114,8 @@ class TestAgainstReferenceTransport:
         tau = t0 + t1 * np.cos(3 * tw * x)
         frame0 = expm_skew3(ss.matrix_a(*turn))
         for kk, tt, tol in ((k, tau, 1e-12), (k0, t0, 0.0)):
-            ref, ref_drift = reference_transport(frame0, kk, tt, g, reorthonormalize)
-            fr = ss.transport_frame_x(frame0, kk, tt, g, reorthonormalize=reorthonormalize)
+            ref, ref_drift = reference_transport(frame0, kk, tt, g)
+            fr = ss.transport_frame_x(frame0, kk, tt, g)
             got = np.stack([fr.e1, fr.e2, fr.e3], axis=1)
             if tol:
                 assert np.max(np.abs(got - ref)) <= tol
@@ -304,9 +292,11 @@ def test_triad_stacks_the_rows_at_a_point():
 @pytest.mark.parametrize("call,error,message", [
     (lambda: ss.transport_frame_x(np.diag([1.0, 1.0, 1.1]), 1.0, 0.0, Grid1D(0.0, 0.1, 5)),
      ss.GramDriftError, "initial triad is not orthonormal (deviation 2.100e-01)"),
+    (lambda: ss.transport_frame_x(np.eye(3), 1.0, 0.0, Grid1D(0.0, 0.1, 5), reorthonormalize=True),
+     ss.ConfigError, "transport_frame_x has no re-orthonormalizing mode"),
     (lambda: expm_skew3(np.zeros((2, 2))), ss.ShapeError,
      "W must be stacked 3x3 matrices, got shape (2, 2)"),
-], ids=["frame0_not_orthonormal", "skew_not_3x3"])
+], ids=["frame0_not_orthonormal", "reorthonormalize", "skew_not_3x3"])
 def test_bad_inputs_raise_typed_errors(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import solsurf as ss
 from solsurf.fixtures import random_ct, sphere_gc, traveling_circle
 
-from conftest import polar_band
+from conftest import polar_band, ref_propagate
 
 
 def expm_traceless2(M):
@@ -98,56 +98,6 @@ class TestZeroCurvature:
         assert np.max(ss.zero_curvature_residual(L)) < 1e-12
 
 
-class TestPropagatePhi:
-    def test_zero_generator_is_identity_transport(self, band_small):
-        nx, nt = band_small.shape
-        Z = np.zeros((nx, nt, 2, 2), dtype=complex)
-        L = ss.LaxPairField(U=Z, V=Z.copy(), grid=band_small)
-        phi0 = np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
-        out = ss.propagate_phi(L, phi0, ["+x", "+t", "+x", "-t"])
-        assert np.array_equal(out, phi0)
-
-    def test_constant_generator_matches_exponential(self, band_small):
-        nx, nt = band_small.shape
-        M = (1.0 / 2.0j) * np.array([[0.3, 0.8], [0.8, -0.3]], dtype=complex)
-        U = np.broadcast_to(M, (nx, nt, 2, 2)).copy()
-        L = ss.LaxPairField(U=U, V=np.zeros_like(U), grid=band_small)
-        steps = 4
-        out = ss.propagate_phi(L, np.eye(2, dtype=complex), ["+x"] * steps)
-        exact = expm_traceless2(M * steps * band_small.gx.dx)
-        # RK4 truncation at this spacing dominates
-        assert np.max(np.abs(out - exact)) < 1e-6
-
-    def test_determinant_modulus_preserved(self):
-        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(polar_band(17))[0]))
-        phi0 = np.array([[1.0, 0.3j], [0.2, 1.0 - 0.1j]], dtype=complex)
-        path = ["+x"] * 5 + ["+t"] * 5 + ["-x"] * 3 + ["-t"] * 2
-        out = ss.propagate_phi(L, phi0, path)
-        assert abs(abs(np.linalg.det(out)) - abs(np.linalg.det(phi0))) < 1e-8
-
-    def test_unknown_move_rejected(self, band_small):
-        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
-        with pytest.raises(ss.GridError, match="sideways"):
-            ss.propagate_phi(L, np.eye(2, dtype=complex), ["sideways"])
-
-    def test_leaving_grid_rejected(self, band_small):
-        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
-        with pytest.raises(ss.GridError):
-            ss.propagate_phi(L, np.eye(2, dtype=complex), ["-x"])
-
-    def test_singular_phi0_rejected(self, band_small):
-        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
-        with pytest.raises(ss.ShapeError, match="invertible"):
-            ss.propagate_phi(L, np.zeros((2, 2), dtype=complex), ["+x"])
-
-    def test_start_offset(self, band_small):
-        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
-        out1 = ss.propagate_phi(L, np.eye(2, dtype=complex), ["+x"], start=(3, 2))
-        out2 = ss.propagate_phi(L, np.eye(2, dtype=complex), ["+x"] * 4 + ["+t"] * 2)
-        assert out1.shape == out2.shape == (2, 2)
-        assert not np.allclose(out1, out2)
-
-
 class TestEigenfunctionField:
     def test_start_value_and_shape(self, band_small):
         L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
@@ -158,6 +108,29 @@ class TestEigenfunctionField:
         assert np.array_equal(ef.phi[0, 0], phi0)
         assert np.all(np.isfinite(ef.phi.view(float)))
 
+    def test_zero_generator_is_identity_transport(self, band_small):
+        Z = np.zeros(band_small.shape + (2, 2), dtype=complex)
+        L = ss.LaxPairField(U=Z, V=Z.copy(), grid=band_small)
+        phi0 = np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
+        phi = ss.eigenfunction_field(L, phi0).phi
+        assert np.array_equal(phi, np.broadcast_to(phi0, phi.shape))
+
+    def test_constant_generator_matches_exponential(self, band_small):
+        M = (1.0 / 2.0j) * np.array([[0.3, 0.8], [0.8, -0.3]], dtype=complex)
+        U = np.broadcast_to(M, band_small.shape + (2, 2)).copy()
+        L = ss.LaxPairField(U=U, V=np.zeros_like(U), grid=band_small)
+        steps = 4   # node (4, 0) is four +x steps from node (0, 0)
+        out = ss.eigenfunction_field(L, np.eye(2, dtype=complex)).phi[steps, 0]
+        exact = expm_traceless2(M * steps * band_small.gx.dx)
+        # RK4 truncation at this spacing dominates
+        assert np.max(np.abs(out - exact)) < 1e-6
+
+    def test_determinant_modulus_preserved(self):
+        L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(polar_band(17))[0]))
+        phi0 = np.array([[1.0, 0.3j], [0.2, 1.0 - 0.1j]], dtype=complex)
+        phi = ss.eigenfunction_field(L, phi0).phi
+        assert np.max(np.abs(np.abs(np.linalg.det(phi)) - abs(np.linalg.det(phi0)))) < 1e-8
+
     @pytest.mark.parametrize("phi0,match", [
         (1.0, r"^phi0 must have shape \(2, 2\), got \(\)$"),
         ([1.0, 0.0], r"^phi0 must have shape \(2, 2\), got \(2,\)$"),
@@ -166,10 +139,8 @@ class TestEigenfunctionField:
     def test_phi0_checked_as_in_path_transport(self, band_small, phi0, match):
         # a scalar or row phi0 used to broadcast to a singular start value
         L = ss.build_lax(ss.map_gc_to_frame(sphere_gc(band_small)[0]))
-        for fill in (lambda: ss.eigenfunction_field(L, phi0),
-                     lambda: ss.propagate_phi(L, phi0, ["+x"])):
-            with pytest.raises(ss.ShapeError, match=match):
-                fill()
+        with pytest.raises(ss.ShapeError, match=match):
+            ss.eigenfunction_field(L, phi0)
 
     def test_matches_path_transport(self):
         # every node equals transport along +x then +t, bit for bit, on a
@@ -183,7 +154,7 @@ class TestEigenfunctionField:
             ef = ss.eigenfunction_field(L, phi0)
             for ix in range(11):
                 for it in range(7):
-                    direct = ss.propagate_phi(L, phi0, ["+x"] * ix + ["+t"] * it)
+                    direct = ref_propagate(L, phi0, ["+x"] * ix + ["+t"] * it, (0, 0))
                     assert ef.phi[ix, it].tobytes() == direct.tobytes(), (ix, it)
 
 
@@ -230,11 +201,13 @@ def _not_traceless():
 # A bad Lax pair, start or loop, and the typed error it must raise.
 @pytest.mark.parametrize("call,error,message", [
     (_not_traceless, ss.ShapeError, "U is not traceless: max |trace| = 1.000e-09"),
-    (lambda: ss.propagate_phi(_sphere_lax(), np.eye(2, dtype=complex), ["+x"], start=(5, 0)),
-     ss.GridError, "start (5, 0) is outside the grid"),
+    (lambda: ss.holonomy_defect(_sphere_lax(), corner=(3, 0), sizes=(2, 1)), ss.GridError,
+     "loop from corner (3, 0) to (5, 1) leaves the 5x5 grid"),
+    (lambda: ss.holonomy_defect(_sphere_lax(), corner=(-1, 0)), ss.GridError,
+     "loop from corner (-1, 0) to (0, 1) leaves the 5x5 grid"),
     (lambda: ss.holonomy_defect(_sphere_lax(), sizes=(0, 1)), ss.GridError,
      "loop sizes must be >= 1, got (0, 1)"),
-], ids=["not_traceless", "start_outside", "empty_loop"])
+], ids=["not_traceless", "far_corner_outside", "negative_corner", "empty_loop"])
 def test_bad_inputs_raise_typed_errors(call, error, message):
     with pytest.raises(error) as exc:
         call()
