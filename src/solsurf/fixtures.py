@@ -5,12 +5,14 @@ the azimuth on the x axis (fields constant in x), for sphere_gc,
 sphere_frame_series, and sphere_patch alike.  The sphere's frame fields are
 map_gc_to_frame(sphere_gc(g2)[0]).  Polar ranges must stay inside (0, pi),
 where the metric roots are positive; a full-turn azimuth may use a periodic
-x axis.
+x axis.  The seeded fixtures draw numpy's default_rng(seed).uniform(-1, 1)
+stream, computed here: runs never load numpy's random package or its Generator.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -65,6 +67,45 @@ def traveling_circle_exact(grid: Grid1D, w: float = 1.0, t: float = 0.0) -> Spin
     return SpinField(S=S, u=np.zeros(grid.n), v=np.zeros(grid.n), grid=grid, t=t)
 
 
+def _uniforms(seed):
+    """Iterator over numpy's default_rng(seed).uniform(-1.0, 1.0) doubles, bit for bit.
+
+    SeedSequence hashes the seed's 32-bit words into a 4-word pool, which
+    seeds PCG64; each double is the top 53 bits of one XSL-RR output.
+    """
+    n = int(seed) if isinstance(seed, numbers.Integral) else -1
+    if n < 0:
+        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+    hc = [0x43B0D7E5, 0x931E8875]  # SeedSequence's hash constant and its multiplier
+
+    def hashmix(value):
+        value ^= hc[0]
+        hc[0] = hc[0] * hc[1] % 2**32
+        value = value * hc[0] % 2**32
+        return value ^ value >> 16
+
+    words = [(n >> s) % 2**32 for s in range(0, max(n.bit_length(), 1), 32)]
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]] + words[4:]
+    for src in range(len(pool)):  # words past the 4th stay raw and mix in last
+        for dst in range(4):
+            if src != dst:
+                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) % 2**32
+                pool[dst] = mixed ^ mixed >> 16
+    hc[:] = 0x8B51F9DD, 0x58F38DED  # generate_state's constant and multiplier
+    v = [hashmix(pool[i]) | hashmix(pool[i + 1]) << 32 for i in (0, 2, 0, 2)]
+    mult = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+    inc = ((v[2] << 64 | v[3]) << 1 | 1) % 2**128
+    state = ((inc + (v[0] << 64 | v[1])) * mult + inc) % 2**128
+
+    def stream(state):
+        while True:
+            state = (state * mult + inc) % 2**128
+            out, rot = (state >> 64 ^ state) % 2**64, state >> 122
+            out = (out >> rot | out << (64 - rot)) % 2**64
+            yield -1.0 + 2.0 * ((out >> 11) * 2.0 ** -53)
+    return stream(state)
+
+
 def random_smooth_spin(grid: Grid1D, seed: int = 0, n_modes: int = 3,
                        theta_amp: float = 0.1, v_amp: float = 0.0,
                        winding: int = 1) -> SpinField:
@@ -85,14 +126,14 @@ def random_smooth_spin(grid: Grid1D, seed: int = 0, n_modes: int = 3,
     if n_modes > (grid.n - 1) // 2:
         raise ConfigError(f"n_modes must be <= (n - 1) // 2 = {(grid.n - 1) // 2}, "
                           f"got {n_modes}; higher harmonics alias on the grid")
-    rng = np.random.default_rng(seed)
+    draw = _uniforms(seed)
     x = grid.points()
     xi = 2.0 * np.pi * (x - grid.x0) / grid.span
 
     def harmonics(amp):
         out = np.zeros_like(x)
         for m in range(1, n_modes + 1):
-            c, s = rng.uniform(-1.0, 1.0, size=2)
+            c, s = next(draw), next(draw)
             out += (c * np.cos(m * xi) + s * np.sin(m * xi)) / m
         return amp * out
 
@@ -163,7 +204,7 @@ def random_ct(g2: Grid2D, seed: int = 0, amplitude: float = 0.5) -> CTFields:
     The residuals multiply up to four field values, so an amplitude whose
     largest field value M makes (4 M)^4 overflow raises ConfigError.
     """
-    rng = np.random.default_rng(seed)
+    draw = _uniforms(seed)
     X, T = g2.meshes()
     sx = 2.0 * np.pi / g2.gx.span
     st = 2.0 * np.pi / g2.gt.span
@@ -172,7 +213,7 @@ def random_ct(g2: Grid2D, seed: int = 0, amplitude: float = 0.5) -> CTFields:
         out = np.full_like(X, offset)
         for mx in (1, 2):
             for mt in (1, 2):
-                cc, cs, sc, ss = rng.uniform(-1.0, 1.0, size=4)
+                cc, cs, sc, ss = (next(draw) for _ in range(4))
                 ax = mx * sx * (X - g2.gx.x0)
                 at = mt * st * (T - g2.gt.x0)
                 # a huge amplitude overflows to inf, which the check below rejects
