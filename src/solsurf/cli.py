@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,13 +35,13 @@ from .fieldio import (load_json, save_json, save_mesh_csv, save_scalars_csv,
                       save_series_csv)
 from .fixtures import (cylinder_patch, plane_patch, random_ct, random_smooth_spin,
                        sphere_frame_series, sphere_gc, sphere_patch, traveling_circle)
-from .frames import compatibility_residual, torsion_transport_residual
+from .frames import BLOCK_VALUES, compatibility_residual, torsion_transport_residual
 from .gauss_codazzi import curvatures, gc_residual, map_gc_to_frame, metric_residual
 from .lax import build_lax, zero_curvature_residual
-from .numgrid import BOUNDARIES, Grid1D, Grid2D, diff_x, fit_order
-from .spin import (SpinField, SpinSeries, ct_from_spin_series, evolve_series,
+from .numgrid import BOUNDARIES, Grid1D, Grid2D, block_halo, diff_x, fit_order
+from .spin import (SpinField, SpinSeries, ct_from_spin_series, evolve_levels, evolve_series,
                    u_constraint_residual)
-from .surface import export_obj, mesh_forms, reconstruct
+from .surface import export_obj, mesh_forms, reconstruct, vertex_text
 
 ORDER_MIN = 1.7
 RESIDUAL_FLOOR = 1e-11
@@ -104,8 +105,8 @@ class Scenario(NamedTuple):
     signatures hold the param defaults the config layer leaves unset.  spin
     builds the initial SpinField on a Grid1D, patch the SurfaceMesh on a
     Grid2D.  sources maps each residual source (RESIDUALS) to a builder of
-    (base, params), base being the level's evolved SpinSeries for a spin
-    scenario, else its Grid2D.
+    (base, params), base being a time window of the level's evolved
+    SpinSeries for a spin scenario (_windowed_fields), else its Grid2D.
     """
 
     defaults: dict
@@ -273,23 +274,26 @@ def _check_size(cfg: RunConfig, level: int) -> None:
 
 def _grid2(cfg: RunConfig, level: int = 0) -> Grid2D:
     n, dx, dt, steps = _level_sizes(cfg, level)
-    if steps < 1:
-        raise ConfigError("steps must be >= 1 to build a 2-D grid")
     return Grid2D(Grid1D(cfg.x0, dx, n, cfg.boundary),
                   Grid1D(cfg.t0, dt, steps + 1, "one_sided"))
 
 
-def _trajectory(cfg: RunConfig, level: int = 0) -> SpinSeries:
-    """The --ic document, else the scenario's field at t0, evolved at the level's sizes."""
-    n, dx, dt, steps = _level_sizes(cfg, level)
+def _initial_field(cfg: RunConfig, level: int = 0) -> SpinField:
+    """The --ic document, else the scenario's field at t0 on the level's x grid."""
     if cfg.ic is None:
+        n, dx, _, _ = _level_sizes(cfg, level)
         field = SCENARIOS[cfg.scenario].spin(Grid1D(cfg.x0, dx, n, cfg.boundary), **cfg.params)
         field.t = cfg.t0
-    else:
-        field = load_json(cfg.ic)
-        if not isinstance(field, SpinField):
-            raise ConfigError(f"{cfg.ic} does not hold a spin_field document")
-    return evolve_series(field, dt, steps, cfg.renorm)
+        return field
+    field = load_json(cfg.ic)
+    if not isinstance(field, SpinField):
+        raise ConfigError(f"{cfg.ic} does not hold a spin_field document")
+    return field
+
+
+def _trajectory(cfg: RunConfig) -> SpinSeries:
+    """The initial field evolved over the run's steps."""
+    return evolve_series(_initial_field(cfg), cfg.dt, cfg.steps, cfg.renorm)
 
 
 def _summary(command: str, cfg: RunConfig, out_dir: str, name: str, fields: dict) -> dict:
@@ -309,15 +313,62 @@ def _max_abs(*fields) -> float:
     return float(max(np.max(np.abs(f)) for f in fields))
 
 
+def _windowed_fields(cfg: RunConfig, level: int, source: str, residual):
+    """A spin scenario level's residual fields and Grid2D, read off its RK4
+    steps as evolve_levels makes them, one time window at a time.
+
+    A window holds its owned levels and a halo level each side, or the three
+    levels of the edge stencil at either end (numgrid.block_halo along t), so
+    its owned levels get the whole series' bits, copied into whole-level
+    fields.  The time grid rule: a window's SpinSeries takes the level's
+    first m times, not its own, as grid2 reads dt off times[1] - times[0],
+    which another pair can miss in the last bit (0.1*3 - 0.1*2 != 0.1); no
+    spin source reads t values.  A source's failure names a flat index into
+    its window's arrays.
+    """
+    _, _, dt, steps = _level_sizes(cfg, level)
+    g2 = _grid2(cfg, level)
+    (n, nt), times = g2.shape, g2.gt.points()  # evolve_series' times
+    # the whole-level SpinSeries' grid2, whose dt is times[1] - times[0]
+    g2 = Grid2D(g2.gx, Grid1D(float(times[0]), float(times[1] - times[0]), nt))
+    _, levels = evolve_levels(_initial_field(cfg, level), dt, steps, cfg.renorm)
+    # S, u and v of a window's owned levels hold about BLOCK_VALUES values, so a
+    # window is at most one of torsion_transport_residual's x-blocks
+    rows = max(1, BLOCK_VALUES // (5 * n))
+    width = min(rows + 2, nt)  # the widest window: rows and a halo level each side
+    buffers = S, u, v = np.empty((n, width, 3)), np.empty((n, width)), np.empty((n, width))
+    sources = SCENARIOS[cfg.scenario].sources
+    fields, head, read = {}, 0, 0  # head: the level in the buffers' column 0
+    for a in range(0, nt, rows):
+        b = min(a + rows, nt)
+        span, _, own = block_halo(g2.gt, a, b)
+        kept = read - span.start  # levels the last window read that this one needs
+        for buffer in buffers:
+            buffer[:, :kept] = buffer[:, span.start - head:read - head]
+        for j, level_arrays in enumerate(islice(levels, span.stop - read), kept):
+            for buffer, level_array in zip(buffers, level_arrays):
+                buffer[:, j] = level_array
+        head, read, m = span.start, span.stop, span.stop - span.start
+        series = SpinSeries(grid=g2.gx, times=times[:m], S=S[:, :m], u=u[:, :m], v=v[:, :m])
+        window_fields, _ = residual(sources[source](series, cfg.params))
+        fields = fields or {name: np.empty((n, nt)) for name in window_fields}
+        for name, f in window_fields.items():
+            fields[name][:, a:b] = f[:, own]
+    return fields, g2
+
+
 def _eval_level(cfg: RunConfig, which: str, level: int):
+    """The level's report, residual fields and Grid2D.  A spin scenario's
+    fields come from _windowed_fields, a field scenario's from its Grid2D."""
     scenario = SCENARIOS[cfg.scenario]
     source, _, residual = RESIDUALS[which]
     n, dx, dt, steps = _level_sizes(cfg, level)
-    base = g2 = _grid2(cfg, level)
+    analytic = None
     if scenario.spin is not None:
-        base = _trajectory(cfg, level)
-        g2 = base.grid2
-    fields, analytic = residual(scenario.sources[source](base, cfg.params))
+        fields, g2 = _windowed_fields(cfg, level, source, residual)
+    else:
+        g2 = _grid2(cfg, level)
+        fields, analytic = residual(scenario.sources[source](g2, cfg.params))
     numeric = _max_abs(*fields.values())
     report = {"n": n, "dx": dx, "dt": dt, "steps": steps,
               "residual": numeric, "residual_numeric": numeric}
@@ -342,12 +393,17 @@ def _run_study(cfg: RunConfig, out_dir: str, command: str, n_levels: int) -> int
         raise ConfigError(
             f"which={which!r} is not defined for scenario {cfg.scenario!r}; "
             f"it is for {', '.join(defined)}")
+    if cfg.steps < 2:
+        raise ConfigError(f"{command} needs steps >= 2 for its t differences, "
+                          f"got {cfg.steps}")
     _check_size(cfg, n_levels - 1)
     threshold = RESIDUALS[which][1] if cfg.threshold is None else cfg.threshold
     reports = []
     for level in range(n_levels):
         report, fields, g2 = _eval_level(cfg, which, level)
         reports.append(report)
+        if "csv" not in cfg.formats:  # no residuals CSV: hold no level's fields past it
+            fields = None
     hs = [r["dx"] for r in reports]
     numerics = [r["residual_numeric"] for r in reports]
     order = fit_order(hs, numerics, floor=RESIDUAL_FLOOR)
@@ -411,27 +467,31 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_surface(cfg: RunConfig, out_dir: str) -> int:
     scenario = SCENARIOS[cfg.scenario]
-    if cfg.ic is not None or scenario.spin is not None:
-        if cfg.steps < 1:
-            raise ConfigError("surface needs steps >= 1 to sweep a mesh")
-        mesh = reconstruct(_trajectory(cfg))
-    elif scenario.patch is not None:
-        mesh = scenario.patch(_grid2(cfg), **cfg.params)
-    else:
+    sweep = cfg.ic is not None or scenario.spin is not None
+    if not sweep and scenario.patch is None:
         raise ConfigError(f"scenario {cfg.scenario!r} has no surface")
+    # a sweep's own failure, as at a dt that overflows its first step, comes first
+    series = _trajectory(cfg) if sweep else None
+    if cfg.steps < 3:
+        raise ConfigError(f"surface needs steps >= 3 for its second t difference, "
+                          f"got {cfg.steps}")
+    mesh = reconstruct(series) if sweep else scenario.patch(_grid2(cfg), **cfg.params)
+    del series  # not held through the forms and the writers
     forms = mesh_forms(mesh)
     K, H = curvatures(forms)
     degenerate = ~np.isfinite(forms.L)
     good = ~degenerate
     artifacts = []
+    # formatted once for both mesh writers
+    verts = vertex_text(mesh) if {"obj", "csv"} & set(cfg.formats) else None
     if "obj" in cfg.formats:
-        export_obj(mesh, os.path.join(out_dir, "mesh.obj"))
+        export_obj(mesh, os.path.join(out_dir, "mesh.obj"), verts)
         artifacts.append("mesh.obj")
     if "json" in cfg.formats:
         save_json(mesh, os.path.join(out_dir, "mesh.json"))
         artifacts.append("mesh.json")
     if "csv" in cfg.formats:
-        save_mesh_csv(mesh, os.path.join(out_dir, "mesh.csv"))
+        save_mesh_csv(mesh, os.path.join(out_dir, "mesh.csv"), verts)
         save_scalars_csv({"K": K, "H": H,
                           "degenerate": degenerate.astype(float)},
                          mesh.grid, os.path.join(out_dir, "curvature.csv"))

@@ -12,10 +12,11 @@ dict (run summaries stay strict); field documents stream their float arrays
 through the C encoder in chunks, with the list's comma, newline and indent
 as its item separator.  CSV (and OBJ, see surface.export_obj) values are
 ``%.17g``, one ``%`` format per row through surface.write_rows, written in
-chunks; a mesh's vertices are formatted once (surface.vertex_text) for both
-mesh.csv and mesh.obj.  Both writers make an array's values Python floats
-one LINES_PER_WRITE chunk at a time, never the whole array at once.  A
-writer change must keep the sha256 digests in tests/test_golden.py.
+chunks; a caller writing both mesh.csv and mesh.obj formats the vertices
+once (surface.vertex_text) and hands the text to each.  Both writers make an
+array's values Python floats one LINES_PER_WRITE chunk at a time, never the
+whole array at once.  A writer change must keep the sha256 digests in
+tests/test_golden.py.
 """
 
 from __future__ import annotations
@@ -252,9 +253,11 @@ def save_series_csv(s: SpinSeries, path) -> None:
                [s.S[..., 0], s.S[..., 1], s.S[..., 2], s.u, s.v])
 
 
-def save_mesh_csv(m: SurfaceMesh, path) -> None:
+def save_mesh_csv(m: SurfaceMesh, path, verts: tuple | None = None) -> None:
+    """The mesh's vertices, one row each; verts is their vertex_text, else
+    formatted here."""
     _write_csv(path, ["x", "t", "rx", "ry", "rz"], m.grid.gx.points(),
-               m.grid.gt.points(), [vertex_text(m)])
+               m.grid.gt.points(), [vertex_text(m) if verts is None else verts])
 
 
 def save_scalars_csv(fields: dict, grid: Grid2D, path) -> None:

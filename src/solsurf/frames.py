@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GramDriftError, NonFiniteFieldError, ShapeError
-from .numgrid import (Grid1D, Grid2D, GridFields, Layout, as_shape, diff_t, diff_x,
-                      walk_linear)
+from .numgrid import (Grid1D, Grid2D, GridFields, Layout, block_halo, as_shape, diff_t,
+                      diff_x, walk_linear)
 
 # Transport whose triad drifts further than this from orthonormal has blown up.
 GRAM_TOL = 1e-4
@@ -168,27 +168,6 @@ def compatibility_residual(ct: CTFields):
     return r1, r2, r3
 
 
-def _x_halo(g: Grid1D, a: int, b: int):
-    """The rows diff_x on g reads for rows a..b-1, as an index into axis 0; the
-    one_sided grid that gives them the same bits when diff_x runs over those
-    rows alone; and where rows a..b-1 sit among them."""
-    lo, hi = a - 1, b + 1
-    if g.boundary == "periodic":
-        # the halo wraps round the n - 1 unique rows; the closure row n-1 is row 0,
-        # whose neighbours are rows 1 and n-2.  The interior stencil is the same in
-        # both modes, and the sub-grid's own edge rows are dropped.
-        rows = np.arange(lo, hi) % (g.n - 1)
-    else:
-        # a block at an edge takes the three rows of the edge stencil
-        lo, hi = max(lo, 0), min(hi, g.n)
-        if lo == 0:
-            hi = min(max(hi, 3), g.n)
-        if hi == g.n:
-            lo = max(min(lo, g.n - 3), 0)
-        rows = slice(lo, hi)
-    return rows, Grid1D(0.0, g.dx, hi - lo), slice(a - lo, b - lo)  # diff_x reads only dx
-
-
 def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray,
                                g2: Grid2D) -> np.ndarray:
     """Residual tau_t - e1 . (e1_x ^ e1_t) on a frame time-series.
@@ -198,8 +177,8 @@ def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray,
     equals tau_t, so the residual converges to zero under grid refinement.
     tau_t, the result, is taken whole.  e1_x, e1_t and the triple product are
     taken over blocks of x rows (BLOCK_VALUES), e1_x from the block and one
-    halo row each side, and the triple product is subtracted from tau_t in
-    place, so every other temporary stays one block in size.  Each entry has
+    halo row each side (numgrid.block_halo), and the triple product is subtracted
+    from tau_t in place, so every other temporary stays one block in size.  Each entry has
     the bits of the whole-series expression.
     """
     e1 = as_shape(e1, g2.shape + (3,), "e1")
@@ -209,7 +188,7 @@ def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray,
     for a in range(0, g2.gx.n, rows):
         b = min(a + rows, g2.gx.n)
         s = slice(a, b)
-        halo, gh, own = _x_halo(g2.gx, a, b)
+        halo, gh, own = block_halo(g2.gx, a, b)
         e1x = diff_x(e1[halo], gh)[own]
         # d/dt of a block is d/dx along its t axis: t-differences stay in an x row
         e1t = np.moveaxis(diff_x(np.moveaxis(e1[s], 1, 0), g2.gt), 0, 1)

@@ -191,6 +191,28 @@ def _along_t(f, g2: Grid2D, op):
     return np.moveaxis(op(swapped, g2.gt), 0, 1)
 
 
+def block_halo(g: Grid1D, a: int, b: int):
+    """The rows diff_x on g reads for rows a..b-1, as an index into axis 0; the
+    one_sided grid that gives them the same bits when diff_x runs over those
+    rows alone; and where rows a..b-1 sit among them.  A t difference is
+    diff_x along the t axis, so this is also the halo of a block of t levels."""
+    lo, hi = a - 1, b + 1
+    if g.boundary == "periodic":
+        # the halo wraps round the n - 1 unique rows; the closure row n-1 is row 0,
+        # whose neighbours are rows 1 and n-2.  The interior stencil is the same in
+        # both modes, and the sub-grid's own edge rows are dropped.
+        rows = np.arange(lo, hi) % (g.n - 1)
+    else:
+        # a block at an edge takes the three rows of the edge stencil
+        lo, hi = max(lo, 0), min(hi, g.n)
+        if lo == 0:
+            hi = min(max(hi, 3), g.n)
+        if hi == g.n:
+            lo = max(min(lo, g.n - 3), 0)
+        rows = slice(lo, hi)
+    return rows, Grid1D(0.0, g.dx, hi - lo), slice(a - lo, b - lo)  # diff_x reads only dx
+
+
 def diff_x(f, grid) -> np.ndarray:
     """Second-order d/dx along axis 0."""
     return _d1_axis0(*_along_x(f, grid))

@@ -282,10 +282,21 @@ def evolve_series(f: SpinField, dt: float, steps: int,
     the re-solved constraint field.  dt = 0 or steps = 0 gives the one-level
     series of the input.  A breakdown in step j, or in the march of the level
     it records, reads "step j: ..."; |S_x| below K_MIN in a recorded level is
-    reported by the step that starts from it.  The RK4 state is (4, n), rows
-    S0, S1, S2, v; the rates take the radicand the march checked, and each
-    level is copied into the series' x-major layout.
+    reported by the step that starts from it.  Each level of evolve_levels is
+    copied into the series' x-major layout.
     """
+    nt, levels = evolve_levels(f, dt, steps, renorm)
+    n = f.grid.n
+    S_out, u_out, v_out = np.empty((n, nt, 3)), np.empty((n, nt)), np.empty((n, nt))
+    for j, (S, u, v) in enumerate(levels):
+        S_out[:, j], u_out[:, j], v_out[:, j] = S, u, v
+    return SpinSeries(grid=f.grid, times=f.t + dt * np.arange(nt), S=S_out, u=u_out, v=v_out)
+
+
+def evolve_levels(f: SpinField, dt: float, steps: int, renorm: bool = True):
+    """evolve_series' arguments checked, then its number of levels and an
+    iterator that makes them one step at a time: (S (n, 3), u, v) of the input,
+    then of each step, none of them written to again."""
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
         raise ConfigError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
@@ -294,15 +305,22 @@ def evolve_series(f: SpinField, dt: float, steps: int,
         raise ConfigError(f"dt must be finite and >= 0, got {dt!r}")
     if dt == 0:
         steps = 0
-    grid, n, nt = f.grid, f.grid.n, steps + 1
-    S_out, u_out, v_out = np.empty((n, nt, 3)), np.empty((n, nt)), np.empty((n, nt))
-    S_out[:, 0], u_out[:, 0], v_out[:, 0] = f.S, f.u, f.v
+    return steps + 1, _rk4_levels(f, dt, steps, renorm)
 
-    y = np.empty((4, n))
+
+def _rk4_levels(f: SpinField, dt: float, steps: int, renorm: bool):
+    """evolve_levels' iterator.  The RK4 state is (4, n), rows S0, S1, S2, v;
+    the rates take the radicand the march checked.  Each step runs in its own
+    np.errstate and its level is yielded outside it: numpy keeps errstate in a
+    context variable, so a generator paused inside one would lend its
+    settings to the consumer."""
+    grid = f.grid
+    yield f.S, f.u, f.v
+    y = np.empty((4, grid.n))
     y[:3], y[3] = f.S.T, f.v
-    # every stage is finite-checked, so an overflow ends in a typed error
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
+    for j in range(steps):
+        # every stage is finite-checked, so an overflow ends in a typed error
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
                 ks = []
                 for stage, h in enumerate((0.0, dt / 2, dt / 2, dt), 1):
@@ -333,8 +351,7 @@ def evolve_series(f: SpinField, dt: float, steps: int,
             except (SqrtDomainError, DegenerateFrameError, NonFiniteFieldError) as e:
                 e.args = (f"step {j}: {e}",)
                 raise
-            S_out[:, j + 1], u_out[:, j + 1], v_out[:, j + 1] = S.T, u, v
-    return SpinSeries(grid=grid, times=f.t + dt * np.arange(nt), S=S_out, u=u_out, v=v_out)
+        yield S.T, u, v
 
 
 def build_frame(f: SpinField) -> FrameState:

@@ -108,34 +108,26 @@ def write_rows(fh, fmt: str, rows) -> None:
         fh.write(text)
 
 
-# (key, text) of the last mesh vertex_text formatted
-_vertex_memo = [(None, ())]
-
-
 def vertex_text(m: SurfaceMesh) -> tuple:
-    """Each vertex as "%.17g,%.17g,%.17g" text, in grid order.  The last mesh's
-    text is kept, keyed by the exact bytes of r (a 0.0 made -0.0 is a new key),
-    so export_obj and fieldio.save_mesh_csv format a mesh once between them."""
-    key = (m.r.dtype.str, m.r.shape, m.r.tobytes())
-    last, text = _vertex_memo[0]
-    if last != key:
-        r = m.r.reshape(-1, 3)  # made Python floats LINES_PER_WRITE vertices at a time
-        text = tuple(chain.from_iterable(
-            map("%.17g,%.17g,%.17g".__mod__, zip(*r[i:i + LINES_PER_WRITE].T.tolist()))
-            for i in range(0, len(r), LINES_PER_WRITE)))
-        _vertex_memo[0] = key, text
-    return text
+    """Each vertex as "%.17g,%.17g,%.17g" text, in grid order: the vertex text
+    of export_obj and fieldio.save_mesh_csv, which a caller of both can format
+    once and hand to each."""
+    r = m.r.reshape(-1, 3)  # made Python floats LINES_PER_WRITE vertices at a time
+    return tuple(chain.from_iterable(
+        map("%.17g,%.17g,%.17g".__mod__, zip(*r[i:i + LINES_PER_WRITE].T.tolist()))
+        for i in range(0, len(r), LINES_PER_WRITE)))
 
 
-def export_obj(m: SurfaceMesh, path) -> None:
+def export_obj(m: SurfaceMesh, path, verts: tuple | None = None) -> None:
     """Wavefront OBJ: vertices in grid order (x-major), 1-based quad faces.
 
     Formatting is deterministic (17 significant digits), so identical
-    meshes export byte-identically.  A vertex row is its vertex_text with
-    "," made " " (%.17g text holds neither); face rows are streamed in
-    m.faces() order, each index formatted once.
+    meshes export byte-identically.  A vertex row is its vertex_text (verts,
+    else formatted here) with "," made " " (%.17g text holds neither); face
+    rows are streamed in m.faces() order, each index formatted once.
     """
-    verts = vertex_text(m)
+    if verts is None:
+        verts = vertex_text(m)
     with open(path, "w", encoding="ascii") as fh:
         for i in range(0, len(verts), LINES_PER_WRITE):
             fh.write(("v " + "\nv ".join(verts[i:i + LINES_PER_WRITE]) + "\n")

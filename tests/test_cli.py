@@ -946,9 +946,16 @@ CONFIG_ERRORS = {
     "dt_zero": (["simulate", "--dt", "0", "--steps", "4"],
                 "error: invalid config: dt must be > 0, got 0.0"),
     "check_no_steps": (["check", "--steps", "0"],
-                       "error: steps must be >= 1 to build a 2-D grid"),
+                       "error: check needs steps >= 2 for its t differences, got 0"),
+    "check_one_step_sphere": (["check", "--scenario", "sphere", "--steps", "1"],
+                              "error: check needs steps >= 2 for its t differences, got 1"),
+    "check_one_step_random_smooth": (
+        ["check", "--scenario", "random_smooth", "--steps", "1"],
+        "error: check needs steps >= 2 for its t differences, got 1"),
     "surface_no_steps": (["surface", "--scenario", "random_smooth", "--steps", "0"],
-                         "error: surface needs steps >= 1 to sweep a mesh"),
+                         "error: surface needs steps >= 3 for its second t difference, got 0"),
+    "surface_two_steps": (["surface", "--scenario", "random_smooth", "--steps", "2"],
+                          "error: surface needs steps >= 3 for its second t difference, got 2"),
     "ic_grid1d": (["simulate", "--ic", "{file}"],
                   "error: {file} does not hold a spin_field document"),
     "config_list": (["simulate", "--config", "{file}"],

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import solsurf as ss
+from solsurf import cli
 from solsurf import fieldio as fio
 from solsurf.cli import main
 from solsurf.fixtures import (random_smooth_spin, sphere_gc,
@@ -540,25 +541,21 @@ def test_shared_vertex_text_follows_the_mesh(tmp_path):
         assert (" -0 " in (tmp_path / "mesh.obj").read_text()) == (mesh is a and i > 0)
 
 
-class _CountingMemo(list):
-    """A surface vertex_text memo that counts the texts stored in it."""
-
-    stores = 0
-
-    def __setitem__(self, index, value):
-        self.stores += 1
-        super().__setitem__(index, value)
-
-
 def test_surface_run_formats_vertex_text_once(tmp_path, monkeypatch, capsys):
     """A default-format surface run writes mesh.obj and mesh.csv from one text."""
-    memo = _CountingMemo([(None, ())])
-    monkeypatch.setattr(ss.surface, "_vertex_memo", memo)
+    calls = []
+
+    def counted(m, _fn=ss.surface.vertex_text):
+        calls.append(m)
+        return _fn(m)
+
+    for module in (cli, ss.surface, fio):
+        monkeypatch.setattr(module, "vertex_text", counted)
     assert main(["surface", "--scenario", "sphere", "--n", "9", "--steps", "4",
                  "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert {"mesh.obj", "mesh.csv"} <= {p.name for p in tmp_path.iterdir()}
-    assert memo.stores == 1
+    assert len(calls) == 1
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

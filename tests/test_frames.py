@@ -226,7 +226,7 @@ class TestBlockedTorsionResidual:
             field.reshape(-1)[nans] = np.nan
         whole = ss.diff_x(e1, g2)
         for a in range(0, n, rows):
-            halo, gh, own = frames._x_halo(g2.gx, a, min(a + rows, n))
+            halo, gh, own = frames.block_halo(g2.gx, a, min(a + rows, n))
             assert ss.diff_x(e1[halo], gh)[own].tobytes() == whole[a:a + rows].tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frames, "BLOCK_VALUES", rows * 3 * nt)
