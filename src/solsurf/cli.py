@@ -35,7 +35,7 @@ from .fieldio import (load_json, save_json, save_mesh_csv, save_scalars_csv,
                       save_series_csv)
 from .fixtures import (cylinder_patch, plane_patch, random_ct, random_smooth_spin,
                        sphere_frame_series, sphere_gc, sphere_patch, traveling_circle)
-from .frames import BLOCK_VALUES, compatibility_residual, torsion_transport_residual
+from .frames import compatibility_residual, torsion_transport_residual
 from .gauss_codazzi import curvatures, gc_residual, map_gc_to_frame, metric_residual
 from .lax import build_lax, zero_curvature_residual
 from .numgrid import BOUNDARIES, Grid1D, Grid2D, block_halo, diff_x, fit_order
@@ -45,6 +45,9 @@ from .surface import export_obj, mesh_forms, reconstruct, vertex_text
 
 ORDER_MIN = 1.7
 RESIDUAL_FLOOR = 1e-11
+# a study reads a spin level's residuals in time windows whose owned levels'
+# S, u and v hold about this many values
+BLOCK_VALUES = 1 << 14
 
 
 def _numbered(residuals) -> dict:
@@ -318,7 +321,7 @@ def _windowed_fields(cfg: RunConfig, level: int, source: str, residual):
     steps as evolve_levels makes them, one time window at a time.
 
     A window holds its owned levels and a halo level each side, or the three
-    levels of the edge stencil at either end (numgrid.block_halo along t), so
+    levels of the edge stencil at either end (numgrid.block_halo), so
     its owned levels get the whole series' bits, copied into whole-level
     fields.  The time grid rule: a window's SpinSeries takes the level's
     first m times, not its own, as grid2 reads dt off times[1] - times[0],
@@ -332,24 +335,17 @@ def _windowed_fields(cfg: RunConfig, level: int, source: str, residual):
     # the whole-level SpinSeries' grid2, whose dt is times[1] - times[0]
     g2 = Grid2D(g2.gx, Grid1D(float(times[0]), float(times[1] - times[0]), nt))
     _, levels = evolve_levels(_initial_field(cfg, level), dt, steps, cfg.renorm)
-    # S, u and v of a window's owned levels hold about BLOCK_VALUES values, so a
-    # window is at most one of torsion_transport_residual's x-blocks
     rows = max(1, BLOCK_VALUES // (5 * n))
-    width = min(rows + 2, nt)  # the widest window: rows and a halo level each side
-    buffers = S, u, v = np.empty((n, width, 3)), np.empty((n, width)), np.empty((n, width))
     sources = SCENARIOS[cfg.scenario].sources
-    fields, head, read = {}, 0, 0  # head: the level in the buffers' column 0
+    fields, held, start = {}, [], 0  # held: the (S, u, v) levels from start
     for a in range(0, nt, rows):
         b = min(a + rows, nt)
-        span, _, own = block_halo(g2.gt, a, b)
-        kept = read - span.start  # levels the last window read that this one needs
-        for buffer in buffers:
-            buffer[:, :kept] = buffer[:, span.start - head:read - head]
-        for j, level_arrays in enumerate(islice(levels, span.stop - read), kept):
-            for buffer, level_array in zip(buffers, level_arrays):
-                buffer[:, j] = level_array
-        head, read, m = span.start, span.stop, span.stop - span.start
-        series = SpinSeries(grid=g2.gx, times=times[:m], S=S[:, :m], u=u[:, :m], v=v[:, :m])
+        span, own = block_halo(nt, a, b)
+        del held[:span.start - start]
+        held += islice(levels, span.stop - span.start - len(held))
+        start = span.start
+        S, u, v = (np.stack(arrays, axis=1) for arrays in zip(*held))
+        series = SpinSeries(grid=g2.gx, times=times[:len(held)], S=S, u=u, v=v)
         window_fields, _ = residual(sources[source](series, cfg.params))
         fields = fields or {name: np.empty((n, nt)) for name in window_fields}
         for name, f in window_fields.items():

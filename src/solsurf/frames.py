@@ -14,15 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GramDriftError, NonFiniteFieldError, ShapeError
-from .numgrid import (Grid1D, Grid2D, GridFields, Layout, block_halo, as_shape, diff_t,
-                      diff_x, walk_linear)
+from .numgrid import Grid1D, Grid2D, GridFields, Layout, as_shape, diff_t, diff_x, walk_linear
 
 # Transport whose triad drifts further than this from orthonormal has blown up.
 GRAM_TOL = 1e-4
-
-# torsion_transport_residual builds its triple product in blocks of x rows that
-# hold at most this many vector entries (e1 values), not over the whole series.
-BLOCK_VALUES = 1 << 14
 
 
 @dataclass
@@ -175,22 +170,7 @@ def torsion_transport_residual(e1: np.ndarray, tau: np.ndarray,
     e1 has shape (nx, nt, 3), tau has shape (nx, nt).  On trajectories of the
     spin system (tau identified with v, omega1 = 0) the triple-product term
     equals tau_t, so the residual converges to zero under grid refinement.
-    tau_t, the result, is taken whole.  e1_x, e1_t and the triple product are
-    taken over blocks of x rows (BLOCK_VALUES), e1_x from the block and one
-    halo row each side (numgrid.block_halo), and the triple product is subtracted
-    from tau_t in place, so every other temporary stays one block in size.  Each entry has
-    the bits of the whole-series expression.
     """
     e1 = as_shape(e1, g2.shape + (3,), "e1")
     tau = as_shape(tau, g2.shape, "tau")
-    out = diff_t(tau, g2)
-    rows = max(1, BLOCK_VALUES // e1[0].size)
-    for a in range(0, g2.gx.n, rows):
-        b = min(a + rows, g2.gx.n)
-        s = slice(a, b)
-        halo, gh, own = block_halo(g2.gx, a, b)
-        e1x = diff_x(e1[halo], gh)[own]
-        # d/dt of a block is d/dx along its t axis: t-differences stay in an x row
-        e1t = np.moveaxis(diff_x(np.moveaxis(e1[s], 1, 0), g2.gt), 0, 1)
-        out[s] -= np.einsum("xtc,xtc->xt", e1[s], np.cross(e1x, e1t))
-    return out
+    return diff_t(tau, g2) - np.einsum("xtc,xtc->xt", e1, np.cross(diff_x(e1, g2), diff_t(e1, g2)))

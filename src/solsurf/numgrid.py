@@ -26,8 +26,9 @@ BOUNDARIES = ("one_sided", "periodic")
 
 
 def as_shape(a, shape: tuple, name: str, dtype=float) -> np.ndarray:
-    """a as an array of dtype; ShapeError naming it unless its shape is shape."""
-    a = np.asarray(a, dtype=dtype)
+    """a as a C-ordered array of dtype, so its layout never reaches the bits of
+    a result; ShapeError naming it unless its shape is shape."""
+    a = np.asarray(a, dtype=dtype, order="C")
     if a.shape != shape:
         raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
     return a
@@ -191,26 +192,17 @@ def _along_t(f, g2: Grid2D, op):
     return np.moveaxis(op(swapped, g2.gt), 0, 1)
 
 
-def block_halo(g: Grid1D, a: int, b: int):
-    """The rows diff_x on g reads for rows a..b-1, as an index into axis 0; the
-    one_sided grid that gives them the same bits when diff_x runs over those
-    rows alone; and where rows a..b-1 sit among them.  A t difference is
-    diff_x along the t axis, so this is also the halo of a block of t levels."""
-    lo, hi = a - 1, b + 1
-    if g.boundary == "periodic":
-        # the halo wraps round the n - 1 unique rows; the closure row n-1 is row 0,
-        # whose neighbours are rows 1 and n-2.  The interior stencil is the same in
-        # both modes, and the sub-grid's own edge rows are dropped.
-        rows = np.arange(lo, hi) % (g.n - 1)
-    else:
-        # a block at an edge takes the three rows of the edge stencil
-        lo, hi = max(lo, 0), min(hi, g.n)
-        if lo == 0:
-            hi = min(max(hi, 3), g.n)
-        if hi == g.n:
-            lo = max(min(lo, g.n - 3), 0)
-        rows = slice(lo, hi)
-    return rows, Grid1D(0.0, g.dx, hi - lo), slice(a - lo, b - lo)  # diff_x reads only dx
+def block_halo(n: int, a: int, b: int):
+    """The levels diff_t on an n-level one_sided t grid reads for levels a..b-1,
+    as a slice, and where levels a..b-1 sit in it.  diff_t over those levels
+    alone, on a grid of the same dt, gives levels a..b-1 the whole series' bits."""
+    # a window at an edge takes the three levels of the edge stencil
+    lo, hi = max(a - 1, 0), min(b + 1, n)
+    if lo == 0:
+        hi = min(max(hi, 3), n)
+    if hi == n:
+        lo = max(min(lo, n - 3), 0)
+    return slice(lo, hi), slice(a - lo, b - lo)
 
 
 def diff_x(f, grid) -> np.ndarray:

@@ -88,3 +88,11 @@ def ref_propagate(L, phi0, path, start):
 HOSTILE = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e150, -1e150]),
     st.floats(-1e3, 1e3))
+
+
+def layouts(a):
+    """a's values C-ordered, Fortran-ordered, and as a view whose last
+    (component) axis is the slowest, like S.T of a (3, n) state."""
+    components_first = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "components": np.moveaxis(components_first, 0, -1)}

@@ -1,7 +1,6 @@
 """Moving-frame coefficient matrices, transport, and compatibility residuals."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
 from solsurf import Grid1D, Grid2D
-from solsurf import frames
+from solsurf import cli
 from solsurf.frames import GRAM_TOL
 from solsurf.fixtures import (
     expm_skew3,
@@ -17,8 +16,9 @@ from solsurf.fixtures import (
     sphere_gc,
     traveling_circle,
 )
+from solsurf.numgrid import block_halo
 
-from conftest import circle_grid, polar_band, ref_step_rk4
+from conftest import circle_grid, layouts, polar_band, ref_step_rk4
 
 
 class TestCoefficientMatrices:
@@ -175,18 +175,32 @@ def unblocked_torsion_residual(e1, tau, g2):
     return ss.diff_t(tau, g2) - np.einsum("xtc,xtc->xt", e1, np.cross(e1x, e1t))
 
 
+def windowed_torsion_residual(e1, tau, g2, rows):
+    """torsion_transport_residual over time windows that own rows levels each
+    (numgrid.block_halo), read at their owned levels, as a study reads it."""
+    nt, out = g2.gt.n, np.empty(g2.shape)
+    for a in range(0, nt, rows):
+        b = min(a + rows, nt)
+        span, own = block_halo(nt, a, b)
+        gw = Grid2D(g2.gx, Grid1D(g2.gt.x0, g2.gt.dx, span.stop - span.start))
+        out[:, a:b] = ss.torsion_transport_residual(e1[:, span], tau[:, span], gw)[:, own]
+    return out
+
+
 class TestBlockedTorsionResidual:
+    """A study hands the residual one block of time levels at a time: every
+    block's owned levels have the whole series' bits."""
+
     NT = 7
 
     @pytest.mark.parametrize("boundary", ["one_sided", "periodic"])
     @pytest.mark.parametrize("n", [4, 5, 11, 15])
     @pytest.mark.parametrize("nan", [None, "e1", "tau"])
-    def test_matches_the_unblocked_expression(self, monkeypatch, boundary, n, nan):
-        """Blocks of 5 x rows: n below, equal to, not a multiple of and a
-        multiple of the block give the unblocked bits, a NaN in e1 or tau
-        reaches the same cells, and the result stays C-ordered."""
-        monkeypatch.setattr(frames, "BLOCK_VALUES", 5 * 3 * self.NT + 4)
-        g2 = Grid2D(Grid1D(0.0, 0.3, n, boundary), Grid1D(0.1, 0.05, self.NT, boundary))
+    def test_matches_the_unblocked_expression(self, boundary, n, nan):
+        """Blocks of 1 to NT levels on x grids of either boundary: the whole
+        series and every blocking give the unblocked bits, a NaN in e1 or tau
+        reaches the same cells, and the result is C-ordered."""
+        g2 = Grid2D(Grid1D(0.0, 0.3, n, boundary), Grid1D(0.1, 0.05, self.NT))
         rng = np.random.default_rng(n)
         e1 = rng.normal(size=(n, self.NT, 3))
         tau = rng.normal(size=(n, self.NT))
@@ -199,56 +213,30 @@ class TestBlockedTorsionResidual:
         assert np.isnan(r).any() == (nan is not None)
         assert r.tobytes() == expected.tobytes()
         assert r.flags.c_contiguous
+        for rows in range(1, self.NT + 1):
+            assert windowed_torsion_residual(e1, tau, g2, rows).tobytes() == r.tobytes(), rows
 
     def test_default_blocks_match_on_a_trajectory(self):
-        series = ss.evolve_series(traveling_circle(circle_grid(65)), 0.01, 8)
-        r = ss.torsion_transport_residual(series.S, series.v, series.grid2)
+        """The study's default blocks (cli.BLOCK_VALUES, three of them here)."""
+        series = ss.evolve_series(traveling_circle(circle_grid(65)), 0.01, 120)
+        rows = cli.BLOCK_VALUES // (5 * 65)
+        assert 2 * rows < series.grid2.gt.n <= 3 * rows
+        r = windowed_torsion_residual(series.S, series.v, series.grid2, rows)
         expected = unblocked_torsion_residual(series.S, series.v, series.grid2)
         assert r.tobytes() == expected.tobytes()
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(data=st.data(), boundary=st.sampled_from(["one_sided", "periodic"]),
-           nt=st.integers(4, 6))
-    def test_every_row_split_matches_the_whole_expression(self, data, boundary, nt):
-        """Blocks of any number of x rows, from 1 to all of them, on grids from
-        the smallest the stencils take (one_sided 3, periodic 4): the first and
-        last block meet the edges (or the periodic closure), and NaN cells reach
-        the same entries.  Each block's e1_x, from its halo rows alone, has the
-        bits of the whole-series derivative's rows."""
-        n = data.draw(st.integers(3 if boundary == "one_sided" else 4, 20), label="n")
-        rows = data.draw(st.integers(1, n), label="rows")
-        g2 = Grid2D(Grid1D(0.0, 0.3, n, boundary), Grid1D(0.1, 0.05, nt, boundary))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-        e1 = rng.normal(size=(n, nt, 3))
-        tau = rng.normal(size=(n, nt))
-        for field in (e1, tau):
-            nans = data.draw(st.lists(st.integers(0, field.size - 1), max_size=2), label="nans")
-            field.reshape(-1)[nans] = np.nan
-        whole = ss.diff_x(e1, g2)
-        for a in range(0, n, rows):
-            halo, gh, own = frames.block_halo(g2.gx, a, min(a + rows, n))
-            assert ss.diff_x(e1[halo], gh)[own].tobytes() == whole[a:a + rows].tobytes()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(frames, "BLOCK_VALUES", rows * 3 * nt)
-            r = ss.torsion_transport_residual(e1, tau, g2)
-        assert r.tobytes() == unblocked_torsion_residual(e1, tau, g2).tobytes()
 
-    def test_peak_memory_is_one_block_over_the_derivatives(self):
-        """tau_t (the result) is whole; e1_x, e1_t and the cross and dot
-        products hold one block (their output and temporaries: a few arrays
-        of BLOCK_VALUES floats) at a time."""
-        n, nt = 257, 129
-        g2 = Grid2D(Grid1D(0.0, 0.01, n, "one_sided"), Grid1D(0.0, 0.01, nt, "one_sided"))
-        rng = np.random.default_rng(5)
-        S, tau = rng.normal(size=(n, nt, 3)), rng.normal(size=(n, nt))
-        assert S.size > 4 * frames.BLOCK_VALUES
-        tracemalloc.start()
-        try:
-            ss.torsion_transport_residual(S, tau, g2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * tau.nbytes + 4 * 8 * frames.BLOCK_VALUES
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(nx=st.integers(3, 40), nt=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_torsion_residual_bits_do_not_depend_on_input_layout(nx, nt, seed):
+    """C-ordered, Fortran-ordered and component-strided e1 and tau give the
+    same bytes."""
+    g2 = Grid2D(Grid1D(0.0, 0.3, nx), Grid1D(0.1, 0.05, nt))
+    rng = np.random.default_rng(seed)
+    e1, tau = layouts(rng.normal(size=(nx, nt, 3))), layouts(rng.normal(size=(nx, nt)))
+    results = {ss.torsion_transport_residual(e1[a], tau[b], g2).tobytes()
+               for a in e1 for b in tau}
+    assert len(results) == 1
 
 
 class TestSphereFrameSeries:

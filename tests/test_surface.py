@@ -16,7 +16,7 @@ from solsurf.fixtures import (
     traveling_circle,
 )
 
-from conftest import circle_grid, polar_band
+from conftest import circle_grid, layouts, polar_band
 
 
 def unit_square(nx=2, nt=2):
@@ -152,6 +152,21 @@ class TestMeshGeometry:
         forms = ss.mesh_forms(mesh)
         assert np.all(np.isnan(forms.L[[0, -1]]))
         assert np.all(np.isfinite(forms.L[1:-1, 0]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nx=st.integers(4, 40), nt=st.integers(4, 24), bump=st.floats(0.0, 0.1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mesh_forms_bits_do_not_depend_on_the_layout_of_r(nx, nt, bump, seed):
+    """C-ordered, Fortran-ordered and component-strided r of a bumped sphere
+    patch give the same bytes of E, F, G, L, M and N."""
+    g2 = Grid2D(Grid1D(0.0, 0.1, nx), Grid1D(0.3, 0.1, nt))
+    r = sphere_patch(g2).r + bump * np.random.default_rng(seed).normal(size=(nx, nt, 3))
+    results = set()
+    for r_layout in layouts(r).values():
+        forms = ss.mesh_forms(ss.SurfaceMesh(r=r_layout, grid=g2))
+        results.add(b"".join(getattr(forms, name).tobytes() for name in "EFGLMN"))
+    assert len(results) == 1
 
 
 class TestMeshIndexing:
