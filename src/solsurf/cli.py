@@ -38,7 +38,7 @@ from .fixtures import (cylinder_patch, plane_patch, random_ct, random_smooth_spi
 from .frames import compatibility_residual, torsion_transport_residual
 from .gauss_codazzi import curvatures, gc_residual, map_gc_to_frame, metric_residual
 from .lax import build_lax, zero_curvature_residual
-from .numgrid import BOUNDARIES, Grid1D, Grid2D, block_halo, diff_x, fit_order
+from .numgrid import BOUNDARIES, Grid1D, Grid2D, diff_x, fit_order
 from .spin import (SpinField, SpinSeries, ct_from_spin_series, evolve_levels, evolve_series,
                    u_constraint_residual)
 from .surface import export_obj, mesh_forms, reconstruct, vertex_text
@@ -109,7 +109,7 @@ class Scenario(NamedTuple):
     builds the initial SpinField on a Grid1D, patch the SurfaceMesh on a
     Grid2D.  sources maps each residual source (RESIDUALS) to a builder of
     (base, params), base being a time window of the level's evolved
-    SpinSeries for a spin scenario (_windowed_fields), else its Grid2D.
+    SpinSeries for a spin scenario (_eval_level), else its Grid2D.
     """
 
     defaults: dict
@@ -316,55 +316,47 @@ def _max_abs(*fields) -> float:
     return float(max(np.max(np.abs(f)) for f in fields))
 
 
-def _windowed_fields(cfg: RunConfig, level: int, source: str, residual):
-    """A spin scenario level's residual fields and Grid2D, read off its RK4
-    steps as evolve_levels makes them, one time window at a time.
+def _eval_level(cfg: RunConfig, which: str, level: int):
+    """The level's report, residual fields and Grid2D.
 
-    A window holds its owned levels and a halo level each side, or the three
-    levels of the edge stencil at either end (numgrid.block_halo), so
-    its owned levels get the whole series' bits, copied into whole-level
+    A field scenario's fields come from its Grid2D.  A spin scenario's are
+    read off the level's RK4 steps as evolve_levels makes them, one time
+    window at a time.  A window owns at least two levels (a single level
+    left at the end joins the window before it) and holds a halo level each
+    side, so at either end it holds the three levels of the edge stencil,
+    and its owned levels get the whole series' bits, copied into whole-level
     fields.  The time grid rule: a window's SpinSeries takes the level's
     first m times, not its own, as grid2 reads dt off times[1] - times[0],
     which another pair can miss in the last bit (0.1*3 - 0.1*2 != 0.1); no
     spin source reads t values.  A source's failure names a flat index into
     its window's arrays.
     """
-    _, _, dt, steps = _level_sizes(cfg, level)
-    g2 = _grid2(cfg, level)
-    (n, nt), times = g2.shape, g2.gt.points()  # evolve_series' times
-    # the whole-level SpinSeries' grid2, whose dt is times[1] - times[0]
-    g2 = Grid2D(g2.gx, Grid1D(float(times[0]), float(times[1] - times[0]), nt))
-    _, levels = evolve_levels(_initial_field(cfg, level), dt, steps, cfg.renorm)
-    rows = max(1, BLOCK_VALUES // (5 * n))
-    sources = SCENARIOS[cfg.scenario].sources
-    fields, held, start = {}, [], 0  # held: the (S, u, v) levels from start
-    for a in range(0, nt, rows):
-        b = min(a + rows, nt)
-        span, own = block_halo(nt, a, b)
-        del held[:span.start - start]
-        held += islice(levels, span.stop - span.start - len(held))
-        start = span.start
-        S, u, v = (np.stack(arrays, axis=1) for arrays in zip(*held))
-        series = SpinSeries(grid=g2.gx, times=times[:len(held)], S=S, u=u, v=v)
-        window_fields, _ = residual(sources[source](series, cfg.params))
-        fields = fields or {name: np.empty((n, nt)) for name in window_fields}
-        for name, f in window_fields.items():
-            fields[name][:, a:b] = f[:, own]
-    return fields, g2
-
-
-def _eval_level(cfg: RunConfig, which: str, level: int):
-    """The level's report, residual fields and Grid2D.  A spin scenario's
-    fields come from _windowed_fields, a field scenario's from its Grid2D."""
     scenario = SCENARIOS[cfg.scenario]
     source, _, residual = RESIDUALS[which]
     n, dx, dt, steps = _level_sizes(cfg, level)
+    g2 = _grid2(cfg, level)
     analytic = None
-    if scenario.spin is not None:
-        fields, g2 = _windowed_fields(cfg, level, source, residual)
-    else:
-        g2 = _grid2(cfg, level)
+    if scenario.spin is None:
         fields, analytic = residual(scenario.sources[source](g2, cfg.params))
+    else:
+        nt, times = g2.gt.n, g2.gt.points()  # evolve_series' times
+        # the whole-level SpinSeries' grid2, whose dt is times[1] - times[0]
+        g2 = Grid2D(g2.gx, Grid1D(float(times[0]), float(times[1] - times[0]), nt))
+        _, levels = evolve_levels(_initial_field(cfg, level), dt, steps, cfg.renorm)
+        # windows start every rows levels, none at the last level
+        edges = [*range(0, nt - 1, max(2, BLOCK_VALUES // (5 * n))), nt]
+        fields, held, start = {}, [], 0  # held: the (S, u, v) levels from start
+        for a, b in zip(edges, edges[1:]):
+            lo, hi = max(a - 1, 0), min(b + 1, nt)
+            del held[:lo - start]
+            held += islice(levels, hi - lo - len(held))
+            start = lo
+            S, u, v = (np.stack(arrays, axis=1) for arrays in zip(*held))
+            series = SpinSeries(grid=g2.gx, times=times[:len(held)], S=S, u=u, v=v)
+            window_fields, _ = residual(scenario.sources[source](series, cfg.params))
+            fields = fields or {name: np.empty((n, nt)) for name in window_fields}
+            for name, f in window_fields.items():
+                fields[name][:, a:b] = f[:, a - lo:b - lo]
     numeric = _max_abs(*fields.values())
     report = {"n": n, "dx": dx, "dt": dt, "steps": steps,
               "residual": numeric, "residual_numeric": numeric}
@@ -615,8 +607,10 @@ def main(argv=None) -> int:
         if flag_params:
             flag_cfg["params"] = flag_params
         cfg = resolve_config(file_cfg, flag_cfg)
-        out_dir = (args.out or os.environ.get("SOLSURF_OUT")
-                   or file_cfg.get("out") or ".")
+        out_dir = args.out or os.environ.get("SOLSURF_OUT") or file_cfg.get("out")
+        if not isinstance(out_dir, (str, type(None))):  # a file's null out is unset
+            raise ConfigError(f"invalid config: out must be a directory path, got {out_dir!r}")
+        out_dir = out_dir or "."
         _check_size(cfg, 0)
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "simulate":

@@ -87,21 +87,29 @@ def _number(doc: dict, key: str) -> float:
     return float(value)
 
 
+def _nested(doc: dict, key: str, kind: str):
+    """doc[key] decoded; ConfigError unless it is a document of kind."""
+    obj = from_jsonable(doc[key])
+    if not isinstance(obj, _CODECS[kind][0]):
+        raise ConfigError(f"a {doc['kind']}'s {key} must be {kind}, got {doc[key]['kind']}")
+    return obj
+
+
 def _decode_spin_field(doc):
-    grid = from_jsonable(doc["grid"])
+    grid = _nested(doc, "grid", "grid1d")
     return SpinField(grid=grid, t=_number(doc, "t"),
                      **_spin_arrays(SpinField, doc, (grid.n,)))
 
 
 def _decode_spin_series(doc):
-    grid = from_jsonable(doc["grid"])
+    grid = _nested(doc, "grid", "grid1d")
     times = _unflat(doc["times"], (len(doc["times"]),), "times")
     return SpinSeries(grid=grid, times=times,
                       **_spin_arrays(SpinSeries, doc, (grid.n, times.size)))
 
 
 def _decode_surface_mesh(doc):
-    g2 = from_jsonable(doc["grid"])
+    g2 = _nested(doc, "grid", "grid2d")
     return SurfaceMesh(grid=g2, **_decode_arrays(SurfaceMesh, doc, g2.shape))
 
 
@@ -115,8 +123,8 @@ _CODECS = {
                                   n=doc["n"], boundary=doc["boundary"])),
     "grid2d": (Grid2D,
                lambda g: {"gx": _document(g.gx), "gt": _document(g.gt)},
-               lambda doc: Grid2D(gx=from_jsonable(doc["gx"]),
-                                  gt=from_jsonable(doc["gt"]))),
+               lambda doc: Grid2D(gx=_nested(doc, "gx", "grid1d"),
+                                  gt=_nested(doc, "gt", "grid1d"))),
     "spin_field": (SpinField, lambda f: {"t": f.t, **_encode_arrays(f)},
                    _decode_spin_field),
     "spin_series": (SpinSeries,

@@ -192,19 +192,6 @@ def _along_t(f, g2: Grid2D, op):
     return np.moveaxis(op(swapped, g2.gt), 0, 1)
 
 
-def block_halo(n: int, a: int, b: int):
-    """The levels diff_t on an n-level one_sided t grid reads for levels a..b-1,
-    as a slice, and where levels a..b-1 sit in it.  diff_t over those levels
-    alone, on a grid of the same dt, gives levels a..b-1 the whole series' bits."""
-    # a window at an edge takes the three levels of the edge stencil
-    lo, hi = max(a - 1, 0), min(b + 1, n)
-    if lo == 0:
-        hi = min(max(hi, 3), n)
-    if hi == n:
-        lo = max(min(lo, n - 3), 0)
-    return slice(lo, hi), slice(a - lo, b - lo)
-
-
 def diff_x(f, grid) -> np.ndarray:
     """Second-order d/dx along axis 0."""
     return _d1_axis0(*_along_x(f, grid))

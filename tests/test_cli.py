@@ -337,6 +337,20 @@ class TestConfigFileAndEnv:
         assert (tmp_path / "flag_dir" / "series.json").exists()
         assert not (tmp_path / "env_dir").exists()
 
+    @pytest.mark.parametrize("out", [5, False, ["out"]])
+    def test_config_out_not_a_string_exits_two(self, tmp_path, monkeypatch, capsys, out):
+        """A config file's out that is not a string, with no --out or SOLSURF_OUT
+        to override it: exit 2, one error line, no file written.  --out overrides it."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SOLSURF_OUT", raising=False)
+        (tmp_path / "run.json").write_text(json.dumps({"n": 33, "steps": 2, "out": out}))
+        assert main(["simulate", "--config", "run.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid config: out must be a directory path, got {out!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+        assert main(["simulate", "--config", "run.json", "--out", "flag_dir"]) == 0
+        assert (tmp_path / "flag_dir" / "series.json").exists()
+
     def test_map_tol_config_key_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"n": 33, "steps": 2, "map_tol": 1e-6}))
@@ -816,9 +830,18 @@ def _strict_json(path: Path):
                       parse_float=finite)
 
 
-def _wrong_typed_ic(tmp: Path, kind: str, value) -> str:
+# What an --ic document's grid must not be: documents of other kinds, a string.
+WRONG_GRIDS = [fio.to_jsonable(ss.Grid2D(circle_grid(9), circle_grid(5))),
+               fio.to_jsonable(traveling_circle(circle_grid(9))), "grid1d"]
+
+
+def _wrong_typed_ic(tmp: Path, key: str, value) -> str:
+    """An --ic file whose grid is value, or whose array key has value as entry 3."""
     doc = fio.to_jsonable(traveling_circle(circle_grid(9)))
-    doc[kind][3] = value
+    if key == "grid":
+        doc[key] = value
+    else:
+        doc[key][3] = value
     path = tmp / "ic.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -833,11 +856,13 @@ def _wrong_typed_ic(tmp: Path, kind: str, value) -> str:
        as_flags=st.booleans(),
        param=st.none() | VALUES.map(json.dumps) | st.just(DEEP_JSON),
        ic=st.none() | st.tuples(st.sampled_from(["S", "u", "v"]),
-                                st.sampled_from(["0.5", False, None, [0.5], {}])))
+                                st.sampled_from(["0.5", False, None, [0.5], {}]))
+       | st.tuples(st.just("grid"), st.sampled_from(WRONG_GRIDS)))
 def test_contract_fuzz(command, scenario, which, keys, as_flags, param, ic):
-    """Hostile sizes, params and --ic entries, with any residual family, end in
-    an exit code of the contract with at most one error line, never a traceback,
-    and every JSON file the run leaves is strict JSON of finite numbers or null."""
+    """Hostile sizes, params, --ic entries and --ic grids, with any residual
+    family, end in an exit code of the contract with at most one error line,
+    never a traceback, and every JSON file the run leaves is strict JSON of
+    finite numbers or null."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = {"n": 9, "steps": 3, "levels": 2, "scenario": scenario, "which": which,
@@ -958,6 +983,8 @@ CONFIG_ERRORS = {
                           "error: surface needs steps >= 3 for its second t difference, got 2"),
     "ic_grid1d": (["simulate", "--ic", "{file}"],
                   "error: {file} does not hold a spin_field document"),
+    "ic_grid2d_grid": (["simulate", "--ic", "{file}"],
+                       "error: a spin_field's grid must be grid1d, got grid2d"),
     "config_list": (["simulate", "--config", "{file}"],
                     "error: config file {file} must hold a JSON object"),
     "param_no_value": (["simulate", "--param", "seed"],
@@ -975,7 +1002,9 @@ def test_config_errors_exit_two_with_one_error_line(tmp_path, capsys, case):
     """Each ends in exit 2 and a single error: line (argparse's after its usage),
     and writes no file."""
     path = tmp_path / "in.json"
-    doc = [] if case == "config_list" else fio.to_jsonable(ss.Grid1D(0.0, 0.5, 9))
+    ic = {**fio.to_jsonable(traveling_circle(circle_grid(9))), "grid": WRONG_GRIDS[0]}
+    doc = {"config_list": [], "ic_grid2d_grid": ic}.get(
+        case, fio.to_jsonable(ss.Grid1D(0.0, 0.5, 9)))
     path.write_text(json.dumps(doc))
     argv, line = CONFIG_ERRORS[case]
     out = tmp_path / "out"

@@ -237,6 +237,18 @@ def _short_S():
     return doc
 
 
+def _wrong_kind(kind, key, inner):
+    """A call decoding a kind document whose key holds an inner document."""
+    def call():
+        f = traveling_circle(circle_grid(9))
+        objs = {"grid1d": circle_grid(9), "grid2d": small_band(), "spin_field": f,
+                "spin_series": ss.evolve_series(f, 0.01, 2),
+                "surface_mesh": ss.fixtures.sphere_patch(small_band())}
+        return fio.from_jsonable({**fio.to_jsonable(objs[kind]),
+                                  key: fio.to_jsonable(objs[inner])})
+    return call
+
+
 # A value or document the codecs cannot take, and the typed error it must raise.
 @pytest.mark.parametrize("call,error,message", [
     (lambda: fio.to_jsonable(object()), ss.ConfigError,
@@ -245,7 +257,21 @@ def _short_S():
     (lambda: fio.from_jsonable({"kind": "spin_field"}), ss.ConfigError,
      "document of kind 'spin_field' is missing key 'grid'"),
     (lambda: fio.from_jsonable(_short_S()), ss.ShapeError, "S holds 26 values, expected 27"),
-], ids=["unknown_type", "no_kind", "missing_key", "short_array"])
+    (_wrong_kind("spin_field", "grid", "grid2d"), ss.ConfigError,
+     "a spin_field's grid must be grid1d, got grid2d"),
+    (_wrong_kind("spin_field", "grid", "spin_field"), ss.ConfigError,
+     "a spin_field's grid must be grid1d, got spin_field"),
+    (_wrong_kind("spin_series", "grid", "grid2d"), ss.ConfigError,
+     "a spin_series's grid must be grid1d, got grid2d"),
+    (_wrong_kind("surface_mesh", "grid", "grid1d"), ss.ConfigError,
+     "a surface_mesh's grid must be grid2d, got grid1d"),
+    (_wrong_kind("grid2d", "gx", "spin_field"), ss.ConfigError,
+     "a grid2d's gx must be grid1d, got spin_field"),
+    (_wrong_kind("grid2d", "gt", "grid2d"), ss.ConfigError,
+     "a grid2d's gt must be grid1d, got grid2d"),
+], ids=["unknown_type", "no_kind", "missing_key", "short_array", "spin_field_grid2d_grid",
+        "spin_field_spin_field_grid", "spin_series_grid2d_grid", "surface_mesh_grid1d_grid",
+        "grid2d_spin_field_gx", "grid2d_grid2d_gt"])
 def test_bad_inputs_raise_typed_errors(call, error, message):
     with pytest.raises(error) as exc:
         call()

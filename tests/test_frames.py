@@ -16,7 +16,6 @@ from solsurf.fixtures import (
     sphere_gc,
     traveling_circle,
 )
-from solsurf.numgrid import block_halo
 
 from conftest import circle_grid, layouts, polar_band, ref_step_rk4
 
@@ -176,14 +175,18 @@ def unblocked_torsion_residual(e1, tau, g2):
 
 
 def windowed_torsion_residual(e1, tau, g2, rows):
-    """torsion_transport_residual over time windows that own rows levels each
-    (numgrid.block_halo), read at their owned levels, as a study reads it."""
+    """torsion_transport_residual over time windows that own rows >= 2 levels
+    each, a single level left at the end joining the last window, with a halo
+    level each side, read at their owned levels, as a study reads it."""
     nt, out = g2.gt.n, np.empty(g2.shape)
-    for a in range(0, nt, rows):
-        b = min(a + rows, nt)
-        span, own = block_halo(nt, a, b)
-        gw = Grid2D(g2.gx, Grid1D(g2.gt.x0, g2.gt.dx, span.stop - span.start))
-        out[:, a:b] = ss.torsion_transport_residual(e1[:, span], tau[:, span], gw)[:, own]
+    a = 0
+    while a < nt:
+        b = nt if nt - a < rows + 2 else a + rows
+        lo, hi = max(a - 1, 0), min(b + 1, nt)
+        gw = Grid2D(g2.gx, Grid1D(g2.gt.x0, g2.gt.dx, hi - lo))
+        r = ss.torsion_transport_residual(e1[:, lo:hi], tau[:, lo:hi], gw)
+        out[:, a:b] = r[:, a - lo:b - lo]
+        a = b
     return out
 
 
@@ -197,7 +200,7 @@ class TestBlockedTorsionResidual:
     @pytest.mark.parametrize("n", [4, 5, 11, 15])
     @pytest.mark.parametrize("nan", [None, "e1", "tau"])
     def test_matches_the_unblocked_expression(self, boundary, n, nan):
-        """Blocks of 1 to NT levels on x grids of either boundary: the whole
+        """Windows of 2 to NT levels on x grids of either boundary: the whole
         series and every blocking give the unblocked bits, a NaN in e1 or tau
         reaches the same cells, and the result is C-ordered."""
         g2 = Grid2D(Grid1D(0.0, 0.3, n, boundary), Grid1D(0.1, 0.05, self.NT))
@@ -213,7 +216,7 @@ class TestBlockedTorsionResidual:
         assert np.isnan(r).any() == (nan is not None)
         assert r.tobytes() == expected.tobytes()
         assert r.flags.c_contiguous
-        for rows in range(1, self.NT + 1):
+        for rows in range(2, self.NT + 1):
             assert windowed_torsion_residual(e1, tau, g2, rows).tobytes() == r.tobytes(), rows
 
     def test_default_blocks_match_on_a_trajectory(self):

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 import solsurf as ss
 from solsurf import Grid1D, Grid2D
-from solsurf.numgrid import block_halo
 
 from conftest import HOSTILE
 
@@ -189,25 +188,6 @@ class TestDerivatives:
         g2 = Grid2D(Grid1D(0.0, 1.0, 2), g)
         assert ss.diff_tt(np.stack((f, -f)), g2).tobytes() == np.stack(
             (oracle_d2(f, g), oracle_d2(-f, g))).tobytes()
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(data=st.data(), nt=st.integers(3, 20))
-def test_block_halo_gives_each_window_the_whole_series_bits(data, nt):
-    """Windows of any number of owned levels, from 1 to all nt, on t grids
-    from the smallest the stencil takes: diff_t over a window's span on a
-    grid of its own length, read at its owned levels, has the whole series'
-    bits, NaN cells included."""
-    rows = data.draw(st.integers(1, nt), label="rows")
-    g2 = Grid2D(Grid1D(0.0, 0.3, 2), Grid1D(0.1, 0.05, nt))
-    f = data.draw(arrays(np.float64, (2, nt, 3), elements=HOSTILE | st.just(np.nan)))
-    whole = ss.diff_t(f, g2)
-    for a in range(0, nt, rows):
-        b = min(a + rows, nt)
-        span, own = block_halo(nt, a, b)
-        assert 0 <= span.start <= a < b <= span.stop <= nt
-        gw = Grid2D(g2.gx, Grid1D(0.1, 0.05, span.stop - span.start))
-        assert ss.diff_t(f[:, span], gw)[:, own].tobytes() == whole[:, a:b].tobytes(), (a, b)
 
 
 # HOSTILE's kinds of entry, each exact in float32

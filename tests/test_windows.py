@@ -22,12 +22,13 @@ def _whole_fields(cfg, which, level):
 
 
 def _windowed(cfg, which, level, rows):
-    """_windowed_fields with windows that own rows levels each."""
-    source, _, residual = cli.RESIDUALS[which]
+    """_eval_level's fields and Grid2D with windows that own rows levels each
+    (at least two, the last window up to rows + 1)."""
     n = cli._level_sizes(cfg, level)[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "BLOCK_VALUES", 5 * n * rows)
-        return cli._windowed_fields(cfg, level, source, residual)
+        _, fields, g2 = cli._eval_level(cfg, which, level)
+        return fields, g2
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -89,7 +90,8 @@ def test_residuals_see_the_callers_errstate(monkeypatch, which):
             expected = np.geterr()
             cli._eval_level(cfg, which, 0)
             assert np.geterr() == expected
-        assert len(seen) == 5 and all(s == expected for s in seen), seen
+        # windows [0, 2) [2, 4) [4, 6) [6, 9)
+        assert len(seen) == 4 and all(s == expected for s in seen), seen
 
 
 def test_ct_source_failure_keeps_its_type_and_exit_code(tmp_path, monkeypatch, capsys):
