@@ -8,40 +8,38 @@ x-major row per grid point.
 
 The writers keep a byte contract.  JSON text is json.dumps(doc,
 sort_keys=True, indent=2) plus a newline, with allow_nan=False for a plain
-dict (run summaries stay strict); field documents stream their float arrays
-through the C encoder in chunks, with the list's comma, newline and indent
-as its item separator.  CSV (and OBJ, see surface.export_obj) values are
-``%.17g``, one ``%`` format per row through surface.write_rows, written in
-chunks; a caller writing both mesh.csv and mesh.obj formats the vertices
-once (surface.vertex_text) and hands the text to each.  Both writers make an
-array's values Python floats one LINES_PER_WRITE chunk at a time, never the
-whole array at once.  A writer change must keep the sha256 digests in
-tests/test_golden.py.
+dict (run summaries stay strict).  CSV (and OBJ, see surface.export_obj)
+values are ``'%.17g' % v``.  Field documents dump their structure through
+the C encoder with each float array hollowed out; the arrays' values, like
+every CSV and OBJ value, are formatted by _floattext, LINES_PER_WRITE values
+or rows a write.  Its digits are exact: TwoProduct gives v 10^p exactly,
+the decade is checked exactly, the 17-digit integer is rounded half-even,
+and a repr's 15- and 16-digit candidates are read back by Clinger's exact
+fast path.  Python formats each value that path cannot prove: +-0.0, NaN,
++-inf, |v| < 1e-4 or >= 1e15, a decade log10 misses, and a repr whose
+15-digit candidate reads back or whose 16-digit one is above 2^53.  A
+caller writing both mesh.csv and mesh.obj formats the vertices once
+(surface.vertex_text) and hands the text to each.  A writer change must
+keep the sha256 digests in tests/test_golden.py.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
 
 import numpy as np
 
+from ._floattext import slots, text
 from .errors import ConfigError, ShapeError
 from .numgrid import Grid1D, Grid2D
 from .spin import SpinField, SpinSeries
-from .surface import LINES_PER_WRITE, SurfaceMesh, vertex_text, write_rows
+from .surface import LINES_PER_WRITE, SurfaceMesh, vertex_text
 
 
 def _flat(a) -> np.ndarray:
     """a's values in C order as a 1-d float array, a view where the strides
     allow one (a component of a contiguous (..., 3) array is one)."""
     return np.asarray(a, dtype=float).reshape(-1)
-
-
-def _chunks(values: np.ndarray):
-    """1-d values as lists of Python floats, LINES_PER_WRITE values a list."""
-    return (values[i:i + LINES_PER_WRITE].tolist()
-            for i in range(0, values.size, LINES_PER_WRITE))
 
 
 def _unflat(data, shape, name: str) -> np.ndarray:
@@ -191,8 +189,8 @@ def _hollow(o, floats: list, inner: str = "\n  "):
 def _pieces(obj):
     """obj's JSON text in pieces.  A plain dict (a run summary) is dumped whole
     and strict.  Any other obj's document is dumped with its arrays hollowed
-    out, then each slot gets the C encoder's text of its values, one a line,
-    LINES_PER_WRITE values listed and dumped a piece."""
+    out, then each slot gets its values' JSON text, one a line, LINES_PER_WRITE
+    values a piece."""
     if isinstance(obj, dict):
         yield json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
         return
@@ -201,10 +199,11 @@ def _pieces(obj):
                        indent=2).split(_SLOT)
     yield parts[0]
     for (values, inner), after in zip(floats, parts[1:]):
-        sep = "," + inner
-        for i, chunk in enumerate(_chunks(values)):
-            text = json.dumps(chunk, separators=(sep, ": "))
-            yield (sep if i else ": [" + inner) + text[1:-1]
+        sep = ("," + inner).encode("ascii")
+        yield ": ["
+        for i in range(0, values.size, LINES_PER_WRITE):
+            lines = text([sep, slots(values[i:i + LINES_PER_WRITE], shortest=True)])
+            yield (lines if i else lines[1:]).decode("ascii")  # the first has no comma
         yield inner[:-2] + "]" + after
     yield "\n"
 
@@ -232,28 +231,28 @@ def load_json(path):
     return from_jsonable(doc)
 
 
-def _write_csv(path, header, x, t, columns) -> None:
-    """One x-major row per point of the x by t grid: x, t, then columns.
+def _write_csv(path, header, x, t, columns, verts=None) -> None:
+    """One x-major row per point of the x by t grid: x, t, columns, then the
+    three cells of verts (a surface.vertex_text) where given.
 
-    Each distinct x and t value is formatted once.  A column that is a tuple
-    of str (surface.vertex_text) is written as it stands, any other %.17g,
-    its values made Python floats LINES_PER_WRITE at a time.
+    Each distinct x and t value is formatted once, the columns'
+    LINES_PER_WRITE rows at a time.
     """
-    cols = [c if isinstance(c, tuple) and c and isinstance(c[0], str) else _flat(c)
-            for c in columns]
+    cols = [_flat(c) for c in columns]
     nx, nt = len(x), len(t)
-    if any(len(c) != nx * nt for c in cols):
+    if any(c.size != nx * nt for c in cols) or (verts is not None and len(verts) != nx * nt):
         raise ShapeError("CSV columns must have equal length")
-    xs = ["%.17g" % v for v in x.tolist()]
-    ts = ["%.17g" % v for v in t.tolist()]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        write_rows(fh, "%s,%s" + "".join(",%s" if isinstance(c, tuple) else ",%.17g"
-                                         for c in cols) + "\n",
-                   zip(chain.from_iterable(map(repeat, xs, repeat(nt))),
-                       chain.from_iterable(repeat(ts, nx)),
-                       *(c if isinstance(c, tuple) else chain.from_iterable(_chunks(c))
-                         for c in cols)))
+    xs, ts = slots(x), slots(t)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for i in range(0, nx * nt, LINES_PER_WRITE):
+            ix, it = divmod(np.arange(i, min(i + LINES_PER_WRITE, nx * nt)), nt)
+            cells = [xs.take(ix, axis=0), ts.take(it, axis=0),
+                     *(slots(c[i:i + LINES_PER_WRITE]) for c in cols),
+                     *([] if verts is None else verts[i:i + LINES_PER_WRITE].transpose(1, 0, 2))]
+            row = [piece for cell in cells for piece in (cell, b",")]
+            row[-1] = b"\n"
+            fh.write(text(row))
 
 
 def save_series_csv(s: SpinSeries, path) -> None:
@@ -261,11 +260,11 @@ def save_series_csv(s: SpinSeries, path) -> None:
                [s.S[..., 0], s.S[..., 1], s.S[..., 2], s.u, s.v])
 
 
-def save_mesh_csv(m: SurfaceMesh, path, verts: tuple | None = None) -> None:
+def save_mesh_csv(m: SurfaceMesh, path, verts: np.ndarray | None = None) -> None:
     """The mesh's vertices, one row each; verts is their vertex_text, else
     formatted here."""
     _write_csv(path, ["x", "t", "rx", "ry", "rz"], m.grid.gx.points(),
-               m.grid.gt.points(), [vertex_text(m) if verts is None else verts])
+               m.grid.gt.points(), [], vertex_text(m) if verts is None else verts)
 
 
 def save_scalars_csv(fields: dict, grid: Grid2D, path) -> None:

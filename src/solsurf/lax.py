@@ -78,8 +78,19 @@ def build_lax(ct: CTFields) -> LaxPairField:
 
 
 def zero_curvature_matrix(L: LaxPairField) -> np.ndarray:
-    """R = U_t - V_x - [U, V] per grid point (see module docstring)."""
-    comm = L.U @ L.V - L.V @ L.U
+    """R = U_t - V_x - [U, V] per grid point (see module docstring).
+
+    The commutator is written out entry by entry, in the order U @ V - V @ U
+    takes its products; a batched complex matmul of 2x2s costs several times
+    as much."""
+    U, V = L.U, L.V
+    a, b, e, g = U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1]
+    f, c, d, h = V[..., 0, 0], V[..., 0, 1], V[..., 1, 0], V[..., 1, 1]
+    comm = np.empty_like(U)
+    comm[..., 0, 0] = (a * f + b * d) - (f * a + c * e)
+    comm[..., 0, 1] = (a * c + b * h) - (f * b + c * g)
+    comm[..., 1, 0] = (e * f + g * d) - (d * a + h * e)
+    comm[..., 1, 1] = (e * c + g * h) - (d * b + h * g)
     return diff_t(L.U, L.grid) - diff_x(L.V, L.grid) - comm
 
 

@@ -9,16 +9,23 @@ quantities unchanged.
 Swept surfaces can degenerate (r_x parallel to r_t); such points are
 flagged with NaN in the normal-dependent quantities rather than raised,
 so curvature reporting stays honest on meshes that are fine elsewhere.
+
+OBJ vertex text is ``'%.17g' % v`` of each coordinate, byte for byte, made
+by the _floattext kernel a chunk of vertices at a time: TwoProduct gives
+|v| 10^p exactly, the decade is checked exactly and the 17-digit integer is
+rounded half-even.  Python formats the coordinates it cannot prove: +-0.0,
+NaN, +-inf, |v| < 1e-4 or >= 1e15, and a decade log10 misses.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
+from ._floattext import WIDTH, slots, text
 from .errors import NonFiniteFieldError, ShapeError
 from .gauss_codazzi import FundamentalForms, curvatures
 from .numgrid import (Grid1D, Grid2D, GridFields, Layout, diff_t, diff_tt, diff_x,
@@ -100,47 +107,43 @@ def mesh_curvatures(m: SurfaceMesh):
     return curvatures(mesh_forms(m))
 
 
-def write_rows(fh, fmt: str, rows) -> None:
-    """Write fmt % row for each row (a tuple) of an iterable, LINES_PER_WRITE
-    rows to a write."""
-    lines = map(fmt.__mod__, rows)
-    while text := "".join(islice(lines, LINES_PER_WRITE)):
-        fh.write(text)
+def vertex_text(m: SurfaceMesh) -> np.ndarray:
+    """Each vertex's x, y, z as '%.17g' text, in grid order: a (vertices, 3,
+    WIDTH) array of _floattext slots, the vertex text of export_obj and
+    fieldio.save_mesh_csv, which a caller of both can format once and hand
+    to each."""
+    r = m.r.reshape(-1, 3)
+    out = np.empty((len(r), 3, WIDTH), dtype=np.uint8)
+    for i in range(0, len(r), LINES_PER_WRITE):
+        out[i:i + LINES_PER_WRITE] = slots(r[i:i + LINES_PER_WRITE]).reshape(-1, 3, WIDTH)
+    return out
 
 
-def vertex_text(m: SurfaceMesh) -> tuple:
-    """Each vertex as "%.17g,%.17g,%.17g" text, in grid order: the vertex text
-    of export_obj and fieldio.save_mesh_csv, which a caller of both can format
-    once and hand to each."""
-    r = m.r.reshape(-1, 3)  # made Python floats LINES_PER_WRITE vertices at a time
-    return tuple(chain.from_iterable(
-        map("%.17g,%.17g,%.17g".__mod__, zip(*r[i:i + LINES_PER_WRITE].T.tolist()))
-        for i in range(0, len(r), LINES_PER_WRITE)))
-
-
-def export_obj(m: SurfaceMesh, path, verts: tuple | None = None) -> None:
+def export_obj(m: SurfaceMesh, path, verts: np.ndarray | None = None) -> None:
     """Wavefront OBJ: vertices in grid order (x-major), 1-based quad faces.
 
     Formatting is deterministic (17 significant digits), so identical
-    meshes export byte-identically.  A vertex row is its vertex_text (verts,
-    else formatted here) with "," made " " (%.17g text holds neither); face
-    rows are streamed in m.faces() order, each index formatted once.
+    meshes export byte-identically.  A vertex row is "v", then its
+    vertex_text (verts, else formatted here), LINES_PER_WRITE rows a write;
+    face rows are streamed in m.faces() order, each index formatted once.
     """
     if verts is None:
         verts = vertex_text(m)
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         for i in range(0, len(verts), LINES_PER_WRITE):
-            fh.write(("v " + "\nv ".join(verts[i:i + LINES_PER_WRITE]) + "\n")
-                     .replace(",", " "))
-        write_rows(fh, "f %s %s %s %s\n", _face_text(*m.grid.shape))
+            x, y, z = verts[i:i + LINES_PER_WRITE].transpose(1, 0, 2)
+            fh.write(text([b"v ", x, b" ", y, b" ", z, b"\n"]))
+        lines = map(b"f %s %s %s %s\n".__mod__, _face_text(*m.grid.shape))
+        while rows := b"".join(islice(lines, LINES_PER_WRITE)):
+            fh.write(rows)
 
 
 def _face_text(nx: int, nt: int):
     """The 1-based index text of each face, in SurfaceMesh.faces() order; the
     cells between vertex rows i and i + 1 need only those two rows' text."""
-    lo = list(map(str, range(1, nt + 1)))
+    lo = list(map(b"%d".__mod__, range(1, nt + 1)))
     for i in range(1, nx):
-        hi = list(map(str, range(i * nt + 1, (i + 1) * nt + 1)))
+        hi = list(map(b"%d".__mod__, range(i * nt + 1, (i + 1) * nt + 1)))
         yield from zip(lo[:-1], hi[:-1], hi[1:], lo[1:])
         lo = hi
 

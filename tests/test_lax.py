@@ -83,6 +83,37 @@ class TestZeroCurvature:
         expected = np.sqrt((r1 ** 2 + r2 ** 2 + r3 ** 2) / 2.0)
         assert np.max(np.abs(ss.zero_curvature_residual(L) - expected)) < tol
 
+    @pytest.mark.parametrize("layout", ["build_lax", "traceless"])
+    def test_commutator_matches_matmul_on_hostile_values(self, band_small, layout):
+        """Entries of +-0.0, of mixed scale and up to 6e153, whose products
+        reach 1e307 and whose sums stay below overflow.  In build_lax's layout
+        (U symmetric, V off-diagonal) R equals the U @ V - V @ U form, and
+        only the signs of zeros may differ; in any other traceless one the
+        two agree to the rounding of BLAS's fused products.  U is constant in
+        t and V in x, so R is -[U, V] off the edge rows, at every pairing of
+        a U row with a V column."""
+        rng = np.random.default_rng(5)
+        pool = np.array([0.0, -0.0, 6e153, -5e153, 3e153, 1e150, 1e-3, -2.5, 3.7])
+        nx, nt = band_small.shape
+
+        def entries(shape):
+            return rng.choice(pool, shape) + 1j * rng.choice(pool, shape)
+
+        a, b, e = entries((3, nx, 1))
+        c, d, f = entries((3, 1, nt))
+        if layout == "build_lax":
+            e, f = b, np.zeros_like(f)
+        a, b, e, c, d, f = np.broadcast_arrays(a, b, e, c, d, f)
+        U = np.stack([np.stack([a, b], -1), np.stack([e, -a], -1)], -2)
+        V = np.stack([np.stack([f, c], -1), np.stack([d, -f], -1)], -2)
+        got = ss.zero_curvature_matrix(ss.LaxPairField(U=U, V=V, grid=band_small))
+        want = ss.diff_t(U, band_small) - ss.diff_x(V, band_small) - (U @ V - V @ U)
+        assert (want == 0).any() and np.max(np.abs(want)) > 1e307
+        if layout == "build_lax":
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_sphere_residual_second_order(self):
         hs, errs = [], []
         for scale in (1, 2, 4):
