@@ -16,22 +16,27 @@ log10 was off by one), and hi + lo is rounded half-even to an int64, which
 is %.17g's 17-digit integer.  The shortest repr tests the correctly rounded
 15- and 16-digit integers N for a round trip by Clinger's fast path: for
 N <= 2^53 and k <= 22, N / 10^k is one correctly rounded division, so it
-equals v exactly when N's digits read back as v.  repr then has 16 digits
-where the 16-digit N round trips and the 15-digit one does not, else 17
-(%.17g's digits).
+equals v exactly when N's digits read back as v.  A 16-digit N above 2^53
+is tested on the TwoProduct instead: there hi is an even integer, so
+N - |v| 10^k is rint(lo) - lo exactly, and N reads back as v where that is
+under half an ulp of v times 10^k, itself exact (a 16-digit decimal is never
+a midpoint of two doubles).  repr then has 15 digits where the 15-digit N
+round trips, 16 where only the 16-digit one does, else 17 (%.17g's digits).
 
 Among the shortest strings that read back, repr takes the nearest, and the
 round-trip interval is symmetric about v except at a power of two, so the
-correctly rounded N is repr's digits; a tie rounds half-even in both.  No
-16- or 17-digit rounding of a double carries into the next decade (the gap
-below 10^k exceeds half a unit of the 16th digit), and a 15-digit carry
-reads back as 10^k, never as v.
+correctly rounded N is repr's digits; a tie rounds half-even in both.  The
+interval is under a quarter of a unit of the 15th digit wide, so it holds at
+most one 15-digit decimal, and a shorter repr exists exactly where the
+15-digit N that reads back ends in 0.  No 16- or 17-digit rounding of a
+double carries into the next decade (the gap below 10^k exceeds half a unit
+of the 16th digit), and a 15-digit carry reads back as 10^k, never as v.
 
 Python formats, one value at a time, every value the fast path cannot
 prove: +-0.0, NaN, +-inf, |v| < 1e-4 or >= 1e15 (exponent notation), a
 decade that does not resolve, and for the repr a 15-digit N that round trips
-(the shortest form may be shorter still; every integral value and power of
-two here is one) or a 16-digit N above 2^53.
+and ends in 0 (the shortest form is shorter) or is integral (repr adds
+".0"); every power of two here is one of those.
 
 A row is ten 4-char words, the first char in the low byte: the sign and up
 to 15 integer digits (four words), the point, then up to 20 fraction digits
@@ -200,11 +205,16 @@ def slots(values, shortest: bool = False) -> np.ndarray:
     fast &= ok
     if shortest:  # the 16- and 15-digit candidates, a row each
         k = 15 - X - np.arange(2)[:, None]
-        m = _round(*_scaled(ax, k))
-        known = m[0] <= 2 ** 53
+        hi, lo = _scaled(ax, k)
+        m = _round(hi, lo)
         rt = m.astype(np.float64) / _P10[k] == ax  # Clinger: m <= 2^53, k <= 22
-        fast &= known & ~rt[1]  # the digits of a value that falls back do not matter
-        n = np.where(rt[0], m[0] * 10, n)
+        # above 2^53: |m - |v| 10^k| = |rint(lo) - lo| against half an ulp
+        half = np.spacing(ax) * 0.5 * _P10[k[0]]
+        rt[0] = np.where(m[0] > 2 ** 53, np.abs(lo[0] - np.rint(lo[0])) < half, rt[0])
+        # a 15-digit m that reads back and ends in 0 has a shorter repr, and
+        # one of decade 14 is integral
+        fast &= ~rt[1] | ((m[1] - m[1] // 10 * 10 != 0) & (X < 14))
+        n = np.where(rt[1], m[1] * 100, np.where(rt[0], m[0] * 10, n))
     out = _words(n, X, np.signbit(v)).view(np.uint8)
     back = np.flatnonzero(~fast)
     if back.size:

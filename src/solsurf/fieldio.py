@@ -15,9 +15,10 @@ every CSV and OBJ value, are formatted by _floattext, LINES_PER_WRITE values
 or rows a write.  Its digits are exact: TwoProduct gives v 10^p exactly,
 the decade is checked exactly, the 17-digit integer is rounded half-even,
 and a repr's 15- and 16-digit candidates are read back by Clinger's exact
-fast path.  Python formats each value that path cannot prove: +-0.0, NaN,
-+-inf, |v| < 1e-4 or >= 1e15, a decade log10 misses, and a repr whose
-15-digit candidate reads back or whose 16-digit one is above 2^53.  A
+fast path, or above 2^53 by the TwoProduct's exact remainder.  Python
+formats each value that path cannot prove: +-0.0, NaN, +-inf, |v| < 1e-4 or
+>= 1e15, a decade log10 misses, and a repr whose 15-digit candidate reads
+back and ends in 0 or is integral.  A
 caller writing both mesh.csv and mesh.obj formats the vertices once
 (surface.vertex_text) and hands the text to each.  A writer change must
 keep the sha256 digests in tests/test_golden.py.
