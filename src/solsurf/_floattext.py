@@ -1,11 +1,11 @@
 """Float64 arrays as the exact text Python writes for each value, a whole
 array at a time.
 
-slots(values) gives each value a WIDTH-byte row holding ``'%.17g' % v``,
+slots(values) gives each value a row of bytes holding ``'%.17g' % v``,
 NUL-padded; slots(values, shortest=True) holds the JSON encoder's text of
 v (float.__repr__, or NaN, Infinity, -Infinity).  text(cells) lays such rows
 side by side with separator bytes and drops every NUL, which leaves the
-text.
+text.  index_text(m) gives the rows of integers 0 <= m < 10^16 the same way.
 
 Where the digits come from.  For 1e-4 <= |v| < 1e15, log10 estimates the
 decade X, and TwoProduct (Veltkamp's split, Dekker's product) gives
@@ -21,7 +21,8 @@ is tested on the TwoProduct instead: there hi is an even integer, so
 N - |v| 10^k is rint(lo) - lo exactly, and N reads back as v where that is
 under half an ulp of v times 10^k, itself exact (a 16-digit decimal is never
 a midpoint of two doubles).  repr then has 15 digits where the 15-digit N
-round trips, 16 where only the 16-digit one does, else 17 (%.17g's digits).
+round trips, 16 where only the 16-digit one does, else 17 (%.17g's digits);
+an integral repr ends in ".0".  +-0.0 take the rows of the integer 0.
 
 Among the shortest strings that read back, repr takes the nearest, and the
 round-trip interval is symmetric about v except at a power of two, so the
@@ -33,16 +34,23 @@ double carries into the next decade (the gap below 10^k exceeds half a unit
 of the 16th digit), and a 15-digit carry reads back as 10^k, never as v.
 
 Python formats, one value at a time, every value the fast path cannot
-prove: +-0.0, NaN, +-inf, |v| < 1e-4 or >= 1e15 (exponent notation), a
-decade that does not resolve, and for the repr a 15-digit N that round trips
-and ends in 0 (the shortest form is shorter) or is integral (repr adds
-".0"); every power of two here is one of those.
+prove: NaN, +-inf, |v| < 1e-4 or >= 1e15 (exponent notation), a decade that
+does not resolve, and for the repr a 15-digit N that round trips and ends in
+0 (the shortest form is shorter); every nonzero power of two here is one of
+those.
 
-A row is ten 4-char words, the first char in the low byte: the sign and up
-to 15 integer digits (four words), the point, then up to 20 fraction digits
-(five words).  The words come from one 4-digit table that holds each group
-plain, with its leading zeros blanked (NUL) or with its trailing zeros
-blanked, so that blanking does %.17g's leading and trailing zero removal.
+A row is made of 4-char words, the first char in the low byte: the sign and
+up to 15 integer digits (up to four words), the point, then up to 20
+fraction digits (five words).  The words come from one 4-digit table that
+holds each group plain, with its leading zeros blanked (NUL) or with its
+trailing zeros blanked, so that blanking does %.17g's leading and trailing
+zero removal.  A chunk's rows are only as wide as its digits: where its
+largest |v| < 1e15 has D integer digits (D = 1 below 1), they start at the
+integer word 3 - D // 4 and are 28, 32, 36 or 40 bytes.  The digits of every
+value that takes the fast path fill at most that word's last three chars
+(no rounding carries into the next decade), so its first is blank and takes
+the sign.  Python's text of a value, at most 24 chars, fills a row of any
+width from the left.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import json
 
 import numpy as np
 
-WIDTH = 40  # bytes a value's row holds
+WIDTH = 40  # bytes of the widest row
 
 _P10 = np.array([float(10 ** k) for k in range(23)])  # every one an exact double
 _I10 = 10 ** np.arange(17, dtype=np.int64)
@@ -118,7 +126,7 @@ def _tables():
 _WORDS = _tables()
 _LEAD, _LEAD0, _TRAIL = 10000, 20000, 30000  # offsets of the blanked groups
 _NUL, _DOT = 40000, 40001
-_BLANK_AT = np.array([[_LEAD], [_LEAD], [_LEAD0]])  # for integer words 1, 2, 3
+_BLANK_AT = np.array([[_LEAD], [_LEAD], [_LEAD0]], dtype=np.int32)  # for integer words 1, 2, 3
 
 
 def _groups(m, out):
@@ -130,8 +138,22 @@ def _groups(m, out):
         out[row + 1] = eight - out[row] * 10 ** 4
 
 
-def _words(n, X, neg):
-    """The (len(n), 10) words of 17-digit integers n of decades X."""
+def _integer(m, out):
+    """The table indices of integers m < 10^16 into out's 4 rows, as four
+    words with leading zeros blank and "0" for 0."""
+    _groups(m, out)
+    # a word takes its leading-blank group where all before it are 0, the
+    # last one its "0" for 0
+    blank = out[:3] == 0
+    blank[1] &= blank[0]
+    blank[2] &= blank[1]
+    out[1:] += blank * _BLANK_AT
+    out[0] += _LEAD
+
+
+def _indices(n, X, shortest):
+    """The (10, len(n)) table indices of the words of 17-digit integers n of
+    decades X."""
     # X >= 0: integer part n // 10^(16 - X); X < 0: "0", then the first four
     # fraction digits n // 10^(12 - X) as one group, zeros kept
     q = np.where(X >= 0, X, X + 4)
@@ -139,18 +161,11 @@ def _words(n, X, neg):
     small = X < 0
     whole = rest == 0  # no fraction digit after a's
     integral = whole & ~small
-    idx = np.empty((10, n.size), dtype=np.int64)  # word by word
-    _groups(np.where(small, 0, a), idx[:4])
-    # an integer word takes its leading-blank group where all before it are 0,
-    # the last one its "0" for 0
-    blank = idx[:3] == 0
-    blank[1] &= blank[0]
-    blank[2] &= blank[1]
-    idx[1:4] += blank * _BLANK_AT
-    idx[0] += _LEAD
-    # no point after an integral value (whose repr, <= 15 digits, Python writes)
-    idx[4] = np.where(integral, _NUL, _DOT)
-    idx[5] = np.where(small, a + whole * _TRAIL, _NUL)
+    idx = np.empty((10, n.size), dtype=np.int32)  # word by word
+    _integer(np.where(small, 0, a), idx[:4])
+    # after an integral value %.17g writes no point, repr ".0"
+    idx[4] = _DOT if shortest else np.where(integral, _NUL, _DOT)
+    idx[5] = np.where(small, a + whole * _TRAIL, np.where(integral & shortest, _LEAD0, _NUL))
     # the other 16 fraction digits, left-aligned; a fraction word takes its
     # trailing-blank group where all after it are 0
     _groups(rest * _I10[q], idx[6:])
@@ -159,9 +174,7 @@ def _words(n, X, neg):
     blank[0] &= blank[1]
     idx[6:9] += blank * _TRAIL
     idx[9] += _TRAIL
-    words = _WORDS.take(idx.T)
-    words[:, 0] |= neg * np.uint32(ord("-"))
-    return words
+    return idx
 
 
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
@@ -188,10 +201,32 @@ def _json_rows(values) -> np.ndarray:
 
 
 def slots(values, shortest: bool = False) -> np.ndarray:
-    """(len(values), WIDTH) uint8: row i holds '%.17g' % values[i] (with
-    shortest, its JSON text), NUL-padded."""
+    """(len(values), width(values)) uint8: row i holds '%.17g' % values[i]
+    (with shortest, its JSON text), NUL-padded."""
     v = np.asarray(values, dtype=np.float64).reshape(-1)
+    n, X, fast = _digits(v, shortest)
+    words = _WORDS.take(_indices(n, X, shortest)[10 - width(v) // 4:].T)
+    words[:, 0] |= np.signbit(v) * np.uint32(ord("-"))
+    out = words.view(np.uint8)
+    back = np.flatnonzero(~fast)
+    if back.size:
+        out[back] = (_json_rows if shortest else _python_rows)(v[back])[:, :out.shape[1]]
+    return out
+
+
+def width(values) -> int:
+    """The width of the rows slots gives values, 28, 32, 36 or 40 bytes: as
+    wide as the integer digits of their largest |v| < 1e15 need."""
+    ax = np.abs(np.asarray(values, dtype=np.float64))
+    digits = 1 + np.searchsorted(_P10[1:15], np.max(ax, where=ax < 1e15, initial=0.0), "right")
+    return 28 + 4 * int(digits // 4)
+
+
+def _digits(v, shortest):
+    """n, X, fast: the 17-digit integer and decade of each value (for the
+    shortest, repr's digits padded to 17), and where they are its text."""
     ax = np.abs(v)
+    zero = ax == 0
     fast = (ax >= 1e-4) & (ax < 1e15)  # NaN is neither
     ax[~fast] = 1.0
     X = np.floor(np.log10(ax)).astype(np.int64)
@@ -211,15 +246,21 @@ def slots(values, shortest: bool = False) -> np.ndarray:
         # above 2^53: |m - |v| 10^k| = |rint(lo) - lo| against half an ulp
         half = np.spacing(ax) * 0.5 * _P10[k[0]]
         rt[0] = np.where(m[0] > 2 ** 53, np.abs(lo[0] - np.rint(lo[0])) < half, rt[0])
-        # a 15-digit m that reads back and ends in 0 has a shorter repr, and
-        # one of decade 14 is integral
-        fast &= ~rt[1] | ((m[1] - m[1] // 10 * 10 != 0) & (X < 14))
+        # a 15-digit m that reads back and ends in 0 has a shorter repr
+        fast &= ~rt[1] | (m[1] - m[1] // 10 * 10 != 0)
         n = np.where(rt[1], m[1] * 100, np.where(rt[0], m[0] * 10, n))
-    out = _words(n, X, np.signbit(v)).view(np.uint8)
-    back = np.flatnonzero(~fast)
-    if back.size:
-        out[back] = (_json_rows if shortest else _python_rows)(v[back])
-    return out
+    n[zero] = 0  # of decade X = 0, as ax is 1.0 there
+    return n, X, fast | zero
+
+
+def index_text(m) -> np.ndarray:
+    """(len(m), w) uint8: row i holds the text of the integer 0 <= m[i] < 10^16,
+    NUL-padded, in as many words as the largest needs (w = 4, 8 or 16)."""
+    m = np.asarray(m, dtype=np.int64)
+    idx = np.empty((4, m.size), dtype=np.int32)
+    _integer(m, idx)
+    top = np.max(m, initial=0)
+    return _WORDS.take(idx[3 - (top >= 10 ** 4) - 2 * (top >= 10 ** 8):].T).view(np.uint8)
 
 
 def text(cells) -> bytes:

@@ -16,12 +16,13 @@ or rows a write.  Its digits are exact: TwoProduct gives v 10^p exactly,
 the decade is checked exactly, the 17-digit integer is rounded half-even,
 and a repr's 15- and 16-digit candidates are read back by Clinger's exact
 fast path, or above 2^53 by the TwoProduct's exact remainder.  Python
-formats each value that path cannot prove: +-0.0, NaN, +-inf, |v| < 1e-4 or
+formats each value that path cannot prove: NaN, +-inf, |v| < 1e-4 or
 >= 1e15, a decade log10 misses, and a repr whose 15-digit candidate reads
-back and ends in 0 or is integral.  A
-caller writing both mesh.csv and mesh.obj formats the vertices once
-(surface.vertex_text) and hands the text to each.  A writer change must
-keep the sha256 digests in tests/test_golden.py.
+back and ends in 0.  A chunk's rows are only as wide as its digits, and a
+CSV chunk formats all its float columns in one call.  A caller writing both
+mesh.csv and mesh.obj formats the vertices once (surface.vertex_text) and
+hands the text to each.  A writer change must keep the sha256 digests in
+tests/test_golden.py.
 """
 
 from __future__ import annotations
@@ -237,7 +238,8 @@ def _write_csv(path, header, x, t, columns, verts=None) -> None:
     three cells of verts (a surface.vertex_text) where given.
 
     Each distinct x and t value is formatted once, the columns'
-    LINES_PER_WRITE rows at a time.
+    LINES_PER_WRITE rows at a time in one slots call, so they share their
+    widest column's row width.
     """
     cols = [_flat(c) for c in columns]
     nx, nt = len(x), len(t)
@@ -247,13 +249,15 @@ def _write_csv(path, header, x, t, columns, verts=None) -> None:
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for i in range(0, nx * nt, LINES_PER_WRITE):
-            ix, it = divmod(np.arange(i, min(i + LINES_PER_WRITE, nx * nt)), nt)
-            cells = [xs.take(ix, axis=0), ts.take(it, axis=0),
-                     *(slots(c[i:i + LINES_PER_WRITE]) for c in cols),
-                     *([] if verts is None else verts[i:i + LINES_PER_WRITE].transpose(1, 0, 2))]
-            row = [piece for cell in cells for piece in (cell, b",")]
-            row[-1] = b"\n"
-            fh.write(text(row))
+            j = min(i + LINES_PER_WRITE, nx * nt)
+            ix, it = divmod(np.arange(i, j), nt)
+            cells = [xs.take(ix, axis=0), ts.take(it, axis=0)]
+            if cols:
+                cells += list(slots(np.concatenate([c[i:j] for c in cols]))
+                              .reshape(len(cols), j - i, -1))
+            if verts is not None:
+                cells += list(verts[i:j].transpose(1, 0, 2))
+            fh.write(text([piece for cell in cells for piece in (cell, b",")][:-1] + [b"\n"]))
 
 
 def save_series_csv(s: SpinSeries, path) -> None:

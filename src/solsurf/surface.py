@@ -13,19 +13,20 @@ so curvature reporting stays honest on meshes that are fine elsewhere.
 OBJ vertex text is ``'%.17g' % v`` of each coordinate, byte for byte, made
 by the _floattext kernel a chunk of vertices at a time: TwoProduct gives
 |v| 10^p exactly, the decade is checked exactly and the 17-digit integer is
-rounded half-even.  Python formats the coordinates it cannot prove: +-0.0,
-NaN, +-inf, |v| < 1e-4 or >= 1e15, and a decade log10 misses.
+rounded half-even.  Python formats the coordinates it cannot prove: NaN,
++-inf, |v| < 1e-4 or >= 1e15, and a decade log10 misses.  Face rows come
+from the same kernel's word table: the index text 1..N is formatted once and
+each chunk of faces is laid out from its rows.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from ._floattext import WIDTH, slots, text
+from ._floattext import index_text, slots, text, width
 from .errors import NonFiniteFieldError, ShapeError
 from .gauss_codazzi import FundamentalForms, curvatures
 from .numgrid import (Grid1D, Grid2D, GridFields, Layout, diff_t, diff_tt, diff_x,
@@ -51,8 +52,8 @@ class SurfaceMesh(GridFields):
     def faces(self) -> np.ndarray:
         """(nfaces, 4) 0-based quad indices, one per grid cell."""
         nx, nt = self.grid.shape
-        base = (np.arange(nx - 1)[:, None] * nt + np.arange(nt - 1)).ravel()
-        return np.stack([base, base + nt, base + nt + 1, base + 1], axis=1)
+        base = (np.arange(nx - 1)[:, None] * nt + np.arange(nt - 1)).reshape(-1, 1)
+        return base + np.array([0, nt, nt + 1, 1])
 
 
 def reconstruct(series: SpinSeries) -> SurfaceMesh:
@@ -77,27 +78,34 @@ def mesh_forms(m: SurfaceMesh) -> FundamentalForms:
     the surface: at r_t = 0, or at round-off on that scale (closure rows),
     and where E G - F^2, which K and H divide by, cancels to <= 0.  Where it
     overflows (round-off at a tiny spacing), so does the bound: none passes it.
-    Every point is degenerate where the round-off eps*max|r|/(h**2 max(E or G))
-    of the curvature along x or t (h = dx, dt) is not below ROUNDOFF_TOL times
-    the largest normal curvature max|L|/max E, max|N|/max G (noise alone is at
-    most about twice its floor), or 1/max|r| for a patch too flat to show one:
-    the samples of a small cap of a sphere about the origin are a plane's.
+    Every point is degenerate where the round-off eps*max|r.n|/(h**2 max(E or
+    G)) of the curvature along x or t (h = dx, dt) is not below ROUNDOFF_TOL
+    times the largest normal curvature max|L|/max E, max|N|/max G (noise alone
+    is at most about twice its floor), or 1/max|r| for a patch too flat to
+    show one: the samples of a small cap of a sphere about the origin are a
+    plane's.  |r.n| is taken coordinate by coordinate, as the largest
+    sum_j max|r_j| |n_j| over every point where r_x ^ r_t has a direction n,
+    regular or not (round-off in r_x can give every regular point a false
+    normal), so a flat patch far from the origin along its own plane keeps
+    its zero curvature.
     """
     r_x, r_t = diff_x(m.r, m.grid), diff_t(m.r, m.grid)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         E, F, G = _dot(r_x, r_x), _dot(r_x, r_t), _dot(r_t, r_t)
-        cross = np.cross(r_x, r_t)
-        mag = np.linalg.norm(cross, axis=-1)
+        unit = np.cross(r_x, r_t)
+        mag = np.linalg.norm(unit, axis=-1)
         good = (mag > DEGENERATE_TOL * np.sqrt(np.max(E) * np.max(G))) & (E * G - F ** 2 > 0)
-    n = np.full_like(cross, np.nan)
-    n[good] = cross[good] / mag[good][..., None]
+        unit /= mag[..., None]  # NaN where r_x ^ r_t is 0
+    n = np.where(good[..., None], unit, np.nan)
     L, N = _dot(diff_xx(m.r, m.grid), n), _dot(diff_tt(m.r, m.grid), n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r_max, E_max, G_max = np.max(np.abs(m.r)), np.max(E), np.max(G)
         kappa = np.fmax.reduce([np.fmax.reduce(np.abs(L), axis=None) / E_max,
                                 np.fmax.reduce(np.abs(N), axis=None) / G_max, 1.0 / r_max])
         h2_metric = np.minimum(m.grid.gx.dx ** 2 * E_max, m.grid.gt.dx ** 2 * G_max)
-        if not np.finfo(float).eps * r_max / h2_metric <= ROUNDOFF_TOL * kappa:
+        reach = _dot(np.abs(unit, out=unit), np.max(np.abs(m.r), axis=(0, 1)))
+        r_n = np.fmax.reduce(reach, axis=None)
+        if not np.finfo(float).eps * r_n / h2_metric <= ROUNDOFF_TOL * kappa:
             n[...] = L[...] = N[...] = np.nan
     return FundamentalForms(E=E, F=F, G=G, L=L, M=_dot(diff_t(r_x, m.grid), n), N=N, grid=m.grid)
 
@@ -109,13 +117,15 @@ def mesh_curvatures(m: SurfaceMesh):
 
 def vertex_text(m: SurfaceMesh) -> np.ndarray:
     """Each vertex's x, y, z as '%.17g' text, in grid order: a (vertices, 3,
-    WIDTH) array of _floattext slots, the vertex text of export_obj and
+    width(m.r)) array of _floattext slots, the vertex text of export_obj and
     fieldio.save_mesh_csv, which a caller of both can format once and hand
     to each."""
     r = m.r.reshape(-1, 3)
-    out = np.empty((len(r), 3, WIDTH), dtype=np.uint8)
+    w = width(r)
+    out = np.zeros((len(r), 3, w), dtype=np.uint8)
     for i in range(0, len(r), LINES_PER_WRITE):
-        out[i:i + LINES_PER_WRITE] = slots(r[i:i + LINES_PER_WRITE]).reshape(-1, 3, WIDTH)
+        rows = slots(r[i:i + LINES_PER_WRITE])  # a narrower chunk's rows start further in
+        out[i:i + LINES_PER_WRITE, :, w - rows.shape[1]:] = rows.reshape(-1, 3, rows.shape[1])
     return out
 
 
@@ -124,8 +134,9 @@ def export_obj(m: SurfaceMesh, path, verts: np.ndarray | None = None) -> None:
 
     Formatting is deterministic (17 significant digits), so identical
     meshes export byte-identically.  A vertex row is "v", then its
-    vertex_text (verts, else formatted here), LINES_PER_WRITE rows a write;
-    face rows are streamed in m.faces() order, each index formatted once.
+    vertex_text (verts, else formatted here); a face row is "f", then the
+    index text of its m.faces() row, each index formatted once.  Either
+    takes LINES_PER_WRITE rows a write.
     """
     if verts is None:
         verts = vertex_text(m)
@@ -133,19 +144,10 @@ def export_obj(m: SurfaceMesh, path, verts: np.ndarray | None = None) -> None:
         for i in range(0, len(verts), LINES_PER_WRITE):
             x, y, z = verts[i:i + LINES_PER_WRITE].transpose(1, 0, 2)
             fh.write(text([b"v ", x, b" ", y, b" ", z, b"\n"]))
-        lines = map(b"f %s %s %s %s\n".__mod__, _face_text(*m.grid.shape))
-        while rows := b"".join(islice(lines, LINES_PER_WRITE)):
-            fh.write(rows)
-
-
-def _face_text(nx: int, nt: int):
-    """The 1-based index text of each face, in SurfaceMesh.faces() order; the
-    cells between vertex rows i and i + 1 need only those two rows' text."""
-    lo = list(map(b"%d".__mod__, range(1, nt + 1)))
-    for i in range(1, nx):
-        hi = list(map(b"%d".__mod__, range(i * nt + 1, (i + 1) * nt + 1)))
-        yield from zip(lo[:-1], hi[:-1], hi[1:], lo[1:])
-        lo = hi
+        indices, faces = index_text(np.arange(1, len(verts) + 1)), m.faces()
+        for i in range(0, len(faces), LINES_PER_WRITE):
+            a, b, c, d = indices[faces[i:i + LINES_PER_WRITE].T]
+            fh.write(text([b"f ", a, b" ", b, b" ", c, b" ", d, b"\n"]))
 
 
 def import_obj(path, grid: Grid2D | None = None) -> SurfaceMesh:

@@ -675,6 +675,15 @@ def test_unresolved_second_differences_are_degenerate(tmp_path, capsys, argv):
     assert capsys.readouterr().out == "surface sphere: points=4225 degenerate=4225 K_mean=None\n"
 
 
+@pytest.mark.parametrize("x0", ["1e5", "1e9"])
+def test_far_plane_is_flat(tmp_path, capsys, x0):
+    """A plane patch far from the origin along its own plane: its x samples
+    carry round-off, none of it along the normal, so no point is degenerate."""
+    assert main(["surface", "--scenario", "plane", "--x0", x0, "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "surface plane: points=1089 degenerate=0 K_mean=0.0\n"
+
+
 def test_random_ct_amplitude_bound():
     """(4 M)^4 of the largest field value M must be finite: 1e76 builds."""
     g2 = ss.Grid2D(ss.Grid1D(0.0, 0.5, 9), ss.Grid1D(0.0, 0.5, 9))

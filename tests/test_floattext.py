@@ -108,12 +108,12 @@ def test_kernel_matches_python_in_small_chunks(drawn, shortest, chunk):
 
 def test_random_smooth_series_mostly_takes_the_fast_path(monkeypatch):
     """At least 98% of a random_smooth series' values get their JSON text, and
-    99% their %.17g text, without Python's formatting: a fast path that
+    99.9% their %.17g text, without Python's formatting: a fast path that
     quietly falls back fails here."""
     grid = ss.Grid1D(0.0, 2.0 * np.pi / 128, 129, "one_sided")
     series = ss.evolve_series(random_smooth_spin(grid, seed=1, theta_amp=0.05), grid.dx / 4, 64)
     values = np.concatenate([series.S.ravel(), series.u.ravel(), series.v.ravel()])
-    for shortest, floor, name in ((True, 0.98, "_json_rows"), (False, 0.99, "_python_rows")):
+    for shortest, floor, name in ((True, 0.98, "_json_rows"), (False, 0.999, "_python_rows")):
         formatted = []
         python_rows = getattr(ft, name)
         monkeypatch.setattr(ft, name, lambda v, rows=python_rows: formatted.extend(v) or rows(v))
@@ -124,3 +124,36 @@ def test_random_smooth_series_mostly_takes_the_fast_path(monkeypatch):
 def test_rows_hold_the_separators_they_are_given():
     cells = ft.slots(np.array([1.0, -0.0, np.nan, 2.5e-5, 123456789.125]), shortest=True)
     assert ft.text([b"[", cells, b"]\n"]) == b"[1.0]\n[-0.0]\n[NaN]\n[2.5e-05]\n[123456789.125]\n"
+
+
+@pytest.mark.parametrize("digits", range(1, 16))
+@pytest.mark.parametrize("shortest", [False, True], ids=["g17", "json"])
+def test_rows_are_as_wide_as_the_chunk_needs(shortest, digits):
+    """A chunk whose largest value below 1e15 has `digits` integer digits gets
+    rows of 28, 32, 36 or 40 bytes, the sign in their first byte at 3, 7, 11
+    and 15 digits, beside values Python formats (a 24-char one among them)
+    and +-0.0."""
+    rng = np.random.default_rng(digits)
+    top = np.nextafter(10.0 ** digits, 0.0)  # digits 9s, then a fraction
+    values = np.concatenate([[-top, top, np.nan, 0.0, -0.0, 1e-5, -1e16, -np.inf,
+                              -1.2345678901234567e-100],
+                             rng.uniform(-1.0, 1.0, 64) * 10.0 ** rng.uniform(-4, digits, 64)])
+    assert ft.slots(values, shortest).shape == (values.size, 28 + 4 * (digits // 4))
+    _assert_same(values, _kernel(values, shortest), _oracle(values, shortest))
+
+
+@pytest.mark.parametrize("shortest", [False, True], ids=["g17", "json"])
+def test_rows_of_values_python_formats_are_the_narrowest(shortest):
+    values = np.array([np.nan, -np.inf, 1e16, -1.2345678901234567e-100, 1e-5])
+    assert ft.slots(values, shortest).shape == (values.size, 28)
+    _assert_same(values, _kernel(values, shortest), _oracle(values, shortest))
+
+
+def test_zeros_take_the_fast_path(monkeypatch):
+    """+-0.0 are the rows of the integer 0, "0" and "-0", or "0.0" and "-0.0"
+    for JSON, with no call to Python's formatting."""
+    for name in ("_python_rows", "_json_rows"):
+        monkeypatch.setattr(ft, name, lambda v: pytest.fail(f"{v.size} values fell back"))
+    zeros = np.tile([0.0, -0.0], 2048)
+    assert ft.text([ft.slots(zeros), b"\n"]) == b"0\n-0\n" * 2048
+    assert ft.text([ft.slots(zeros, shortest=True), b"\n"]) == b"0.0\n-0.0\n" * 2048

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import solsurf as ss
 from solsurf import Grid1D, Grid2D
+from solsurf import _floattext as ft
 from solsurf.fixtures import (
     cylinder_patch,
     plane_patch,
@@ -98,6 +99,14 @@ class TestMeshGeometry:
         assert np.nanmax(np.abs(K)) < 1e-12
         assert np.nanmax(np.abs(H)) < 1e-12
 
+    @pytest.mark.parametrize("x0", [1e5, 1e9])
+    def test_far_plane_is_flat_and_regular(self, x0):
+        # far from the origin along its own plane the round-off of x is large
+        # against dx**2, but none of it lies along the normal
+        g2 = Grid2D(Grid1D(x0, 1.0 / 32, 33), Grid1D(0.0, 1.0 / 32, 33))
+        K, H = ss.curvatures(ss.mesh_forms(plane_patch(g2)))
+        assert np.array_equal(K, np.zeros_like(K)) and np.array_equal(H, np.zeros_like(H))
+
     def test_degenerate_points_flagged_not_raised(self):
         # r depends only on x+t, so the tangent plane collapses everywhere
         g2 = unit_square(5, 5)
@@ -169,10 +178,46 @@ def test_mesh_forms_bits_do_not_depend_on_the_layout_of_r(nx, nt, bump, seed):
     assert len(results) == 1
 
 
+def face_text(nx: int, nt: int) -> bytes:
+    """The face rows of an nx by nt grid mesh in SurfaceMesh.faces() order,
+    each index %-formatted: export_obj's earlier face generator."""
+    rows = []
+    lo = list(map(b"%d".__mod__, range(1, nt + 1)))
+    for i in range(1, nx):
+        hi = list(map(b"%d".__mod__, range(i * nt + 1, (i + 1) * nt + 1)))
+        rows += [b"f %s %s %s %s\n" % quad for quad in zip(lo[:-1], hi[:-1], hi[1:], lo[1:])]
+        lo = hi
+    return b"".join(rows)
+
+
 class TestMeshIndexing:
     def test_faces_are_grid_quads(self):
         mesh = ss.SurfaceMesh(r=np.zeros((2, 3, 3)), grid=unit_square(2, 3))
         assert np.array_equal(mesh.faces(), [[0, 3, 4, 1], [1, 4, 5, 2]])
+
+    @pytest.mark.parametrize("lines_per_write", [ss.surface.LINES_PER_WRITE, 7])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (101, 101)])
+    def test_face_rows_match_the_percent_format(self, tmp_path, monkeypatch, shape,
+                                                lines_per_write):
+        """(101, 101) crosses 10^4 vertices, where the index text widens."""
+        monkeypatch.setattr(ss.surface, "LINES_PER_WRITE", lines_per_write)
+        mesh = ss.SurfaceMesh(r=np.zeros(shape + (3,)), grid=unit_square(*shape))
+        ss.export_obj(mesh, tmp_path / "m.obj")
+        data = (tmp_path / "m.obj").read_bytes()
+        assert data[data.index(b"f "):] == face_text(*shape)
+
+    @pytest.mark.parametrize("top, width", [
+        (9, 4), (9999, 4), (10 ** 4, 8), (10 ** 8 - 1, 8), (10 ** 8, 16),
+        (10 ** 12 - 1, 16), (10 ** 12, 16), (10 ** 12 + 1, 16), (10 ** 16 - 1, 16)])
+    def test_index_text_is_percent_d(self, top, width):
+        """Each row is %d of its integer; the rows hold as many 4-char words
+        as the largest integer needs."""
+        m = np.array([1, 10, 999, 1000, 10 ** 4 - 1, 10 ** 4, 10 ** 4 + 1, 10 ** 8 - 1,
+                      10 ** 8, 10 ** 8 + 1, 10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1, 10 ** 16 - 1])
+        m = np.append(m[m < top], top)
+        rows = ft.index_text(m)
+        assert rows.shape == (m.size, width)
+        assert ft.text([rows, b"\n"]) == b"".join(b"%d\n" % k for k in m.tolist())
 
 
 class TestObjRoundTrip:
@@ -186,6 +231,24 @@ class TestObjRoundTrip:
         ss.export_obj(mesh, path)
         expected = b"v 0 0 0\nv 0 1 0\nv 1 0 0\nv 1 1 0.5\nf 1 3 4 2\n"
         assert path.read_bytes() == expected
+
+    def test_vertex_text_pads_narrower_chunks(self, tmp_path, monkeypatch):
+        """Chunks of two vertices get 28-, 32- and 40-byte rows; the shared
+        vertex text holds them all at the widest, and both writers give
+        '%.17g' of each coordinate."""
+        monkeypatch.setattr(ss.surface, "LINES_PER_WRITE", 2)
+        r = np.zeros((3, 2, 3))
+        r[0, 0, 0], r[1, 1, 2], r[2, 0, 1] = -0.5, 12345.678, -123456789012.25
+        mesh = ss.SurfaceMesh(r=r, grid=unit_square(3, 2))
+        verts = ss.surface.vertex_text(mesh)
+        assert verts.shape == (6, 3, 40)
+        ss.export_obj(mesh, tmp_path / "m.obj", verts)
+        ss.fieldio.save_mesh_csv(mesh, tmp_path / "m.csv", verts)
+        coords = [b" ".join(b"%.17g" % c for c in v) for v in r.reshape(-1, 3).tolist()]
+        assert (tmp_path / "m.obj").read_bytes().startswith(
+            b"".join(b"v %s\n" % c for c in coords))
+        rows = (tmp_path / "m.csv").read_bytes().splitlines()[1:]
+        assert [row.split(b",", 2)[2] for row in rows] == [c.replace(b" ", b",") for c in coords]
 
     def test_full_precision_round_trip(self, tmp_path):
         g2 = unit_square(4, 5)
